@@ -59,20 +59,16 @@ from .picard import (
     BoundaryIndex,
     CurveFunctional,
     DivisorClass,
-    add,
     boundary_class,
     canonical_boundary_indices,
     canonicalize_index,
     delta0_class,
-    equals,
     format_rational,
     g2_normal_form,
     lambda_class,
     pair,
     parse_rational,
     psi_class,
-    scale,
-    zero_class,
 )
 from .strata import (
     ComponentCount,

@@ -40,8 +40,10 @@ from .picard import (
 )
 from .testcurves import (
     TestCurveSpec,
+    a_dot_qg_formula,
     curve_functional,
     oracle,
+    oracle_b_dot_qg,
     valid_specs,
 )
 
@@ -272,9 +274,6 @@ def pullback_attach(d: DivisorClass, h: int, attach_label: int = 1) -> DivisorCl
             side_S = frozenset(range(1, d.n + 1)) - idx.point_set
         if side_i < h:
             continue
-        if side_i == h and side_S == {j}:
-            acc.add_psi(j, -c)
-            continue
         acc.add_boundary(side_i - h, side_S, c)
     return acc.divisor_class()
 
@@ -352,15 +351,6 @@ def _slot(g: int, n: int, i: int, s: int):
     if (i == 0 and s == 1) or (i == g and s == n - 1):
         return ("cpsi",)
     return ("zero",)
-
-
-def _a_rhs(g: int, i: int, s: int) -> int:
-    # formal extension of the family-A oracle to the whole grid
-    if s != 2 * g - 2:
-        return 4 ** (g - 1) * (s - 2 * i) ** 2 * (g - i)
-    return (4 ** (g - i) - 1) * 4**i * (g - i - 1) ** 2 * (g - i) + 4**i * (
-        g - i
-    ) * (g - i + 1) * (g - i - 1)
 
 
 @dataclass(frozen=True)
@@ -495,14 +485,14 @@ def solve_qg_coefficients(g: int) -> QgSolution:
                 put(row, i, s + 1, lead)
             put(row, i, s, Fraction(-(4 * g - 2 * i - 4 - s)))
             rows.append(row)
-            rhs.append(Fraction(_a_rhs(g, i, s)))
+            rhs.append(Fraction(a_dot_qg_formula(g, i, s)))
     for i in range(1, g + 1):
         row = [Fraction(0)] * n_cols
         row[0] += 2 * i - 1
         put(row, i, 0, Fraction(1))
         put(row, i, 1, Fraction(-1))
         rows.append(row)
-        rhs.append(Fraction(4 ** (g - 1) * i - 4 ** (g - i) * i))
+        rhs.append(Fraction(oracle_b_dot_qg(g, i, 0)))
 
     n_equations = len(rows)
     pivots = _rref(rows, rhs)

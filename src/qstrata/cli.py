@@ -61,7 +61,7 @@ def _build_parser() -> _Parser:
         return sp
 
     sp = with_json(sub.add_parser("class", help="print a divisor class"))
-    sp.add_argument("which", choices=["qg", "qd", "logan", "weierstrass"])
+    sp.add_argument("which", choices=list(_CLASS_KINDS))
     sp.add_argument("--g", type=int)
     sp.add_argument("--n", type=int)
     sp.add_argument("--d", type=str)
@@ -111,29 +111,38 @@ def _need(args, names):
             raise UsageError("--%s is required here" % name)
 
 
+# The class-spec grammar shared by `class KIND --g G --n N --d D` and
+# `pair --class KIND:G:N:D`: each kind's fields, in order, and its builder.
+# The lambdas look the builders up at call time, so a rebound module name
+# is honoured.
+_CLASS_KINDS = {
+    "qg": (("g",), lambda g: qg_class(g)),
+    "qd": (("g", "n", "d"), lambda g, n, d: qd_class(QdInput(g, n, tuple(d)))),
+    "logan": (("g", "n", "d"), lambda g, n, d: logan_class(g, n, d)),
+    "weierstrass": ((), lambda: weierstrass_class()),
+}
+
+
+def _class_field(name: str, value):
+    if name == "d":
+        return _int_list(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError("class field %s must be an integer, got %r" % (name, value))
+
+
 def _class_from_args(args) -> DivisorClass:
-    if args.which == "qg":
-        _need(args, ["g"])
-        return qg_class(args.g)
-    if args.which == "qd":
-        _need(args, ["g", "n", "d"])
-        return qd_class(QdInput(args.g, args.n, tuple(_int_list(args.d))))
-    if args.which == "logan":
-        _need(args, ["g", "n", "d"])
-        return logan_class(args.g, args.n, _int_list(args.d))
-    return weierstrass_class()
+    names, build = _CLASS_KINDS[args.which]
+    _need(args, names)
+    return build(*(_class_field(name, getattr(args, name)) for name in names))
 
 
 def _class_from_spec(text: str) -> DivisorClass:
-    if text == "weierstrass":
-        return weierstrass_class()
-    parts = text.split(":")
-    if parts[0] == "qg" and len(parts) == 2:
-        return qg_class(int(parts[1]))
-    if parts[0] == "qd" and len(parts) == 4:
-        return qd_class(QdInput(int(parts[1]), int(parts[2]), tuple(_int_list(parts[3]))))
-    if parts[0] == "logan" and len(parts) == 4:
-        return logan_class(int(parts[1]), int(parts[2]), _int_list(parts[3]))
+    kind, *fields = text.split(":")
+    if kind in _CLASS_KINDS and len(fields) == len(_CLASS_KINDS[kind][0]):
+        names, build = _CLASS_KINDS[kind]
+        return build(*map(_class_field, names, fields))
     path = Path(text)
     if path.exists():
         try:
@@ -243,8 +252,6 @@ def _run(args) -> int:
         try:
             text = Path(args.input).read_text()
             graph, residues = DualGraph.from_json(text)
-        except DomainError:
-            raise
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise UsageError("cannot read dual graph %s: %s" % (args.input, exc))
         rel = validate_twisted(graph)

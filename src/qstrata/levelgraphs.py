@@ -82,16 +82,7 @@ class DualGraph:
             raise BadInput("dual graph must be connected")
 
     def _connected(self) -> bool:
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for e in self.edges:
-                for u, w in ((e.a, e.b), (e.b, e.a)):
-                    if u == v and w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-        return len(seen) == len(self.vertices)
+        return len(_components(self, range(len(self.vertices)))) == 1
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> tuple["DualGraph", "ResidueState"]:
@@ -144,7 +135,7 @@ class TwistedOrderRelation:
     above: tuple[tuple[int, int], ...]  # (u, v) with u strictly above v
 
 
-def validate_twisted(dg: DualGraph, k: Optional[int] = None) -> TwistedOrderRelation:
+def validate_twisted(dg: DualGraph) -> TwistedOrderRelation:
     """Derive the same-level / strictly-above relations between components.
 
     A shared node with orders (-k, -k) puts the two components on the
@@ -152,10 +143,6 @@ def validate_twisted(dg: DualGraph, k: Optional[int] = None) -> TwistedOrderRela
     one pair must agree (MixedEdgeOrders otherwise), and the strict
     relations must be acyclic on same-level groups (DirectedLoop).
     """
-    if k is None:
-        k = dg.k
-    if k != dg.k:
-        raise BadInput("graph was built for k=%d, asked to validate k=%d" % (dg.k, k))
     verdicts: dict[tuple[int, int], str] = {}
     for e in dg.edges:
         if e.a == e.b:
@@ -176,7 +163,7 @@ def validate_twisted(dg: DualGraph, k: Optional[int] = None) -> TwistedOrderRela
             raise MixedEdgeOrders(
                 "components %d and %d share nodes with conflicting orders" % key
             )
-    same = tuple(sorted(k_ for k_, v in verdicts.items() if v == "same"))
+    same = tuple(sorted(key for key, v in verdicts.items() if v == "same"))
     above = tuple(
         sorted(
             (u, v) if kind == "above" else (v, u)
@@ -186,16 +173,7 @@ def validate_twisted(dg: DualGraph, k: Optional[int] = None) -> TwistedOrderRela
     )
 
     # contract same-level groups and look for a strict cycle
-    parent = list(range(len(dg.vertices)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in same:
-        parent[find(u)] = find(v)
+    find = _same_level_roots(len(dg.vertices), same)
     arcs = set()
     for u, v in above:
         ru, rv = find(u), find(v)
@@ -232,12 +210,10 @@ class LevelGraph:
     graph: DualGraph
     levels: tuple[int, ...]
 
-    def level_of(self, v: int) -> int:
-        return self.levels[v]
 
-
-def _class_partition(rel: TwistedOrderRelation) -> list[list[int]]:
-    n = len(rel.graph.vertices)
+def _same_level_roots(n: int, same: Sequence[tuple[int, int]]):
+    """Union-find over n components joined by the same-level pairs;
+    returns the function mapping a component to its group root."""
     parent = list(range(n))
 
     def find(x):
@@ -246,8 +222,14 @@ def _class_partition(rel: TwistedOrderRelation) -> list[list[int]]:
             x = parent[x]
         return x
 
-    for u, v in rel.same:
+    for u, v in same:
         parent[find(u)] = find(v)
+    return find
+
+
+def _class_partition(rel: TwistedOrderRelation) -> list[list[int]]:
+    n = len(rel.graph.vertices)
+    find = _same_level_roots(n, rel.same)
     groups: dict[int, list[int]] = {}
     for v in range(n):
         groups.setdefault(find(v), []).append(v)
@@ -309,7 +291,7 @@ def _edge_side(e: Edge, vertex: int) -> str:
     return "a" if e.a == vertex else "b"
 
 
-def grc_admissible(lg: LevelGraph, res: ResidueState, k: Optional[int] = None) -> GrcResult:
+def grc_admissible(lg: LevelGraph, res: ResidueState) -> GrcResult:
     """Evaluate the global (k-)residue conditions on one level graph.
 
     For each level L and connected component Y of the part strictly above
@@ -321,10 +303,7 @@ def grc_admissible(lg: LevelGraph, res: ResidueState, k: Optional[int] = None) -
     matching condition as text; they are never evaluated.
     """
     dg = lg.graph
-    if k is None:
-        k = dg.k
-    if k != dg.k:
-        raise BadInput("graph was built for k=%d, asked to evaluate k=%d" % (dg.k, k))
+    k = dg.k
     levels = lg.levels
     conditions: list[str] = []
 

@@ -29,7 +29,11 @@ Rational = Fraction | int
 
 
 def _frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError("exact coefficient expected (int or Fraction), got %r" % (x,))
 
 
 def format_rational(x: Rational) -> str:
@@ -41,6 +45,8 @@ def parse_rational(s: str) -> Fraction:
     s = s.strip()
     if "/" in s:
         p, q = s.split("/", 1)
+        if not int(q):
+            raise ValueError("zero denominator in %r" % s)
         return Fraction(int(p), int(q))
     return Fraction(int(s))
 
@@ -88,25 +94,14 @@ def canonicalize_index(g: int, n: int, i: int, S: Iterable[int]) -> BoundaryInde
     Raises InvalidIndex when neither (i, S) nor (g-i, S^c) names a
     boundary divisor.
     """
-    _check_gn(g, n)
     S = frozenset(S)
-    if not 0 <= i <= g:
-        raise InvalidIndex("genus part i=%s outside [0, %s]" % (i, g))
-    if not all(isinstance(p, int) and 1 <= p <= n for p in S):
-        raise InvalidIndex("marked points %s not a subset of {1..%s}" % (sorted(S), n))
-    if not _class_is_valid(g, n, i, len(S)):
+    kind, idx = boundary_term(g, n, i, S)
+    if kind != "delta":
         raise InvalidIndex(
             "(i=%d, S=%s) is not a boundary divisor on Mbar_{%d,%d}"
             % (i, sorted(S), g, n)
         )
-    comp = frozenset(range(1, n + 1)) - S
-    if i < g - i:
-        keep_i, keep_S = i, S
-    elif i > g - i:
-        keep_i, keep_S = g - i, comp
-    else:
-        keep_i, keep_S = (i, S) if 1 in S else (i, comp)
-    return BoundaryIndex(keep_i, tuple(sorted(keep_S)))
+    return idx
 
 
 def boundary_term(g: int, n: int, i: int, S: Iterable[int]):
@@ -123,9 +118,12 @@ def boundary_term(g: int, n: int, i: int, S: Iterable[int]):
         raise InvalidIndex("genus part i=%s outside [0, %s]" % (i, g))
     if not all(isinstance(p, int) and 1 <= p <= n for p in S):
         raise InvalidIndex("marked points %s not a subset of {1..%s}" % (sorted(S), n))
-    if _class_is_valid(g, n, i, len(S)):
-        return ("delta", canonicalize_index(g, n, i, S))
     comp = frozenset(range(1, n + 1)) - S
+    if _class_is_valid(g, n, i, len(S)):
+        # keep the smaller genus part; on a tie, the side carrying label 1
+        if i < g - i or (2 * i == g and 1 in S):
+            return ("delta", BoundaryIndex(i, tuple(sorted(S))))
+        return ("delta", BoundaryIndex(g - i, tuple(sorted(comp))))
     if i == 0 and len(S) == 1:
         return ("psi", next(iter(S)))
     if i == g and len(comp) == 1:
@@ -145,8 +143,6 @@ def canonical_boundary_indices(g: int, n: int) -> list[BoundaryIndex]:
     for i in range(0, g // 2 + 1):
         for size in range(0, n + 1):
             if not _class_is_valid(g, n, i, size):
-                continue
-            if 2 * i > g:
                 continue
             for S in combinations(labels, size):
                 if 2 * i == g and 1 not in S:
@@ -171,7 +167,7 @@ class _PicardVector:
         self.psi = psi
         self.delta0 = _frac(delta0)
         items = {}
-        for idx, c in sorted((boundary or {}).items()):
+        for idx, c in (boundary or {}).items():
             c = _frac(c)
             if c:
                 items[idx] = c
@@ -232,17 +228,6 @@ class _PicardVector:
             {idx: r * c for idx, c in self.boundary.items()},
         )
 
-    __add__ = add
-    __sub__ = sub
-
-    def __mul__(self, r):
-        return self.scale(r)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.scale(-1)
-
     def is_zero(self) -> bool:
         return not (self.lam or self.delta0 or any(self.psi) or self.boundary)
 
@@ -265,6 +250,23 @@ class _PicardVector:
     def to_json(self) -> str:
         return json.dumps(self.to_jsonable())
 
+    @classmethod
+    def from_jsonable(cls, d: Mapping):
+        g, n = int(d["g"]), int(d["n"])
+        # entries naming the same class under mirrored indices accumulate
+        boundary: dict[BoundaryIndex, Fraction] = {}
+        for e in d["boundary"]:
+            idx = canonicalize_index(g, n, e["i"], e["S"])
+            boundary[idx] = boundary.get(idx, Fraction(0)) + parse_rational(e["c"])
+        return cls(
+            g,
+            n,
+            parse_rational(d["lambda"]),
+            tuple(parse_rational(c) for c in d["psi"]),
+            parse_rational(d["delta0"]),
+            boundary,
+        )
+
     def __repr__(self):
         return "%s(g=%d, n=%d, %s)" % (
             type(self).__name__,
@@ -272,15 +274,6 @@ class _PicardVector:
             self.n,
             self.to_json(),
         )
-
-
-def _parse_boundary(g, n, entries):
-    # entries naming the same class under mirrored indices accumulate
-    out: dict[BoundaryIndex, Fraction] = {}
-    for e in entries:
-        idx = canonicalize_index(g, n, e["i"], e["S"])
-        out[idx] = out.get(idx, Fraction(0)) + parse_rational(e["c"])
-    return out
 
 
 class DivisorClass(_PicardVector):
@@ -305,23 +298,7 @@ class DivisorClass(_PicardVector):
             return NotImplemented
         return self.equals(other)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     __hash__ = None
-
-    @classmethod
-    def from_jsonable(cls, d: Mapping) -> "DivisorClass":
-        g, n = int(d["g"]), int(d["n"])
-        return cls(
-            g,
-            n,
-            parse_rational(d["lambda"]),
-            tuple(parse_rational(c) for c in d["psi"]),
-            parse_rational(d["delta0"]),
-            _parse_boundary(g, n, d["boundary"]),
-        )
 
     @classmethod
     def from_json(cls, s: str) -> "DivisorClass":
@@ -349,10 +326,6 @@ class CurveFunctional(_PicardVector):
         self._same_space(other)
         return self._coeffs() == other._coeffs()
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def to_jsonable(self) -> dict:
@@ -360,33 +333,9 @@ class CurveFunctional(_PicardVector):
         d["functional"] = True
         return d
 
-    @classmethod
-    def from_jsonable(cls, d: Mapping) -> "CurveFunctional":
-        g, n = int(d["g"]), int(d["n"])
-        return cls(
-            g,
-            n,
-            parse_rational(d["lambda"]),
-            tuple(parse_rational(c) for c in d["psi"]),
-            parse_rational(d["delta0"]),
-            _parse_boundary(g, n, d["boundary"]),
-        )
-
 
 def pair(f: CurveFunctional, d: DivisorClass) -> Fraction:
     return f.pair(d)
-
-
-def add(a, b):
-    return a.add(b)
-
-
-def scale(a, r: Rational):
-    return a.scale(r)
-
-
-def zero_class(g: int, n: int) -> DivisorClass:
-    return DivisorClass(g, n)
 
 
 def lambda_class(g: int, n: int) -> DivisorClass:
@@ -432,10 +381,6 @@ def g2_normal_form(d: DivisorClass) -> DivisorClass:
         genus1_boundary_sum(2, d.n).scale(Fraction(1, 5))
     )
     return d.sub(lambda_class(2, d.n).scale(d.lam)).add(relation.scale(d.lam))
-
-
-def equals(a: DivisorClass, b: DivisorClass) -> bool:
-    return a.equals(b)
 
 
 class Accumulator:

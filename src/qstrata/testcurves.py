@@ -138,19 +138,24 @@ def curve_functional(spec: TestCurveSpec) -> CurveFunctional:
     return builder(spec.g, spec.i, spec.s)
 
 
-def oracle_a_dot_qg(g: int, i: int, s: int) -> int:
+def a_dot_qg_formula(g: int, i: int, s: int) -> int:
     """Intersection of A_{i:s} with the signature-(1^{2g-2}, 2^{g-1}) class.
 
     Counted by the degree of the tuple-to-line-bundle map on each side of
     the node, with the s = 2g-2 corner split into a torsion-twisted count
-    plus a Weierstrass-point count.
+    plus a Weierstrass-point count.  The arguments are not validated: the
+    coefficient solver evaluates the formula on the whole (i, s) grid.
     """
-    validate_spec("A", g, i, s)
     if s != 2 * g - 2:
         return 4 ** (g - 1) * (s - 2 * i) ** 2 * (g - i)
     return (4 ** (g - i) - 1) * 4**i * (g - i - 1) ** 2 * (g - i) + 4**i * (
         g - i
     ) * (g - i + 1) * (g - i - 1)
+
+
+def oracle_a_dot_qg(g: int, i: int, s: int) -> int:
+    validate_spec("A", g, i, s)
+    return a_dot_qg_formula(g, i, s)
 
 
 def oracle_b_dot_qg(g: int, i: int, s: int) -> int:

@@ -75,6 +75,10 @@ def test_exit_codes():
     # domain: invalid test-curve spec
     code, _ = run_cli(["pair", "--curve", "A:0:1", "--class", "qg:3"])
     assert code == 2
+    # usage: a class-spec field that is not an integer
+    for spec in ("qg:x", "qd:3:x:1,1,1,1", "qg:"):
+        code, _ = run_cli(["pair", "--curve", "A:1:1", "--class", spec])
+        assert code == 1
     # audit mismatch is exit 3, success is 0
     code, _ = run_cli(["audit", "--g", "3", "--json"])
     assert code == 3
@@ -90,6 +94,10 @@ def test_bad_input_files_are_usage_errors(tmp_path):
     code, _ = run_cli(["levelgraphs", "--input", str(garbled)])
     assert code == 1
     code, _ = run_cli(["pair", "--curve", "A:1:1", "--class", str(garbled)])
+    assert code == 1
+    zero_den = tmp_path / "zero_den.json"
+    zero_den.write_text(qg_class(3).to_json().replace('"lambda": "-64/1"', '"lambda": "1/0"'))
+    code, _ = run_cli(["pair", "--curve", "A:1:1", "--class", str(zero_den)])
     assert code == 1
     # structurally bad graphs are domain errors, not usage errors
     bad = tmp_path / "bad.json"

@@ -21,7 +21,7 @@ from qstrata import (
     pair,
     qg_class,
 )
-from qstrata.picard import boundary_term, format_rational, parse_rational
+from qstrata.picard import Accumulator, boundary_term, format_rational, parse_rational
 
 
 def test_canonicalize_examples():
@@ -123,6 +123,15 @@ def test_rational_format():
     assert format_rational(Fraction(-64)) == "-64/1"
     assert parse_rational("-64/1") == -64
     assert parse_rational("3/6") == Fraction(1, 2)
+    with pytest.raises(ValueError):
+        parse_rational("1/0")
+
+
+def test_coefficients_must_be_exact():
+    with pytest.raises(TypeError):
+        DivisorClass(2, 1, lam=0.1)
+    with pytest.raises(TypeError):
+        Accumulator(2, 1).add_psi(1, 0.5)
 
 
 def test_json_schema_shape():
@@ -180,29 +189,48 @@ def test_involution_and_idempotence(data):
     g, n, i, S = data
     comp = frozenset(range(1, n + 1)) - S
     try:
+        term = boundary_term(g, n, i, S)
+    except InvalidIndex:
+        term = None
+    try:
         idx = canonicalize_index(g, n, i, S)
     except InvalidIndex:
+        # raised exactly when boundary_term names no divisor
+        assert term is None or term[0] in ("psi", "zero")
         with pytest.raises(InvalidIndex):
             canonicalize_index(g, n, g - i, comp)
         return
+    assert term == ("delta", idx)
     assert canonicalize_index(g, n, g - i, comp) == idx
     assert canonicalize_index(g, n, idx.i, idx.points) == idx
+
+
+# built once: constructing strategies inside every draw dominated the run time
+index_lists = {
+    (g, n): st.lists(st.sampled_from(canonical_boundary_indices(g, n)), unique=True, max_size=4)
+    for g in range(2, 5)
+    for n in range(1, 6)
+}
+
+
+def draw_fraction(draw, bound, max_denominator):
+    """Any fraction in [-bound, bound] with denominator <= max_denominator."""
+    q = draw(st.integers(1, max_denominator))
+    return Fraction(draw(st.integers(-bound * q, bound * q)), q)
 
 
 @st.composite
 def random_class(draw, g=None, n=None, cls=DivisorClass):
     if g is None or n is None:
         g, n = draw(small_gn)
-    coeff = st.fractions(min_value=-50, max_value=50, max_denominator=8)
-    indices = canonical_boundary_indices(g, n)
-    chosen = draw(st.lists(st.sampled_from(indices), unique=True, max_size=4)) if indices else []
+    chosen = draw(index_lists[(g, n)])
     return cls(
         g,
         n,
-        draw(coeff),
-        tuple(draw(coeff) for _ in range(n)),
-        draw(coeff),
-        {idx: draw(coeff) for idx in chosen},
+        draw_fraction(draw, 50, 8),
+        tuple(draw_fraction(draw, 50, 8) for _ in range(n)),
+        draw_fraction(draw, 50, 8),
+        {idx: draw_fraction(draw, 50, 8) for idx in chosen},
     )
 
 
@@ -212,7 +240,7 @@ def functional_and_two_classes(draw):
     f = draw(random_class(g=g, n=n, cls=CurveFunctional))
     a = draw(random_class(g=g, n=n))
     b = draw(random_class(g=g, n=n))
-    r = draw(st.fractions(min_value=-20, max_value=20, max_denominator=6))
+    r = draw_fraction(draw, 20, 6)
     return f, a, b, r
 
 
