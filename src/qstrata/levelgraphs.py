@@ -7,11 +7,22 @@ Comparing orders across shared edges yields the component relations
 "same level" / "strictly above"; a level graph is a full order refining
 them.
 
+enumerate_level_graphs peels the same-level groups into levels, top
+first: each level is a nonempty subset of the groups whose strictly
+higher groups all sit on the levels above already.  Every such sequence
+of subsets is one weak order extending the strict relation, and every
+weak order arises once, so the cost follows the number of level graphs
+returned.  A dynamic program over the same states (the set of groups
+placed so far, an order ideal) counts them first; more than
+_MAX_LEVEL_GRAPHS raises BudgetExceeded before any level graph is built.
+
 grc_admissible applies the global residue conditions with three-valued
-residue knowledge (zero / nonzero / unknown) per edge side.  The two
-criss-cross cases that need root-of-unity bookkeeping on the internal
-structure of an upper-level component are not modelled; when only they
-could decide, the verdict is Indeterminate.
+residue knowledge (zero / nonzero / unknown) per edge side.  It walks
+the levels top down with one union-find over the part above the current
+level, so each level visits only the upper components that have an edge
+down to it.  The two criss-cross cases that need root-of-unity
+bookkeeping on the internal structure of an upper-level component are
+not modelled; when only they could decide, the verdict is Indeterminate.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -78,11 +89,9 @@ class DualGraph:
         self.k = k
         self.vertices = vertices
         self.edges = edges
-        if not self._connected():
+        find, _ = _union_find(len(vertices), [(e.a, e.b) for e in edges])
+        if len({find(v) for v in range(len(vertices))}) != 1:
             raise BadInput("dual graph must be connected")
-
-    def _connected(self) -> bool:
-        return len(_components(self, range(len(self.vertices)))) == 1
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> tuple["DualGraph", "ResidueState"]:
@@ -108,7 +117,13 @@ class DualGraph:
                 raise BadInput("residue side must be 'a' or 'b'")
             if state not in _STATES:
                 raise BadInput("residue state must be one of %s" % (_STATES,))
-            states[(int(r["edge"]), side)] = state
+            edge = r["edge"]
+            if type(edge) is not int or not 0 <= edge < len(edges):
+                raise BadInput(
+                    "residue entry names edge %r; the graph has %d edge(s)"
+                    % (edge, len(edges))
+                )
+            states[(edge, side)] = state
         return graph, ResidueState(states)
 
     @classmethod
@@ -173,31 +188,13 @@ def validate_twisted(dg: DualGraph) -> TwistedOrderRelation:
     )
 
     # contract same-level groups and look for a strict cycle
-    find = _same_level_roots(len(dg.vertices), same)
-    arcs = set()
+    _, group_of, higher = _strict_order(len(dg.vertices), same, above)
     for u, v in above:
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        if group_of[u] == group_of[v]:
             raise DirectedLoop(
                 "components %d and %d are forced both equal and ordered" % (u, v)
             )
-        arcs.add((ru, rv))
-    # Kahn peel on the contracted digraph
-    nodes = {find(v) for v in range(len(dg.vertices))}
-    indeg = {x: 0 for x in nodes}
-    for _, v in arcs:
-        indeg[v] += 1
-    queue = [x for x in nodes if not indeg[x]]
-    seen = 0
-    while queue:
-        x = queue.pop()
-        seen += 1
-        for u, v in arcs:
-            if u == x:
-                indeg[v] -= 1
-                if not indeg[v]:
-                    queue.append(v)
-    if seen != len(nodes):
+    if not _acyclic(higher):
         raise DirectedLoop("strict order relations contain a cycle")
     return TwistedOrderRelation(dg, same, above)
 
@@ -211,9 +208,11 @@ class LevelGraph:
     levels: tuple[int, ...]
 
 
-def _same_level_roots(n: int, same: Sequence[tuple[int, int]]):
-    """Union-find over n components joined by the same-level pairs;
-    returns the function mapping a component to its group root."""
+def _union_find(n: int, pairs: Sequence[tuple[int, int]] = ()):
+    """Union-find over range(n), joined by the given pairs; the root of a
+    class is its smallest item.  Returns find(x), the root of x's class,
+    and union(u, v), which joins two classes and returns (kept root,
+    absorbed root), or None when they are one class already."""
     parent = list(range(n))
 
     def find(x):
@@ -222,58 +221,141 @@ def _same_level_roots(n: int, same: Sequence[tuple[int, int]]):
             x = parent[x]
         return x
 
-    for u, v in same:
-        parent[find(u)] = find(v)
-    return find
+    def union(u, v):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return None
+        ru, rv = min(ru, rv), max(ru, rv)
+        parent[rv] = ru
+        return ru, rv
+
+    for u, v in pairs:
+        union(u, v)
+    return find, union
 
 
-def _class_partition(rel: TwistedOrderRelation) -> list[list[int]]:
-    n = len(rel.graph.vertices)
-    find = _same_level_roots(n, rel.same)
-    groups: dict[int, list[int]] = {}
+def _strict_order(
+    n: int, same: Sequence[tuple[int, int]], above: Sequence[tuple[int, int]]
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """The same-level groups of components 0..n-1 (ascending lists, in
+    order of their smallest member), the group of each component, and per
+    group the bitmask of the groups strictly above it."""
+    find, _ = _union_find(n, same)
+    members: dict[int, list[int]] = {}
     for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return [sorted(g) for g in sorted(groups.values())]
+        members.setdefault(find(v), []).append(v)
+    groups = list(members.values())
+    group_of = [0] * n
+    for gi, grp in enumerate(groups):
+        for v in grp:
+            group_of[v] = gi
+    higher = [0] * len(groups)
+    for u, v in above:
+        higher[group_of[v]] |= 1 << group_of[u]
+    return groups, group_of, higher
 
 
-def _all_ordered_partitions(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Ordered set partitions of range(k) (blocks are levels, top first)."""
-    items = tuple(range(k))
+def _sources(higher: Sequence[int], placed: int) -> int:
+    """Bitmask of the unplaced groups whose strictly higher groups (the
+    bitmask higher[g]) are all placed."""
+    out = 0
+    for g, mask in enumerate(higher):
+        if not (placed >> g) & 1 and not mask & ~placed:
+            out |= 1 << g
+    return out
 
-    def rec(remaining: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if not remaining:
-            yield ()
-            return
-        for r in range(1, len(remaining) + 1):
-            for block in combinations(remaining, r):
-                rest = tuple(x for x in remaining if x not in block)
-                for tail in rec(rest):
-                    yield (block, *tail)
 
-    return rec(items)
+def _acyclic(higher: Sequence[int]) -> bool:
+    """Whether peeling off the groups with nothing above them left
+    eventually places every group."""
+    placed = 0
+    while step := _sources(higher, placed):
+        placed |= step
+    return placed == (1 << len(higher)) - 1
+
+
+# Above the 545,835 level graphs of an 8-leaf star; the 9-leaf star's
+# 7,087,261 are refused.
+_MAX_LEVEL_GRAPHS = 1_000_000
+
+
+def _count_weak_orders(higher: Sequence[int], budget: int) -> int:
+    """Number of weak orders extending the (acyclic) strict relation.
+
+    count(placed) sums count(placed | block) over the nonempty blocks of
+    available groups; it is kept per order ideal `placed`.  Every ideal
+    reached has at least one completion, so any count reached bounds the
+    total from below and the walk stops with BudgetExceeded as soon as one
+    passes the budget.
+    """
+    full = (1 << len(higher)) - 1
+    count = {full: 1}
+    avail = _sources(higher, 0)
+    stack = [[0, avail, avail, 0]]  # placed, available, next block, total so far
+    while stack:
+        frame = stack[-1]
+        placed, avail, block, total = frame
+        if total > budget:
+            raise BudgetExceeded("the level-graph count exceeds %d" % budget)
+        if not block:
+            stack.pop()
+            count[placed] = total
+            if stack:
+                stack[-1][3] += total
+            continue
+        frame[2] = (block - 1) & avail
+        nxt = placed | block
+        if nxt in count:
+            frame[3] += count[nxt]
+        else:
+            avail = _sources(higher, nxt)
+            stack.append([nxt, avail, avail, 0])
+    return count[0]
+
+
+def _peel(
+    higher: Sequence[int], groups: Sequence[Sequence[int]], n: int
+) -> Iterator[tuple[int, ...]]:
+    """Level vectors of the n components for every weak order of the
+    groups extending the strict relation, peeled top level first."""
+    full = (1 << len(higher)) - 1
+    levels = [0] * n
+    avail = _sources(higher, 0)
+    stack = [[0, avail, avail]]  # placed above this level, available, next block
+    while stack:
+        frame = stack[-1]
+        placed, avail, block = frame
+        if not block:
+            stack.pop()
+            continue
+        frame[2] = (block - 1) & avail
+        depth = len(stack) - 1
+        rest = block
+        while rest:
+            low = rest & -rest
+            for v in groups[low.bit_length() - 1]:
+                levels[v] = -depth
+            rest ^= low
+        placed |= block
+        if placed == full:
+            yield tuple(levels)
+        else:
+            avail = _sources(higher, placed)
+            stack.append([placed, avail, avail])
 
 
 def enumerate_level_graphs(rel: TwistedOrderRelation) -> list[LevelGraph]:
     """All level assignments compatible with the derived relations,
-    normalized (top level 0, contiguous) and sorted by level vector."""
-    groups = _class_partition(rel)
-    k = len(groups)
-    group_of = {}
-    for gi, grp in enumerate(groups):
-        for v in grp:
-            group_of[v] = gi
-    strict = {(group_of[u], group_of[v]) for u, v in rel.above}
-    out = []
-    for blocks in _all_ordered_partitions(k):
-        level_of_group = {}
-        for depth, block in enumerate(blocks):
-            for gi in block:
-                level_of_group[gi] = -depth
-        if all(level_of_group[u] > level_of_group[v] for u, v in strict):
-            levels = tuple(level_of_group[group_of[v]] for v in range(len(group_of)))
-            out.append(LevelGraph(rel.graph, levels))
-    out.sort(key=lambda lg: lg.levels, reverse=True)
-    return out
+    normalized (top level 0, contiguous) and sorted by level vector,
+    descending.  Raises BudgetExceeded, before building any of them, when
+    there are more than _MAX_LEVEL_GRAPHS."""
+    n = len(rel.graph.vertices)
+    groups, _, higher = _strict_order(n, rel.same, rel.above)
+    if not _acyclic(higher):
+        return []
+    _count_weak_orders(higher, _MAX_LEVEL_GRAPHS)
+    vectors = sorted(_peel(higher, groups, n), reverse=True)
+    return [LevelGraph(rel.graph, levels) for levels in vectors]
 
 
 @dataclass(frozen=True)
@@ -285,10 +367,6 @@ class GrcResult:
     @property
     def admissible(self) -> bool:
         return self.status == "admissible"
-
-
-def _edge_side(e: Edge, vertex: int) -> str:
-    return "a" if e.a == vertex else "b"
 
 
 def grc_admissible(lg: LevelGraph, res: ResidueState) -> GrcResult:
@@ -306,10 +384,16 @@ def grc_admissible(lg: LevelGraph, res: ResidueState) -> GrcResult:
     k = dg.k
     levels = lg.levels
     conditions: list[str] = []
+    # (edge index, ends, side of the lower end or None if horizontal) by
+    # the level of the lower end
+    by_low: dict[int, list[tuple[int, int, int, Optional[str]]]] = {}
 
+    states = res.states
     for ei, e in enumerate(dg.edges):
         la, lb = levels[e.a], levels[e.b]
-        if la == lb:
+        lower = None if la == lb else "a" if la < lb else "b"
+        by_low.setdefault(min(la, lb), []).append((ei, e.a, e.b, lower))
+        if lower is None:
             if k == 1:
                 conditions.append(
                     "edge %d horizontal: res at side a + res at side b = 0" % ei
@@ -319,39 +403,43 @@ def grc_admissible(lg: LevelGraph, res: ResidueState) -> GrcResult:
                     "edge %d horizontal: res^%d side a = (-1)^%d res^%d side b"
                     % (ei, k, k, k)
                 )
-        else:
-            lower = "a" if la < lb else "b"
-            if res.get(ei, lower) is None:
-                raise MissingResidueState(
-                    "no residue state for edge %d side %s (lower end)" % (ei, lower)
-                )
+        elif states.get((ei, lower)) is None:
+            raise MissingResidueState(
+                "no residue state for edge %d side %s (lower end)" % (ei, lower)
+            )
+
+    # the part above the current level, with the members of each component
+    find, union = _union_find(len(dg.vertices))
+    members = [[v] for v in range(len(dg.vertices))]
 
     worst = "admissible"
     reason = None
-    for level in sorted(set(levels), reverse=True):
-        upper = [v for v in range(len(dg.vertices)) if levels[v] > level]
-        if not upper:
-            continue
-        for comp in _components(dg, upper):
-            if any(dg.vertices[v].has_marked_pole for v in comp):
+    for level in sorted(by_low, reverse=True):  # levels without edges change nothing
+        edges_here = by_low[level]
+        # the upper components with an edge down to this level, and the
+        # lower ends of those edges in edge order
+        down: dict[int, list[tuple[int, str]]] = {}
+        for ei, a, b, side in edges_here:
+            if side is not None:
+                top = b if side == "a" else a
+                down.setdefault(find(top), []).append((ei, side))
+        for root in sorted(down):
+            comp = members[root]
+            if any(
+                dg.vertices[v].has_marked_pole or dg.vertices[v].is_kth_power == "no"
+                for v in comp
+            ):
                 continue
-            if any(dg.vertices[v].is_kth_power == "no" for v in comp):
-                continue
-            down = []
-            for ei, e in enumerate(dg.edges):
-                for top, bottom in ((e.a, e.b), (e.b, e.a)):
-                    if top in comp and bottom not in comp and levels[bottom] == level:
-                        down.append((ei, _edge_side(e, bottom)))
-            states = [res.get(ei, side) for ei, side in down]
+            slots = down[root]
             not_zero = [
-                (slot, st) for slot, st in zip(down, states) if st != ZERO
+                (slot, st) for slot in slots if (st := states.get(slot)) != ZERO
             ]
-            if not down or not not_zero:
+            if not not_zero:
                 continue  # the residue sum already vanishes
             if len(not_zero) == 1:
                 (ei, side), st = not_zero[0]
                 if st == NONZERO:
-                    verdict = _verdict_on_violation(dg, levels, comp)
+                    verdict = _verdict_on_violation(dg, levels, set(comp))
                     if verdict == "inadmissible":
                         return GrcResult(
                             "inadmissible",
@@ -370,33 +458,17 @@ def grc_admissible(lg: LevelGraph, res: ResidueState) -> GrcResult:
                         % (k, ei, side, level)
                     )
             else:
-                slots = ", ".join("edge %d side %s" % s for s, _ in not_zero)
+                names = ", ".join("edge %d side %s" % s for s, _ in not_zero)
                 conditions.append(
                     "P_{%d,%d}(res^%d at %s) = 0 (component above level %d; "
-                    "satisfiable by scaling)" % (len(down), k, k, slots, level)
+                    "satisfiable by scaling)" % (len(slots), k, k, names, level)
                 )
+        # this level joins the part above the next one
+        for _, a, b, _ in edges_here:
+            joined = union(a, b)
+            if joined:
+                members[joined[0]] += members[joined[1]]
     return GrcResult(worst, tuple(conditions), reason)
-
-
-def _components(dg: DualGraph, keep: Sequence[int]) -> list[list[int]]:
-    keep_set = set(keep)
-    seen: set[int] = set()
-    out = []
-    for start in keep:
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for e in dg.edges:
-                for u, w in ((e.a, e.b), (e.b, e.a)):
-                    if u == v and w in keep_set and w not in comp:
-                        comp.add(w)
-                        frontier.append(w)
-        seen |= comp
-        out.append(sorted(comp))
-    return out
 
 
 def _verdict_on_violation(dg: DualGraph, levels, comp) -> str:

@@ -42,6 +42,8 @@ def format_rational(x: Rational) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
+    if not isinstance(s, str):
+        raise TypeError("expected a rational as a string such as \"3/2\", got %r" % (s,))
     s = s.strip()
     if "/" in s:
         p, q = s.split("/", 1)

@@ -99,6 +99,12 @@ def test_bad_input_files_are_usage_errors(tmp_path):
     zero_den.write_text(qg_class(3).to_json().replace('"lambda": "-64/1"', '"lambda": "1/0"'))
     code, _ = run_cli(["pair", "--curve", "A:1:1", "--class", str(zero_den)])
     assert code == 1
+    float_coeff = tmp_path / "float_coeff.json"
+    data = qg_class(3).to_jsonable()
+    data["boundary"][0]["c"] = 0.5
+    float_coeff.write_text(json.dumps(data))
+    code, _ = run_cli(["pair", "--curve", "A:1:1", "--class", str(float_coeff)])
+    assert code == 1
     # structurally bad graphs are domain errors, not usage errors
     bad = tmp_path / "bad.json"
     bad.write_text(
@@ -107,6 +113,26 @@ def test_bad_input_files_are_usage_errors(tmp_path):
     )
     code, _ = run_cli(["levelgraphs", "--input", str(bad)])
     assert code == 2
+    unknown_edge = tmp_path / "unknown_edge.json"
+    unknown_edge.write_text(
+        '{"k": 2, "vertices": [{"genus": 1, "marked": []}, {"genus": 1, "marked": []}],'
+        ' "edges": [{"a": 0, "b": 1, "ord_a": -2, "ord_b": -2}],'
+        ' "residues": [{"edge": 1, "side": "a", "state": "zero"}]}'
+    )
+    code, _ = run_cli(["levelgraphs", "--input", str(unknown_edge)])
+    assert code == 2
+
+
+def test_levelgraphs_budget(tmp_path):
+    # a centre below nine leaves: 7,087,261 level graphs, refused at once
+    star = tmp_path / "star9.json"
+    star.write_text(json.dumps({
+        "k": 2,
+        "vertices": [{"genus": 1, "kth_power": "yes"}] * 10,
+        "edges": [{"a": x, "b": 0, "ord_a": 0, "ord_b": -4} for x in range(1, 10)],
+    }))
+    code, out = run_cli(["levelgraphs", "--input", str(star), "--list"])
+    assert (code, out) == (2, "")
 
 
 def test_pair_accepts_class_file(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import product
 from pathlib import Path
@@ -20,6 +21,7 @@ from qstrata import (
     grc_admissible,
     validate_twisted,
 )
+from qstrata.levelgraphs import _count_weak_orders, _strict_order
 
 DATA = Path(__file__).parent / "data"
 
@@ -123,40 +125,97 @@ def test_two_incomparable_vertices_three_level_graphs():
     assert len(enumerate_level_graphs(rel)) == 3
 
 
-def brute_force_count(n, same, above):
-    seen = set()
+@functools.cache
+def normalized_level_vectors(n):
+    """Every level vector of n components: top level 0, levels contiguous."""
+    out = []
     for levels in product(range(-(n - 1), 1), repeat=n):
-        if max(levels) != 0:
-            continue
-        if set(levels) != set(range(min(levels), 1)):
-            continue
-        if any(levels[u] != levels[v] for u, v in same):
-            continue
-        if any(levels[u] <= levels[v] for u, v in above):
-            continue
-        seen.add(levels)
-    return len(seen)
+        if max(levels) == 0 and set(levels) == set(range(min(levels), 1)):
+            out.append(levels)
+    return out
+
+
+def brute_force(n, same, above):
+    return sorted(
+        (
+            levels
+            for levels in normalized_level_vectors(n)
+            if all(levels[u] == levels[v] for u, v in same)
+            and all(levels[u] > levels[v] for u, v in above)
+        ),
+        reverse=True,
+    )
 
 
 def test_enumeration_matches_brute_force():
     rng = random.Random(5)
     v = Vertex(1, frozenset(), False, "unknown")
-    for _ in range(120):
-        n = rng.randint(1, 5)
-        chain = [Edge(i, i + 1, -2, -2) for i in range(n - 1)]
-        graph = DualGraph(2, [v] * n, chain)
+    cases = [
+        # strict cycles, directly and through a same-level pair
+        (2, {(0, 1)}, {(0, 1)}),
+        (3, set(), {(0, 1), (1, 2), (2, 0)}),
+        (4, {(0, 1)}, {(1, 2), (2, 0)}),
+    ]
+    for _ in range(200):
+        n = rng.randint(1, 6)
         pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
         same = set()
         above = set()
-        for a, b in rng.sample(pairs, k=min(len(pairs), rng.randint(0, 4))):
+        for a, b in rng.sample(pairs, k=min(len(pairs), rng.randint(0, 5))):
             if rng.random() < 0.4:
                 same.add((min(a, b), max(a, b)))
             else:
                 above.add((a, b))
+        cases.append((n, same, above))
+    empty = 0
+    for n, same, above in cases:
+        chain = [Edge(i, i + 1, -2, -2) for i in range(n - 1)]
+        graph = DualGraph(2, [v] * n, chain)
         rel = TwistedOrderRelation(graph, tuple(sorted(same)), tuple(sorted(above)))
-        got = enumerate_level_graphs(rel)
-        assert len(got) == brute_force_count(n, same, above)
-        assert len({lg.levels for lg in got}) == len(got)
+        got = [lg.levels for lg in enumerate_level_graphs(rel)]
+        assert got == brute_force(n, same, above)
+        empty += not got
+    assert empty >= 3  # the cyclic relations give no level graph
+
+
+def star(leaves):
+    """A centre component strictly below `leaves` leaf components."""
+    v = Vertex(1, frozenset(), False, "yes")
+    edges = [Edge(x, 0, 0, -4) for x in range(1, leaves + 1)]
+    return DualGraph(2, [v] * (leaves + 1), edges)
+
+
+def test_enumeration_budget():
+    _, _, higher = _strict_order(6, (), tuple((x, 0) for x in range(1, 6)))
+    with pytest.raises(BudgetExceeded):  # the 5-leaf star has 541
+        _count_weak_orders(higher, 100)
+    with pytest.raises(BudgetExceeded):
+        _count_weak_orders(higher, 540)
+    assert _count_weak_orders(higher, 541) == 541
+    assert len(enumerate_level_graphs(validate_twisted(star(5)))) == 541
+    # 7,087,261 level graphs: refused by the count, before any is built
+    with pytest.raises(BudgetExceeded):
+        enumerate_level_graphs(validate_twisted(star(9)))
+    # a strict cycle beside 18 free groups: no level graph, found before
+    # the count, which would walk the free part's order ideals and refuse
+    v = Vertex(1, frozenset(), False, "unknown")
+    chain = DualGraph(2, [v] * 21, [Edge(i, i + 1, -2, -2) for i in range(20)])
+    cyclic = TwistedOrderRelation(chain, (), ((0, 1), (1, 2), (2, 0)))
+    assert enumerate_level_graphs(cyclic) == []
+
+
+def test_residue_entry_for_unknown_edge_rejected():
+    graph = {
+        "k": 2,
+        "vertices": [{"genus": 1}, {"genus": 1}],
+        "edges": [{"a": 0, "b": 1, "ord_a": 0, "ord_b": -4}],
+    }
+    DualGraph.from_jsonable(dict(graph, residues=[{"edge": 0, "side": "b", "state": "zero"}]))
+    for edge in (1, -1, 0.5, True, "0"):
+        with pytest.raises(BadInput):
+            DualGraph.from_jsonable(
+                dict(graph, residues=[{"edge": edge, "side": "b", "state": "zero"}])
+            )
 
 
 def test_missing_residue_state():

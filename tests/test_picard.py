@@ -125,6 +125,8 @@ def test_rational_format():
     assert parse_rational("3/6") == Fraction(1, 2)
     with pytest.raises(ValueError):
         parse_rational("1/0")
+    with pytest.raises(TypeError):
+        parse_rational(0.5)  # a JSON number, not a string rational
 
 
 def test_coefficients_must_be_exact():
