@@ -6,6 +6,10 @@ Mbar_{g,2g-2} (qg_class), its generalization to arbitrary signatures
 (d_1,...,d_n, 2^{g-1}) with sum(d) = 2g-2 (qd_class), the pointed
 Brill-Noether classes (logan_class) and the genus-2 Weierstrass divisor.
 
+Every closed form depends on delta_{i:S} only through i and the weights
+in S, so the classes are built in orbit form (picard.OrbitTable): one
+coefficient per orbit of the labels of equal weight.
+
 solve_qg_coefficients replays the test-curve computation of the
 qg_class coefficients as an exact linear system, and audit compares the
 basis pairings of every admissible test curve against the enumerative
@@ -33,9 +37,11 @@ from .errors import (
 from .picard import (
     Accumulator,
     DivisorClass,
-    canonical_boundary_indices,
+    OrbitTable,
+    boundary_term,
     canonicalize_index,
     format_rational,
+    orbit_key,
     pair,
 )
 from .testcurves import (
@@ -70,14 +76,11 @@ def logan_class(g: int, n: int, d: Iterable[int]) -> DivisorClass:
         raise BadSignature("weights must be nonnegative")
     if sum(d) != g:
         raise BadSignature("weights must sum to g=%d, got %d" % (g, sum(d)))
-    acc = Accumulator(g, n)
-    acc.add_lambda(-1)
-    for j, dj in enumerate(d, start=1):
-        acc.add_psi(j, comb(dj + 1, 2))
-    for idx in canonical_boundary_indices(g, n):
-        d_S = sum(d[p - 1] for p in idx.points)
-        acc.add_boundary_strict(idx, -comb(abs(d_S - idx.i) + 1, 2))
-    return acc.divisor_class()
+    table = OrbitTable(g, n, d)
+    for i, counts in table.keys():
+        d_S = sum(w * c for w, c in zip(table.weights, counts))
+        table.put((i, counts), -comb(abs(d_S - i) + 1, 2))
+    return DivisorClass(g, n, -1, [comb(dj + 1, 2) for dj in d], 0, orbits=table)
 
 
 def qg_class(g: int) -> DivisorClass:
@@ -85,28 +88,23 @@ def qg_class(g: int) -> DivisorClass:
 
     psi coefficients 3*2^(2g-3), lambda -4^g, delta_0 4^(g-2); a boundary
     class with both sides marked gets -2^(2g-3)(|S|-2i)(|S|-2i+2) (the
-    expression is invariant under (i,S) -> (g-i,S^c), so each geometric
-    class is counted once), and delta_{i:empty} gets
-    -2^(2(g-i)-1)(4^i(i-1)+2)i.
+    expression is invariant under (i,S) -> (g-i,S^c), so either side may
+    name the orbit), and delta_{i:empty} gets -2^(2(g-i)-1)(4^i(i-1)+2)i.
     """
     if g < 2:
         raise WrongGenus("stratum divisor needs g >= 2")
     n = 2 * g - 2
-    acc = Accumulator(g, n)
-    acc.add_lambda(-(4**g))
-    acc.add_delta0(4 ** (g - 2))
-    for j in range(1, n + 1):
-        acc.add_psi(j, 3 * _pow2(2 * g - 3))
-    for idx in canonical_boundary_indices(g, n):
-        size = len(idx.points)
-        if size in (0, n):
-            i0 = idx.i if size == 0 else g - idx.i  # genus of the unmarked side
+    table = OrbitTable(g, n, (1,) * n)
+    for i, (s,) in table.keys():
+        if s in (0, n):
+            i0 = i if s == 0 else g - i  # genus of the unmarked side
             c = -_pow2(2 * (g - i0) - 1) * (4**i0 * (i0 - 1) + 2) * i0
         else:
-            x = size - 2 * idx.i
+            x = s - 2 * i
             c = -_pow2(2 * g - 3) * x * (x + 2)
-        acc.add_boundary_strict(idx, c)
-    return acc.divisor_class()
+        table.put((i, (s,)), c)
+    psi = (3 * _pow2(2 * g - 3),) * n
+    return DivisorClass(g, n, -(4**g), psi, 4 ** (g - 2), orbits=table)
 
 
 @dataclass(frozen=True)
@@ -128,27 +126,17 @@ class QdInput:
                 "entries must sum to 2g-2=%d, got %d" % (2 * self.g - 2, sum(self.d))
             )
 
-    @property
-    def odd_or_negative(self) -> frozenset[int]:
-        """Labels j with d_j odd or negative (never stored, always derived)."""
-        return frozenset(
-            j for j, dj in enumerate(self.d, start=1) if dj % 2 or dj < 0
-        )
-
 
 def qd_class(q: QdInput) -> DivisorClass:
     """Class of the stratum divisor with signature (d, 2^(g-1)) on Mbar_{g,n}."""
     g, n, d = q.g, q.n, q.d
-    bad = q.odd_or_negative
-    acc = Accumulator(g, n)
-    acc.add_delta0(4 ** (g - 2))
-    if not bad:
-        acc.add_lambda(-(4**g - 1))
-        for j, dj in enumerate(d, start=1):
-            acc.add_psi(j, Fraction((4**g - 1) * dj * (dj + 2), 8))
-        for idx in canonical_boundary_indices(g, n):
-            i1, S1 = idx.i, idx.point_set
-            d1 = sum(d[p - 1] for p in S1)
+    table = OrbitTable(g, n, d)
+    # the groups of odd-or-negative labels
+    bad = [k for k, w in enumerate(table.weights) if w % 2 or w < 0]
+    for key in table.keys():
+        i1, counts = key
+        d1 = sum(w * c for w, c in zip(table.weights, counts))
+        if not bad:
             i2, d2 = g - i1, 2 * g - 2 - d1
             if d1 >= 2 * i1:
                 big_i, big_d = i1, d1
@@ -158,18 +146,10 @@ def qd_class(q: QdInput) -> DivisorClass:
                 raise AssertionError("even signature with no dominant side")
             x = big_d - 2 * big_i
             c = -Fraction(x + 2, 8) * (4 * (4**big_i - 1) + x * (4**g - 1))
-            acc.add_boundary_strict(idx, c)
-    else:
-        acc.add_lambda(-(4**g))
-        for j, dj in enumerate(d, start=1):
-            acc.add_psi(j, _pow2(2 * g - 3) * dj * (dj + 2))
-        all_labels = frozenset(range(1, n + 1))
-        for idx in canonical_boundary_indices(g, n):
-            i1, S1 = idx.i, idx.point_set
-            d1 = sum(d[p - 1] for p in S1)
-            if bad <= S1:
+        else:
+            if all(counts[k] == table.sizes[k] for k in bad):
                 side = (i1, d1)
-            elif bad <= all_labels - S1:
+            elif not any(counts[k] for k in bad):
                 side = (g - i1, 2 * g - 2 - d1)
             else:
                 side = None
@@ -183,8 +163,14 @@ def qd_class(q: QdInput) -> DivisorClass:
                     c = -(x + 2) * (_pow2(2 * g - 3) * x + _pow2(2 * ii - 1))
                 else:
                     c = -_pow2(2 * g - 3) * x * (x + 2)
-            acc.add_boundary_strict(idx, c)
-    return acc.divisor_class()
+        table.put(key, c)
+    if not bad:
+        lam = -(4**g - 1)
+        psi = [Fraction((4**g - 1) * dj * (dj + 2), 8) for dj in d]
+    else:
+        lam = -(4**g)
+        psi = [_pow2(2 * g - 3) * dj * (dj + 2) for dj in d]
+    return DivisorClass(g, n, lam, psi, 4 ** (g - 2), orbits=table)
 
 
 @dataclass(frozen=True)
@@ -338,19 +324,19 @@ def weierstrass_check(g: int) -> bool:
 
 
 def _slot(g: int, n: int, i: int, s: int):
-    """Resolve the size-level coefficient slot c_{i:s}.
+    """Resolve the size-level coefficient slot c_{i:s} of delta_{i:S}, |S| = s.
 
-    Returns ("var", key) with key the canonical (i, s) pair, ("cpsi",)
-    for the delta_{0:{j}}-shaped slot which stands for -c_psi, and
-    ("zero",) for the delta_{0:{}}-shaped slot.
+    Returns boundary_term's kind of delta_{i:{1..s}} with, for "delta",
+    the canonical orbit key flattened to (i, s); a "psi" slot stands for
+    -c_psi and a "zero" slot for 0.
     """
-    if not (0 <= i <= g and 0 <= s <= n):
+    if s < 0:
         raise InvalidIndex("slot (i=%d, s=%d) out of range" % (i, s))
-    if not ((i == 0 and s < 2) or (i == g and s > n - 2)):
-        return ("var", min((i, s), (g - i, n - s)))
-    if (i == 0 and s == 1) or (i == g and s == n - 1):
-        return ("cpsi",)
-    return ("zero",)
+    kind, _ = boundary_term(g, n, i, range(1, s + 1))
+    if kind != "delta":
+        return kind, None
+    j, (t,) = orbit_key(g, (n,), i, (s,))
+    return kind, (j, t)
 
 
 @dataclass(frozen=True)
@@ -369,12 +355,12 @@ class QgSolution:
 
     def get(self, i: int, s: int) -> Optional[Fraction]:
         """Solved coefficient of delta_{i:S} with |S| = s, None if free."""
-        kind = _slot(self.g, 2 * self.g - 2, i, s)
-        if kind[0] == "cpsi":
+        kind, key = _slot(self.g, 2 * self.g - 2, i, s)
+        if kind == "psi":
             return -self.c_psi
-        if kind[0] == "zero":
+        if kind == "zero":
             return Fraction(0)
-        return self.coefficients.get(kind[1])
+        return self.coefficients.get(key)
 
     def to_jsonable(self) -> dict:
         return {
@@ -401,25 +387,33 @@ class QgSolution:
         }
 
 
-def _rref(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """In-place reduced row echelon form; returns pivot column list."""
+def _rref(rows: list[dict[int, Fraction]], rhs: list[Fraction], n_cols: int):
+    """In-place reduced row echelon form of sparse rows {column: nonzero
+    entry}; returns the pivot column list.  Pivots are taken column by
+    column from the first row at or below the current one, and a row
+    update touches only the nonzeros of the pivot row."""
     n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(n_cols):
-        pivot = next((k for k in range(r, n_rows) if rows[k][c]), None)
+        pivot = next((k for k in range(r, n_rows) if c in rows[k]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
         inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r] = {j: x * inv for j, x in rows[r].items()}
         rhs[r] = rhs[r] * inv
         for k in range(n_rows):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+            if k != r and c in rows[k]:
+                row = rows[k]
+                f = row[c]
+                for j, x in prow.items():
+                    y = row.get(j, 0) - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
                 rhs[k] = rhs[k] - f * rhs[r]
         pivots.append(c)
         r += 1
@@ -453,49 +447,44 @@ def solve_qg_coefficients(g: int) -> QgSolution:
     if g < 2:
         raise WrongGenus("solver needs g >= 2")
     n = 2 * g - 2
-    keys = sorted(
-        {
-            _slot(g, n, i, s)[1]
-            for i in range(0, g + 1)
-            for s in range(0, n + 1)
-            if _slot(g, n, i, s)[0] == "var"
-        }
-    )
+    slots = [_slot(g, n, i, s) for i in range(0, g + 1) for s in range(0, n + 1)]
+    keys = sorted({key for kind, key in slots if kind == "delta"})
     col = {key: k + 1 for k, key in enumerate(keys)}  # column 0 is c_psi
     n_cols = len(keys) + 1
 
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
 
     def put(row, i, s, coeff):
-        kind = _slot(g, n, i, s)
-        if kind[0] == "var":
-            row[col[kind[1]]] += coeff
-        elif kind[0] == "cpsi":
-            row[0] -= coeff
+        kind, key = _slot(g, n, i, s)
+        if kind == "delta":
+            row[col[key]] = row.get(col[key], 0) + coeff
+        elif kind == "psi":
+            row[0] = row.get(0, 0) - coeff
+
+    def add_row(row, value):
+        rows.append({c: x for c, x in row.items() if x})
+        rhs.append(Fraction(value))
 
     for i in range(0, g + 1):
         for s in range(1, n + 1):
             if s == 2 * g - 3:
                 continue
-            row = [Fraction(0)] * n_cols
+            row = {}
             lead = Fraction(2 * g - 2 - s)
             if lead:
-                row[0] += lead
+                row[0] = lead
                 put(row, i, s + 1, lead)
             put(row, i, s, Fraction(-(4 * g - 2 * i - 4 - s)))
-            rows.append(row)
-            rhs.append(Fraction(a_dot_qg_formula(g, i, s)))
+            add_row(row, a_dot_qg_formula(g, i, s))
     for i in range(1, g + 1):
-        row = [Fraction(0)] * n_cols
-        row[0] += 2 * i - 1
+        row = {0: Fraction(2 * i - 1)}
         put(row, i, 0, Fraction(1))
         put(row, i, 1, Fraction(-1))
-        rows.append(row)
-        rhs.append(Fraction(oracle_b_dot_qg(g, i, 0)))
+        add_row(row, oracle_b_dot_qg(g, i, 0))
 
     n_equations = len(rows)
-    pivots = _rref(rows, rhs)
+    pivots = _rref(rows, rhs, n_cols)
     rank = len(pivots)
     for k in range(rank, n_equations):
         if rhs[k]:
@@ -509,7 +498,7 @@ def solve_qg_coefficients(g: int) -> QgSolution:
     values = [Fraction(0)] * n_cols
     determined = [False] * n_cols
     for r, c in enumerate(pivots):
-        if all(not rows[r][f] for f in free_cols):
+        if rows[r].keys().isdisjoint(free_cols):
             values[c] = rhs[r]
             determined[c] = True
         else:
@@ -522,12 +511,12 @@ def solve_qg_coefficients(g: int) -> QgSolution:
     free = tuple(key for key in keys if not determined[col[key]])
 
     def val(i, s):
-        kind = _slot(g, n, i, s)
-        if kind[0] == "cpsi":
+        kind, key = _slot(g, n, i, s)
+        if kind == "psi":
             return -c_psi
-        if kind[0] == "zero":
+        if kind == "zero":
             return Fraction(0)
-        return values[col[kind[1]]]
+        return values[col[key]]
 
     residuals = {}
     for spec in valid_specs(g):

@@ -9,6 +9,7 @@ aligned table; identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from pathlib import Path
@@ -47,9 +48,12 @@ def _int_list(text: str) -> list[int]:
 
 def _complex_list(text: str) -> list[complex]:
     try:
-        return [complex(x) for x in text.split(",") if x.strip() != ""]
+        values = [complex(x) for x in text.split(",") if x.strip() != ""]
+        if all(map(cmath.isfinite, values)):
+            return values
     except ValueError:
-        raise UsageError("expected a comma-separated list of complex numbers, got %r" % text)
+        pass
+    raise UsageError("expected a comma-separated list of finite complex numbers, got %r" % text)
 
 
 def _build_parser() -> _Parser:
@@ -159,7 +163,7 @@ def _class_table(d) -> str:
     for j, c in enumerate(d.psi, start=1):
         lines.append("  psi_%-3d %s" % (j, format_rational(c)))
     lines.append("  delta_0 %s" % format_rational(d.delta0))
-    for idx, c in sorted(d.boundary.items()):
+    for idx, c in d.sorted_boundary():
         lines.append("  %-20s %s" % (idx, format_rational(c)))
     return "\n".join(lines)
 

@@ -68,6 +68,12 @@ class Edge:
     ord_b: int
 
 
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # bool is an int subclass, float a silent truncation
+        raise BadInput("%s must be an integer, got %r" % (what, value))
+    return value
+
+
 class DualGraph:
     """Connected dual graph of a nodal curve with node-order data."""
 
@@ -97,18 +103,18 @@ class DualGraph:
     def from_jsonable(cls, data: Mapping) -> tuple["DualGraph", "ResidueState"]:
         vertices = [
             Vertex(
-                genus=int(v["genus"]),
-                marked=frozenset(int(p) for p in v.get("marked", ())),
+                genus=_json_int(v["genus"], "genus"),
+                marked=frozenset(_json_int(p, "marked label") for p in v.get("marked", ())),
                 has_marked_pole=bool(v.get("pole", False)),
                 is_kth_power=str(v.get("kth_power", "unknown")).lower(),
             )
             for v in data["vertices"]
         ]
         edges = [
-            Edge(int(e["a"]), int(e["b"]), int(e["ord_a"]), int(e["ord_b"]))
+            Edge(*(_json_int(e[f], f) for f in ("a", "b", "ord_a", "ord_b")))
             for e in data["edges"]
         ]
-        graph = cls(int(data["k"]), vertices, edges)
+        graph = cls(_json_int(data["k"], "k"), vertices, edges)
         states = {}
         for r in data.get("residues", ()):
             side = str(r["side"]).lower()
@@ -117,8 +123,8 @@ class DualGraph:
                 raise BadInput("residue side must be 'a' or 'b'")
             if state not in _STATES:
                 raise BadInput("residue state must be one of %s" % (_STATES,))
-            edge = r["edge"]
-            if type(edge) is not int or not 0 <= edge < len(edges):
+            edge = _json_int(r["edge"], "residue edge")
+            if not 0 <= edge < len(edges):
                 raise BadInput(
                     "residue entry names edge %r; the graph has %d edge(s)"
                     % (edge, len(edges))

@@ -10,9 +10,22 @@ canonical form.  Genus-0 pieces need at least two marked points besides
 the node, which rules out (0, S) with |S| < 2 and its mirror (g, S) with
 |S| > n - 2.
 
+A divisor class may keep its separating boundary part in orbit form
+(OrbitTable): labels of equal weight form groups, and one coefficient is
+stored per orbit of the label permutations that preserve the groups, named
+by the genus part i and how many labels of each group S holds.  Pairing,
+boundary_coeff and equals look coefficients up in the table; the dense
+{BoundaryIndex: coefficient} view is built on first access to `boundary`
+and cached.  Building it is refused with BudgetExceeded, before anything
+is allocated, when it would hold more than _MAX_DENSE_ENTRIES entries;
+so is filling a table with more orbit keys than that.
+
 All coefficients are fractions.Fraction; there is no floating point in
 this module.  Values are immutable after construction and all operations
-are pure, so everything here is safe to share between threads.
+are pure, so everything here is safe to share between threads.  The one
+write after construction is the cached dense view: threads that race to
+build it build equal dicts, and each stores a complete one with a single
+assignment.
 """
 
 from __future__ import annotations
@@ -20,10 +33,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, product
+from math import comb, prod
 from typing import Iterable, Mapping
 
-from .errors import DimensionMismatch, InvalidIndex, WrongGenus
+from .errors import BudgetExceeded, DimensionMismatch, InvalidIndex, WrongGenus
 
 Rational = Fraction | int
 
@@ -34,6 +48,12 @@ def _frac(x: Rational) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError("exact coefficient expected (int or Fraction), got %r" % (x,))
+
+
+def _json_int(x) -> int:
+    if type(x) is not int:  # bool is an int subclass, float a silent truncation
+        raise TypeError("expected an integer, got %r" % (x,))
+    return x
 
 
 def format_rational(x: Rational) -> str:
@@ -153,12 +173,114 @@ def canonical_boundary_indices(g: int, n: int) -> list[BoundaryIndex]:
     return out
 
 
+# Most boundary entries a class may list densely, and most orbit keys a
+# table may walk (with all weights distinct every orbit is one divisor).
+_MAX_DENSE_ENTRIES = 1_000_000
+
+
+def _check_size(g: int, n: int, size: int, what: str) -> None:
+    if size > _MAX_DENSE_ENTRIES:
+        raise BudgetExceeded(
+            "a class on Mbar_{%d,%d} would need %d %s, more than the limit of %d"
+            % (g, n, size, what, _MAX_DENSE_ENTRIES)
+        )
+
+
+def orbit_key(g: int, sizes: tuple[int, ...], i: int, counts: Iterable[int]):
+    """Canonical name of the orbit of delta_{i:S}, where counts[k] is the
+    number of labels of group k in S and sizes[k] the size of group k:
+    the smaller of (i, counts) and its mirror (g-i, sizes - counts)."""
+    counts = tuple(counts)
+    return min((i, counts), (g - i, tuple(z - c for z, c in zip(sizes, counts))))
+
+
+class OrbitTable:
+    """Separating boundary coefficients that are constant on label orbits.
+
+    The labels 1..n are split into groups of equal weight, ordered by their
+    smallest label; `weights[k]` is the weight of group k.  A coefficient
+    is stored per canonical orbit key (see orbit_key) that names a boundary
+    divisor; zero coefficients are not stored.  Fill the table with `put`
+    over `keys()` before handing it to a DivisorClass, which never changes
+    it afterwards.
+    """
+
+    __slots__ = ("g", "n", "groups", "weights", "sizes", "coeffs", "_group_of")
+
+    def __init__(self, g: int, n: int, weights: Iterable[int]):
+        _check_gn(g, n)
+        weights = tuple(weights)
+        if len(weights) != n:
+            raise DimensionMismatch("expected %d label weights" % n)
+        first = {}
+        for j, w in enumerate(weights, start=1):
+            first.setdefault(w, []).append(j)
+        self.g = g
+        self.n = n
+        self.groups = tuple(tuple(labels) for labels in first.values())
+        self.weights = tuple(first)
+        self.sizes = tuple(map(len, self.groups))
+        self.coeffs: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+        self._group_of = {j: k for k, labels in enumerate(self.groups) for j in labels}
+
+    def keys(self):
+        """Every canonical orbit key that names a boundary divisor."""
+        g, sizes = self.g, self.sizes
+        _check_size(g, self.n, (g + 1) * prod(z + 1 for z in sizes), "orbit keys")
+        for i in range(g + 1):
+            for counts in product(*(range(z + 1) for z in sizes)):
+                key = (i, counts)
+                if _class_is_valid(g, self.n, i, sum(counts)) and orbit_key(g, sizes, *key) == key:
+                    yield key
+
+    def put(self, key, c: Rational) -> None:
+        c = _frac(c)
+        if c:
+            self.coeffs[key] = c
+
+    def get(self, idx: BoundaryIndex) -> Fraction:
+        counts = [0] * len(self.sizes)
+        for p in idx.points:
+            counts[self._group_of[p]] += 1
+        return self.coeffs.get(orbit_key(self.g, self.sizes, idx.i, counts), Fraction(0))
+
+    def dense_size(self) -> int:
+        """Number of entries of the dense view, counted without building it."""
+        total = 0
+        for i, counts in self.coeffs:
+            size = prod(comb(z, c) for z, c in zip(self.sizes, counts))
+            if 2 * i == self.g and all(2 * c == z for z, c in zip(self.sizes, counts)):
+                size //= 2  # S and S^c lie in one orbit and name one divisor
+            total += size
+        return total
+
+    def dense(self) -> dict[BoundaryIndex, Fraction]:
+        _check_size(self.g, self.n, self.dense_size(), "dense boundary entries")
+        g, labels = self.g, frozenset(range(1, self.n + 1))
+        out = {}
+        # a canonical key has i <= g - i, so only a tie can need the mirror
+        for (i, counts), c in self.coeffs.items():
+            choices = (combinations(grp, k) for grp, k in zip(self.groups, counts))
+            for parts in product(*choices):
+                # each group's choice is sorted, so one group needs no merge
+                S = parts[0] if len(parts) == 1 else tuple(sorted(chain.from_iterable(parts)))
+                if 2 * i == g and 1 not in S:
+                    S = tuple(sorted(labels.difference(S)))
+                out[BoundaryIndex(i, S)] = c
+        return out
+
+
 class _PicardVector:
-    """Shared coefficient storage for divisor classes and curve functionals."""
+    """Shared coefficient storage for divisor classes and curve functionals.
 
-    __slots__ = ("g", "n", "lam", "psi", "delta0", "boundary")
+    The boundary part is either a dense {BoundaryIndex: coefficient} dict
+    or, given instead of it, an OrbitTable (`orbits`), from which
+    `boundary` is built on first access.
+    """
 
-    def __init__(self, g, n, lam=0, psi=None, delta0=0, boundary=None):
+    __slots__ = ("g", "n", "lam", "psi", "delta0", "orbits", "_dense")
+
+    def __init__(self, g, n, lam=0, psi=None, delta0=0, boundary=None, orbits=None):
         _check_gn(g, n)
         self.g = g
         self.n = n
@@ -168,12 +290,24 @@ class _PicardVector:
             raise DimensionMismatch("expected %d psi coefficients" % n)
         self.psi = psi
         self.delta0 = _frac(delta0)
+        self.orbits = orbits
+        if orbits is not None:
+            self._same_space(orbits)
+            self._dense = None
+            return
         items = {}
         for idx, c in (boundary or {}).items():
             c = _frac(c)
             if c:
                 items[idx] = c
-        self.boundary = items
+        self._dense = items
+
+    @property
+    def boundary(self) -> dict[BoundaryIndex, Fraction]:
+        """Dense boundary coefficients, nonzero entries only."""
+        if self._dense is None:
+            self._dense = self.orbits.dense()
+        return self._dense
 
     # -- coefficient access ------------------------------------------------
 
@@ -183,11 +317,20 @@ class _PicardVector:
         return self.psi[j - 1]
 
     def boundary_coeff(self, i: int, S: Iterable[int]) -> Fraction:
-        idx = canonicalize_index(self.g, self.n, i, S)
-        return self.boundary.get(idx, Fraction(0))
+        return self._boundary_at(canonicalize_index(self.g, self.n, i, S))
+
+    def _boundary_at(self, idx: BoundaryIndex) -> Fraction:
+        if self.orbits is not None:
+            return self.orbits.get(idx)
+        return self._dense.get(idx, Fraction(0))
 
     def _coeffs(self):
         return (self.lam, self.psi, self.delta0, self.boundary)
+
+    def sorted_boundary(self) -> list[tuple[BoundaryIndex, Fraction]]:
+        """Dense boundary entries in BoundaryIndex order, sorted on plain
+        (i, points) keys rather than through the dataclass comparisons."""
+        return sorted(self.boundary.items(), key=lambda e: (e[0].i, e[0].points))
 
     def _same_space(self, other) -> None:
         if (self.g, self.n) != (other.g, other.n):
@@ -231,7 +374,8 @@ class _PicardVector:
         )
 
     def is_zero(self) -> bool:
-        return not (self.lam or self.delta0 or any(self.psi) or self.boundary)
+        boundary = self._dense if self.orbits is None else self.orbits.coeffs
+        return not (self.lam or self.delta0 or any(self.psi) or boundary)
 
     # -- serialization -------------------------------------------------------
 
@@ -244,7 +388,7 @@ class _PicardVector:
             "delta0": format_rational(self.delta0),
             "boundary": [
                 {"i": idx.i, "S": list(idx.points), "c": format_rational(c)}
-                for idx, c in sorted(self.boundary.items())
+                for idx, c in self.sorted_boundary()
             ],
         }
         return d
@@ -254,11 +398,11 @@ class _PicardVector:
 
     @classmethod
     def from_jsonable(cls, d: Mapping):
-        g, n = int(d["g"]), int(d["n"])
+        g, n = _json_int(d["g"]), _json_int(d["n"])
         # entries naming the same class under mirrored indices accumulate
         boundary: dict[BoundaryIndex, Fraction] = {}
         for e in d["boundary"]:
-            idx = canonicalize_index(g, n, e["i"], e["S"])
+            idx = canonicalize_index(g, n, _json_int(e["i"]), [_json_int(p) for p in e["S"]])
             boundary[idx] = boundary.get(idx, Fraction(0)) + parse_rational(e["c"])
         return cls(
             g,
@@ -284,6 +428,8 @@ class DivisorClass(_PicardVector):
     def equals(self, other: "DivisorClass") -> bool:
         """Coefficientwise equality; for g = 2 equality of normal forms.
 
+        Two classes whose orbit tables have the same label groups are
+        compared table against table, without building the dense view.
         The genus-2 Picard group carries the single relation
         lambda = delta_0/10 + delta_1/5, so classes there agree exactly
         when their lambda-free normal forms do.
@@ -293,6 +439,9 @@ class DivisorClass(_PicardVector):
             a, b = g2_normal_form(self), g2_normal_form(other)
         else:
             a, b = self, other
+        if a.orbits is not None and b.orbits is not None and a.orbits.groups == b.orbits.groups:
+            return (a.lam, a.psi, a.delta0, a.orbits.coeffs) == (
+                b.lam, b.psi, b.delta0, b.orbits.coeffs)
         return a._coeffs() == b._coeffs()
 
     def __eq__(self, other):
@@ -319,7 +468,7 @@ class CurveFunctional(_PicardVector):
         total = self.lam * d.lam + self.delta0 * d.delta0
         total += sum(a * b for a, b in zip(self.psi, d.psi))
         for idx, c in self.boundary.items():
-            total += c * d.boundary.get(idx, Fraction(0))
+            total += c * d._boundary_at(idx)
         return total
 
     def __eq__(self, other):
@@ -421,9 +570,6 @@ class Accumulator:
         elif kind == "psi":
             self.add_psi(payload, -_frac(c))
         # "zero": nothing to record
-
-    def add_boundary_strict(self, idx: BoundaryIndex, c: Rational) -> None:
-        self.boundary[idx] = self.boundary.get(idx, Fraction(0)) + _frac(c)
 
     def divisor_class(self) -> DivisorClass:
         return DivisorClass(self.g, self.n, self.lam, self.psi, self.delta0, self.boundary)

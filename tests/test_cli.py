@@ -1,12 +1,15 @@
 import io
 import json
-from contextlib import redirect_stdout
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qstrata import DivisorClass, qg_class
+from qstrata import DivisorClass, oracle_a_dot_qg, qg_class
 from qstrata.cli import main
+from qstrata.picard import _MAX_DENSE_ENTRIES, OrbitTable
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -79,6 +82,10 @@ def test_exit_codes():
     for spec in ("qg:x", "qd:3:x:1,1,1,1", "qg:"):
         code, _ = run_cli(["pair", "--curve", "A:1:1", "--class", spec])
         assert code == 1
+    # usage: residues that are not finite complex numbers
+    for residues in ("nan", "1e400", "1,-inf", "1,nanj"):
+        code, out = run_cli(["pnk", "--k", "2", "--R", residues])
+        assert (code, out) == (1, "")
     # audit mismatch is exit 3, success is 0
     code, _ = run_cli(["audit", "--g", "3", "--json"])
     assert code == 3
@@ -105,6 +112,19 @@ def test_bad_input_files_are_usage_errors(tmp_path):
     float_coeff.write_text(json.dumps(data))
     code, _ = run_cli(["pair", "--curve", "A:1:1", "--class", str(float_coeff)])
     assert code == 1
+    # class-file integers must be JSON integers: no float or bool truncation
+    for field, value in (("g", 3.0), ("g", 2.7), ("n", True), ("i", 0.5), ("S", 1.0)):
+        data = qg_class(3).to_jsonable()
+        if field in ("g", "n"):
+            data[field] = value
+        elif field == "i":
+            data["boundary"][3]["i"] = value
+        else:
+            data["boundary"][3]["S"][0] = value
+        inexact = tmp_path / "inexact.json"
+        inexact.write_text(json.dumps(data))
+        code, out = run_cli(["pair", "--curve", "A:1:1", "--class", str(inexact)])
+        assert (code, out) == (1, ""), (field, value)
     # structurally bad graphs are domain errors, not usage errors
     bad = tmp_path / "bad.json"
     bad.write_text(
@@ -121,6 +141,26 @@ def test_bad_input_files_are_usage_errors(tmp_path):
     )
     code, _ = run_cli(["levelgraphs", "--input", str(unknown_edge)])
     assert code == 2
+    # dual-graph integers must be JSON integers: no float or bool truncation
+    good = {"k": 2, "vertices": [{"genus": 1, "marked": [1]}, {"genus": 1, "marked": []}],
+            "edges": [{"a": 0, "b": 1, "ord_a": -2, "ord_b": -2}]}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(good))
+    assert run_cli(["levelgraphs", "--input", str(path), "--list"])[0] == 0
+    for where, value in (("k", 2.0), ("genus", 1.5), ("genus", True), ("marked", 1.0),
+                         ("a", 0.0), ("b", True), ("ord_a", -2.0), ("ord_b", -2.5)):
+        graph = json.loads(json.dumps(good))
+        if where == "k":
+            graph["k"] = value
+        elif where == "genus":
+            graph["vertices"][0]["genus"] = value
+        elif where == "marked":
+            graph["vertices"][0]["marked"] = [value]
+        else:
+            graph["edges"][0][where] = value
+        path.write_text(json.dumps(graph))
+        code, out = run_cli(["levelgraphs", "--input", str(path), "--list"])
+        assert (code, out) == (2, ""), (where, value)
 
 
 def test_levelgraphs_budget(tmp_path):
@@ -133,6 +173,36 @@ def test_levelgraphs_budget(tmp_path):
     }))
     code, out = run_cli(["levelgraphs", "--input", str(star), "--list"])
     assert (code, out) == (2, "")
+
+
+def test_dense_class_limit():
+    # qg at g = 10 would list 1,310,703 nonzero boundary entries: refused
+    # at once, before any entry is built
+    for argv in (["class", "qg", "--g", "10"], ["class", "qg", "--g", "30", "--json"]):
+        start = time.perf_counter()
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.getvalue().startswith("domain error:") and err.getvalue().count("\n") == 1
+    # g = 9 is under the limit (printing its 294,897 entries takes seconds)
+    assert qg_class(9).orbits.dense_size() == 294_897 <= _MAX_DENSE_ENTRIES
+
+
+def test_large_genus_answers_from_orbits(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dense boundary view was built")
+
+    monkeypatch.setattr(OrbitTable, "dense", refuse)
+    code, out = run_cli(["audit", "--g", "12", "--json"])
+    report = json.loads(out)
+    # the s = 2g-3 column still disagrees, in 2g rows of families A and B
+    assert code == 3 and report["mismatched"] == 24
+    assert {e["s"] for e in report["entries"] if not e["match"]} == {21}
+    code, out = run_cli(["pair", "--curve", "A:1:2", "--class", "qg:12", "--json"])
+    assert code == 0
+    assert json.loads(out)["pairing"] == "%d/1" % oracle_a_dot_qg(12, 1, 2)
 
 
 def test_pair_accepts_class_file(tmp_path):
@@ -159,3 +229,80 @@ def test_levelgraphs_list_mode():
     data = json.loads(out)
     assert data["count"] == 3
     assert all("status" not in row for row in data["graphs"])
+
+
+# -- argv fuzzing ------------------------------------------------------------
+
+_INT = st.integers(-2, 6).map(str)
+_INT_LIST = st.lists(st.integers(-4, 6), max_size=6).map(lambda xs: ",".join(map(str, xs)))
+_FLAG_VALUES = {
+    "--g": _INT,
+    "--n": _INT,
+    "--k": _INT,
+    "--d": _INT_LIST,
+    "--mu": _INT_LIST,
+    "--budget": st.sampled_from(["-1", "0", "1", "64", "4096"]),
+    "--curve": st.builds(
+        "{}:{}:{}".format, st.sampled_from("ABCx"), st.integers(-1, 5), st.integers(-1, 6)
+    ),
+    "--class": st.one_of(
+        st.builds("qg:{}".format, st.integers(-1, 5)),
+        st.builds("{}:{}:{}:{}".format, st.sampled_from(["qd", "logan"]),
+                  st.integers(1, 4), st.integers(0, 6), _INT_LIST),
+        st.sampled_from(["weierstrass", "qg:x", "qg:", "tests/data/ex1.json", "missing.json"]),
+    ),
+    "--R": st.lists(
+        st.sampled_from(["1", "-1", "0", "2j", "1+1j", "0.5", "nan", "inf", "1e400", "x"]),
+        max_size=5,
+    ).map(",".join),
+    "--input": st.sampled_from(["tests/data/ex1.json", "tests/data/ex2.json", "missing.json"]),
+}
+_SWITCHES = ("--json", "--list", "--admissible")
+_COMMANDS = {
+    "class": ("--g", "--n", "--d", "--json"),
+    "curve": ("--curve", "--g", "--json"),
+    "pair": ("--curve", "--class", "--json"),
+    "audit": ("--g", "--json"),
+    "solve": ("--g", "--json"),
+    "classify-stratum": ("--g", "--k", "--mu", "--json"),
+    "multidegree": ("--g", "--d", "--json"),
+    "levelgraphs": ("--input", "--list", "--admissible", "--json"),
+    "pnk": ("--k", "--R", "--budget", "--json"),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with most of its flags in random order, each with a
+    drawn value, and now and then a stray token."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    if command == "class":
+        argv.append(draw(st.sampled_from(["qg", "qd", "logan", "weierstrass", "other"])))
+    for flag in draw(st.permutations(_COMMANDS[command])):
+        if not draw(st.integers(0, 4)):
+            continue  # most draws keep a flag, so most reach the command itself
+        argv.append(flag)
+        if flag not in _SWITCHES:
+            argv.append(draw(_FLAG_VALUES[flag]))
+    if draw(st.integers(0, 4)) == 0:
+        stray = draw(st.sampled_from(sorted(_FLAG_VALUES) + ["", "-", "7"]))
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+# large genera only where the answer stays cheap: class listings, which the
+# dense limit refuses
+_LARGE_CLASS = st.tuples(st.integers(10, 30), st.booleans()).map(
+    lambda t: ["class", "qg", "--g", str(t[0])] + ["--json"] * t[1]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_argv(), _LARGE_CLASS))
+def test_cli_fuzz_never_tracebacks(argv):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_cli(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()

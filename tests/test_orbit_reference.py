@@ -1,0 +1,282 @@
+"""Orbit-form classes and the sparse solve against frozen dense versions.
+
+The reference_* builders expand every class into all canonical
+delta_{i:S} entries, and reference_rref eliminates dense rows; the
+library stores one coefficient per label orbit and eliminates sparse
+rows.  Both must give the same classes, pairings and solver output.
+"""
+
+import random
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+from qstrata import (
+    DivisorClass,
+    QdInput,
+    canonical_boundary_indices,
+    curve_functional,
+    logan_class,
+    qd_class,
+    qg_class,
+    solve_qg_coefficients,
+    valid_specs,
+)
+from qstrata import classes
+from qstrata.picard import Accumulator
+
+
+def _pow2(e):
+    return Fraction(2) ** e
+
+
+def _add_boundary(acc, idx, c):
+    acc.boundary[idx] = acc.boundary.get(idx, Fraction(0)) + c
+
+
+def reference_logan_class(g, n, d):
+    acc = Accumulator(g, n)
+    acc.add_lambda(-1)
+    for j, dj in enumerate(d, start=1):
+        acc.add_psi(j, comb(dj + 1, 2))
+    for idx in canonical_boundary_indices(g, n):
+        d_S = sum(d[p - 1] for p in idx.points)
+        _add_boundary(acc, idx, -comb(abs(d_S - idx.i) + 1, 2))
+    return acc.divisor_class()
+
+
+def reference_qg_class(g):
+    n = 2 * g - 2
+    acc = Accumulator(g, n)
+    acc.add_lambda(-(4**g))
+    acc.add_delta0(4 ** (g - 2))
+    for j in range(1, n + 1):
+        acc.add_psi(j, 3 * _pow2(2 * g - 3))
+    for idx in canonical_boundary_indices(g, n):
+        size = len(idx.points)
+        if size in (0, n):
+            i0 = idx.i if size == 0 else g - idx.i
+            c = -_pow2(2 * (g - i0) - 1) * (4**i0 * (i0 - 1) + 2) * i0
+        else:
+            x = size - 2 * idx.i
+            c = -_pow2(2 * g - 3) * x * (x + 2)
+        _add_boundary(acc, idx, c)
+    return acc.divisor_class()
+
+
+def reference_qd_class(q):
+    g, n, d = q.g, q.n, q.d
+    bad = frozenset(j for j, dj in enumerate(d, start=1) if dj % 2 or dj < 0)
+    acc = Accumulator(g, n)
+    acc.add_delta0(4 ** (g - 2))
+    if not bad:
+        acc.add_lambda(-(4**g - 1))
+        for j, dj in enumerate(d, start=1):
+            acc.add_psi(j, Fraction((4**g - 1) * dj * (dj + 2), 8))
+        for idx in canonical_boundary_indices(g, n):
+            i1, S1 = idx.i, idx.point_set
+            d1 = sum(d[p - 1] for p in S1)
+            i2, d2 = g - i1, 2 * g - 2 - d1
+            if d1 >= 2 * i1:
+                big_i, big_d = i1, d1
+            elif d2 >= 2 * i2:
+                big_i, big_d = i2, d2
+            else:
+                raise AssertionError("even signature with no dominant side")
+            x = big_d - 2 * big_i
+            c = -Fraction(x + 2, 8) * (4 * (4**big_i - 1) + x * (4**g - 1))
+            _add_boundary(acc, idx, c)
+    else:
+        acc.add_lambda(-(4**g))
+        for j, dj in enumerate(d, start=1):
+            acc.add_psi(j, _pow2(2 * g - 3) * dj * (dj + 2))
+        all_labels = frozenset(range(1, n + 1))
+        for idx in canonical_boundary_indices(g, n):
+            i1, S1 = idx.i, idx.point_set
+            d1 = sum(d[p - 1] for p in S1)
+            if bad <= S1:
+                side = (i1, d1)
+            elif bad <= all_labels - S1:
+                side = (g - i1, 2 * g - 2 - d1)
+            else:
+                side = None
+            if side is None:
+                x = d1 - 2 * i1
+                c = -_pow2(2 * g - 3) * x * (x + 2)
+            else:
+                ii, dd = side
+                x = dd - 2 * ii
+                if x >= 0:
+                    c = -(x + 2) * (_pow2(2 * g - 3) * x + _pow2(2 * ii - 1))
+                else:
+                    c = -_pow2(2 * g - 3) * x * (x + 2)
+            _add_boundary(acc, idx, c)
+    return acc.divisor_class()
+
+
+def reference_rref(rows, rhs):
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot = next((k for k in range(r, n_rows) if rows[k][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        rhs[r] = rhs[r] * inv
+        for k in range(n_rows):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+                rhs[k] = rhs[k] - f * rhs[r]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return pivots
+
+
+def dense_rref_on_sparse_rows(rows, rhs, n_cols):
+    """reference_rref behind the library's sparse-row interface."""
+    dense = [[row.get(c, Fraction(0)) for c in range(n_cols)] for row in rows]
+    pivots = reference_rref(dense, rhs)
+    rows[:] = [{c: x for c, x in enumerate(row) if x} for row in dense]
+    return pivots
+
+
+# (g, d): odd, negative, repeated, all-distinct and all-even weights, with
+# n = 2g-2 so that every test curve can be paired with them
+QD_SIGNATURES = [
+    (2, (1, 1)),
+    (2, (3, -1)),
+    (2, (2, 0)),
+    (3, (1, 1, 1, 1)),
+    (3, (5, -1, 1, -1)),
+    (3, (2, 2, 0, 0)),
+    (3, (4, 2, 0, -2)),
+    (3, (3, 1, 2, -2)),
+    (4, (1, 1, 1, 1, 1, 1)),
+    (4, (3, 3, 1, -1, -1, 1)),
+    (4, (6, 2, 0, -2, 1, -1)),
+    (4, (2, 2, 2, 0, 0, 0)),
+    (5, (1,) * 8),
+    (5, (3, 3, 3, 1, -1, -1, -1, 1)),
+    (5, (7, 2, -3, 4, 1, -2, 0, -1)),
+    (6, (1,) * 10),
+    (6, (3, -1) * 5),
+    (6, (2, 2, 2, 2, 2, 0, 0, 0, 0, 0)),
+]
+
+LOGAN_SIGNATURES = [
+    (2, (1, 1)),
+    (3, (1, 1, 1, 0)),
+    (3, (3, 0, 0, 0)),
+    (4, (1, 1, 1, 1, 0, 0)),
+    (4, (4, 0, 0, 0, 0, 0)),
+    (4, (2, 1, 1, 0, 0, 0)),
+    (5, (5, 0, 0, 0, 0, 0, 0, 0)),
+    (5, (1, 1, 1, 1, 1, 0, 0, 0)),
+    (6, (2, 1, 1, 1, 1, 0, 0, 0, 0, 0)),
+]
+
+
+def _cases():
+    for g in range(2, 7):
+        yield "qg:%d" % g, lambda g=g: qg_class(g), lambda g=g: reference_qg_class(g)
+    for g, d in QD_SIGNATURES:
+        q = QdInput(g, len(d), d)
+        yield "qd:%d:%s" % (g, d), lambda q=q: qd_class(q), lambda q=q: reference_qd_class(q)
+    for g, d in LOGAN_SIGNATURES:
+        yield (
+            "logan:%d:%s" % (g, d),
+            lambda g=g, d=d: logan_class(g, len(d), d),
+            lambda g=g, d=d: reference_logan_class(g, len(d), d),
+        )
+
+
+CASES = list(_cases())
+
+
+def _sampled_indices(g, n, rng, count=40):
+    """(i, S) pairs naming a divisor, in both canonical and mirrored form."""
+    indices = canonical_boundary_indices(g, n)
+    out = []
+    for idx in rng.sample(indices, min(count, len(indices))):
+        out.append((idx.i, idx.points))
+        out.append((g - idx.i, tuple(p for p in range(1, n + 1) if p not in idx.points)))
+    return out
+
+
+@pytest.mark.parametrize("name, build, reference", CASES, ids=[c[0] for c in CASES])
+def test_orbit_class_matches_dense_reference(name, build, reference):
+    ref = reference()
+    g, n = ref.g, ref.n
+    rng = random.Random(name)
+
+    # pairing, boundary_coeff and equals look the orbits up...
+    cls = build()
+    for spec in valid_specs(g):
+        f = curve_functional(spec)
+        assert f.pair(cls) == f.pair(ref), spec
+    for i, S in _sampled_indices(g, n, rng):
+        assert cls.boundary_coeff(i, S) == ref.boundary_coeff(i, S), (i, S)
+    assert cls.equals(build()) and build().equals(cls)
+    # (at g = 2 equals compares dense normal forms)
+    assert cls.orbits is not None and (cls._dense is None or g == 2)
+
+    # ...and the dense view is the reference class, entry for entry
+    assert cls.equals(ref) and ref.equals(cls)
+    assert cls._coeffs() == ref._coeffs()
+    assert cls.to_json() == ref.to_json()
+    assert len(cls.boundary) == cls.orbits.dense_size()
+
+    # a changed coefficient is seen by both comparison routes
+    key = next(iter(cls.orbits.coeffs))
+    other = build()
+    other.orbits.coeffs[key] += 1
+    assert not cls.equals(other)
+    assert not other.equals(ref)
+
+
+def test_equals_across_different_label_groups():
+    # qd with weights (1,1,1,1) groups its labels as qg does; weights
+    # (3,-1,1,1) give other groups, so the comparison goes through the
+    # dense view
+    assert qd_class(QdInput(3, 4, (1, 1, 1, 1))).equals(qg_class(3))
+    assert not qd_class(QdInput(3, 4, (3, -1, 1, 1))).equals(qg_class(3))
+    twisted = qd_class(QdInput(3, 4, (3, -1, 1, 1)))
+    assert twisted.equals(reference_qd_class(QdInput(3, 4, (3, -1, 1, 1))))
+    assert twisted.equals(DivisorClass.from_json(twisted.to_json()))
+
+
+@pytest.mark.parametrize("g", range(2, 9))
+def test_solver_matches_dense_rref(g, monkeypatch):
+    sparse = solve_qg_coefficients(g).to_jsonable()
+    monkeypatch.setattr(classes, "_rref", dense_rref_on_sparse_rows)
+    assert sparse == solve_qg_coefficients(g).to_jsonable()
+
+
+def test_sparse_rref_matches_dense_on_random_systems():
+    rng = random.Random(11)
+    for trial in range(300):
+        n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
+        density = rng.choice((0.2, 0.4, 0.7))
+        dense = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < density else Fraction(0)
+             for _ in range(n_cols)]
+            for _ in range(n_rows)
+        ]
+        if trial % 5 == 0 and n_rows > 1:
+            dense[-1] = [a + b for a, b in zip(dense[0], dense[1 % n_rows])]  # rank drop
+        rhs = [Fraction(rng.randint(-5, 5)) for _ in range(n_rows)]
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in dense]
+        sparse_rhs = list(rhs)
+        want = reference_rref(dense, rhs)
+        assert classes._rref(sparse, sparse_rhs, n_cols) == want
+        assert sparse == [{c: x for c, x in enumerate(row) if x} for row in dense]
+        assert sparse_rhs == rhs
