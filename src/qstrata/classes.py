@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import comb
 from typing import Iterable, Mapping, Optional
 
@@ -38,6 +39,8 @@ from .picard import (
     Accumulator,
     DivisorClass,
     OrbitTable,
+    _check_size,
+    _labels,
     boundary_term,
     canonicalize_index,
     format_rational,
@@ -94,7 +97,7 @@ def qg_class(g: int) -> DivisorClass:
     if g < 2:
         raise WrongGenus("stratum divisor needs g >= 2")
     n = 2 * g - 2
-    table = OrbitTable(g, n, (1,) * n)
+    table = OrbitTable(g, n, repeat(1, n))
     for i, (s,) in table.keys():
         if s in (0, n):
             i0 = i if s == 0 else g - i  # genus of the unmarked side
@@ -252,12 +255,13 @@ def pullback_attach(d: DivisorClass, h: int, attach_label: int = 1) -> DivisorCl
     for m in range(1, d.n + 1):
         if m != j:
             acc.add_psi(m, d.psi[m - 1])
+    labels = _labels(d.n)
     for idx, c in d.boundary.items():
         if j in idx.points:
-            side_i, side_S = idx.i, idx.point_set
+            side_i, side_S = idx.i, idx.points
         else:
             side_i = d.g - idx.i
-            side_S = frozenset(range(1, d.n + 1)) - idx.point_set
+            side_S = labels.difference(idx.points)
         if side_i < h:
             continue
         acc.add_boundary(side_i - h, side_S, c)
@@ -281,8 +285,8 @@ def forget_pullback(d: DivisorClass) -> DivisorClass:
             acc.add_psi(j, c)
             acc.add_boundary(0, {j, new}, -c)
     for idx, c in d.boundary.items():
-        acc.add_boundary(idx.i, idx.point_set, c)
-        acc.add_boundary(idx.i, idx.point_set | {new}, c)
+        acc.add_boundary(idx.i, idx.points, c)
+        acc.add_boundary(idx.i, idx.points + (new,), c)
     return acc.divisor_class()
 
 
@@ -447,6 +451,7 @@ def solve_qg_coefficients(g: int) -> QgSolution:
     if g < 2:
         raise WrongGenus("solver needs g >= 2")
     n = 2 * g - 2
+    _check_size(g, n, (g + 1) * (n + 1), "coefficient slots")
     slots = [_slot(g, n, i, s) for i in range(0, g + 1) for s in range(0, n + 1)]
     keys = sorted({key for kind, key in slots if kind == "delta"})
     col = {key: k + 1 for k, key in enumerate(keys)}  # column 0 is c_psi

@@ -168,11 +168,10 @@ def _class_table(d) -> str:
     return "\n".join(lines)
 
 
-def _emit(args, jsonable, table: str) -> None:
-    if args.json:
-        print(json.dumps(jsonable))
-    else:
-        print(table)
+def _emit(args, jsonable, table) -> None:
+    """Print json.dumps(jsonable()) with --json, else table(); only the
+    requested rendering is built."""
+    print(json.dumps(jsonable()) if args.json else table())
 
 
 def _parse_curve(text: str):
@@ -186,13 +185,13 @@ def _parse_curve(text: str):
 def _run(args) -> int:
     if args.command == "class":
         cls = _class_from_args(args)
-        _emit(args, cls.to_jsonable(), _class_table(cls))
+        _emit(args, cls.to_jsonable, lambda: _class_table(cls))
         return 0
 
     if args.command == "curve":
         family, i, s = _parse_curve(args.curve)
         f = curve_functional(TestCurveSpec(family, args.g, i, s))
-        _emit(args, f.to_jsonable(), _class_table(f))
+        _emit(args, f.to_jsonable, lambda: _class_table(f))
         return 0
 
     if args.command == "pair":
@@ -204,15 +203,15 @@ def _run(args) -> int:
         value = pair(curve_functional(spec), cls)
         _emit(
             args,
-            {"curve": {"family": family, "i": i, "s": s}, "g": cls.g,
-             "pairing": format_rational(value)},
-            "%s . class = %s" % (spec, format_rational(value)),
+            lambda: {"curve": {"family": family, "i": i, "s": s}, "g": cls.g,
+                     "pairing": format_rational(value)},
+            lambda: "%s . class = %s" % (spec, format_rational(value)),
         )
         return 0
 
     if args.command == "audit":
         report = audit(args.g)
-        _emit(args, report.to_jsonable(), report.table())
+        _emit(args, report.to_jsonable, report.table)
         return 0 if report.all_match else 3
 
     if args.command == "solve":
@@ -242,14 +241,13 @@ def _run(args) -> int:
                 "--mu sums to %d but k(2g-2) = %d for --g %d" % (sum(mu), expected, args.g)
             )
         out = quad_components(Signature(args.k, args.g, tuple(mu)))
-        jsonable = {"count": out.count, "kind": out.kind, "notes": out.notes}
-        _emit(args, jsonable,
-              "count %d  kind %s\n%s" % (out.count, out.kind, out.notes))
+        _emit(args, lambda: {"count": out.count, "kind": out.kind, "notes": out.notes},
+              lambda: "count %d  kind %s\n%s" % (out.count, out.kind, out.notes))
         return 0
 
     if args.command == "multidegree":
         value = multidegree(args.g, _int_list(args.d))
-        _emit(args, {"g": args.g, "multidegree": value}, str(value))
+        _emit(args, lambda: {"g": args.g, "multidegree": value}, lambda: str(value))
         return 0
 
     if args.command == "levelgraphs":
@@ -288,8 +286,8 @@ def _run(args) -> int:
 
     if args.command == "pnk":
         value = eval_pnk(_complex_list(args.R), args.k, budget=args.budget)
-        out = "%.12g%+.12gj" % (value.real, value.imag)
-        _emit(args, {"k": args.k, "value": {"re": value.real, "im": value.imag}}, out)
+        _emit(args, lambda: {"k": args.k, "value": {"re": value.real, "im": value.imag}},
+              lambda: "%.12g%+.12gj" % (value.real, value.imag))
         return 0
 
     raise UsageError("unknown command")

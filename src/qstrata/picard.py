@@ -18,7 +18,8 @@ boundary_coeff and equals look coefficients up in the table; the dense
 {BoundaryIndex: coefficient} view is built on first access to `boundary`
 and cached.  Building it is refused with BudgetExceeded, before anything
 is allocated, when it would hold more than _MAX_DENSE_ENTRIES entries;
-so is filling a table with more orbit keys than that.
+so is filling a table with more orbit keys than that, and so is any
+space Mbar_{g,n} with more labels than that.
 
 All coefficients are fractions.Fraction; there is no floating point in
 this module.  Values are immutable after construction and all operations
@@ -31,11 +32,11 @@ assignment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations, product
 from math import comb, prod
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidIndex, WrongGenus
 
@@ -73,13 +74,13 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(int(s))
 
 
-@dataclass(frozen=True, order=True)
-class BoundaryIndex:
+class BoundaryIndex(NamedTuple):
     """Canonical name of a separating boundary divisor.
 
     The representative with the smaller genus part is stored; on a tie
     (i = g - i) the side containing marked point 1 is kept, which in
-    particular rewrites (i, {}) to (i, {1..n}).
+    particular rewrites (i, {}) to (i, {1..n}).  A named tuple, so it
+    orders, hashes and compares equal as the plain tuple (i, points).
     """
 
     i: int
@@ -93,11 +94,36 @@ class BoundaryIndex:
         return "delta_{%d:{%s}}" % (self.i, ",".join(map(str, self.points)))
 
 
+# Most boundary entries a class may list densely, most orbit keys a table
+# may walk (with all weights distinct every orbit is one divisor), and
+# most labels a space may have.
+_MAX_DENSE_ENTRIES = 1_000_000
+
+
+def _check_size(g: int, n: int, size: int, what: str) -> None:
+    if size > _MAX_DENSE_ENTRIES:
+        raise BudgetExceeded(
+            "a class on Mbar_{%d,%d} would need %d %s, more than the limit of %d"
+            % (g, n, size, what, _MAX_DENSE_ENTRIES)
+        )
+
+
 def _check_gn(g: int, n: int) -> None:
     if g < 2:
         raise InvalidIndex("genus must be >= 2, got g=%s" % (g,))
     if n < 1:
         raise InvalidIndex("need n >= 1 marked points, got n=%s" % (n,))
+    # every class and functional on Mbar_{g,n} lists n psi coefficients
+    _check_size(g, n, n, "psi coefficients")
+
+
+@lru_cache(maxsize=64)
+def _labels(n: int) -> frozenset[int]:
+    """The marked-point labels {1..n}."""
+    return frozenset(range(1, n + 1))
+
+
+_INT = frozenset({int})
 
 
 def _class_is_valid(g: int, n: int, i: int, size: int) -> bool:
@@ -138,19 +164,23 @@ def boundary_term(g: int, n: int, i: int, S: Iterable[int]):
     S = frozenset(S)
     if not 0 <= i <= g:
         raise InvalidIndex("genus part i=%s outside [0, %s]" % (i, g))
-    if not all(isinstance(p, int) and 1 <= p <= n for p in S):
-        raise InvalidIndex("marked points %s not a subset of {1..%s}" % (sorted(S), n))
-    comp = frozenset(range(1, n + 1)) - S
+    labels = _labels(n)
+    # a label is an int in 1..n; 2.0, Fraction(2) and True are equal to
+    # one, so the types are checked besides the values
+    if not (S <= labels and set(map(type, S)) <= _INT):
+        bad = next(p for p in S if type(p) is not int or not 1 <= p <= n)
+        raise InvalidIndex("marked point %r is not one of the labels 1..%s" % (bad, n))
     if _class_is_valid(g, n, i, len(S)):
         # keep the smaller genus part; on a tie, the side carrying label 1
         if i < g - i or (2 * i == g and 1 in S):
             return ("delta", BoundaryIndex(i, tuple(sorted(S))))
-        return ("delta", BoundaryIndex(g - i, tuple(sorted(comp))))
+        return ("delta", BoundaryIndex(g - i, tuple(sorted(labels - S))))
+    rest = n - len(S)
     if i == 0 and len(S) == 1:
         return ("psi", next(iter(S)))
-    if i == g and len(comp) == 1:
-        return ("psi", next(iter(comp)))
-    if (i == 0 and not S) or (i == g and not comp):
+    if i == g and rest == 1:
+        return ("psi", next(iter(labels - S)))
+    if (i == 0 and not S) or (i == g and not rest):
         return ("zero", None)
     raise InvalidIndex(
         "(i=%d, S=%s) names no boundary divisor on Mbar_{%d,%d}" % (i, sorted(S), g, n)
@@ -171,19 +201,6 @@ def canonical_boundary_indices(g: int, n: int) -> list[BoundaryIndex]:
                     continue  # the mirror representative carries label 1
                 out.append(BoundaryIndex(i, S))
     return out
-
-
-# Most boundary entries a class may list densely, and most orbit keys a
-# table may walk (with all weights distinct every orbit is one divisor).
-_MAX_DENSE_ENTRIES = 1_000_000
-
-
-def _check_size(g: int, n: int, size: int, what: str) -> None:
-    if size > _MAX_DENSE_ENTRIES:
-        raise BudgetExceeded(
-            "a class on Mbar_{%d,%d} would need %d %s, more than the limit of %d"
-            % (g, n, size, what, _MAX_DENSE_ENTRIES)
-        )
 
 
 def orbit_key(g: int, sizes: tuple[int, ...], i: int, counts: Iterable[int]):
@@ -209,6 +226,9 @@ class OrbitTable:
 
     def __init__(self, g: int, n: int, weights: Iterable[int]):
         _check_gn(g, n)
+        # every grouping has at least (g + 1)(n + 1) orbit keys: refuse
+        # before reading the n weights
+        _check_size(g, n, (g + 1) * (n + 1), "orbit keys")
         weights = tuple(weights)
         if len(weights) != n:
             raise DimensionMismatch("expected %d label weights" % n)
@@ -256,7 +276,7 @@ class OrbitTable:
 
     def dense(self) -> dict[BoundaryIndex, Fraction]:
         _check_size(self.g, self.n, self.dense_size(), "dense boundary entries")
-        g, labels = self.g, frozenset(range(1, self.n + 1))
+        g, labels = self.g, _labels(self.n)
         out = {}
         # a canonical key has i <= g - i, so only a tie can need the mirror
         for (i, counts), c in self.coeffs.items():
@@ -328,9 +348,8 @@ class _PicardVector:
         return (self.lam, self.psi, self.delta0, self.boundary)
 
     def sorted_boundary(self) -> list[tuple[BoundaryIndex, Fraction]]:
-        """Dense boundary entries in BoundaryIndex order, sorted on plain
-        (i, points) keys rather than through the dataclass comparisons."""
-        return sorted(self.boundary.items(), key=lambda e: (e[0].i, e[0].points))
+        """Dense boundary entries in BoundaryIndex order."""
+        return sorted(self.boundary.items())
 
     def _same_space(self, other) -> None:
         if (self.g, self.n) != (other.g, other.n):
@@ -403,7 +422,9 @@ class _PicardVector:
         boundary: dict[BoundaryIndex, Fraction] = {}
         for e in d["boundary"]:
             idx = canonicalize_index(g, n, _json_int(e["i"]), [_json_int(p) for p in e["S"]])
-            boundary[idx] = boundary.get(idx, Fraction(0)) + parse_rational(e["c"])
+            c = parse_rational(e["c"])
+            old = boundary.get(idx)
+            boundary[idx] = c if old is None else old + c
         return cls(
             g,
             n,
@@ -566,7 +587,9 @@ class Accumulator:
     def add_boundary(self, i: int, S: Iterable[int], c: Rational) -> None:
         kind, payload = boundary_term(self.g, self.n, i, S)
         if kind == "delta":
-            self.boundary[payload] = self.boundary.get(payload, Fraction(0)) + _frac(c)
+            c = _frac(c)
+            old = self.boundary.get(payload)
+            self.boundary[payload] = c if old is None else old + c
         elif kind == "psi":
             self.add_psi(payload, -_frac(c))
         # "zero": nothing to record

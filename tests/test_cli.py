@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qstrata import DivisorClass, oracle_a_dot_qg, qg_class
+from qstrata import AuditReport, DivisorClass, cli, oracle_a_dot_qg, qg_class
 from qstrata.cli import main
-from qstrata.picard import _MAX_DENSE_ENTRIES, OrbitTable
+from qstrata.picard import _MAX_DENSE_ENTRIES, OrbitTable, _PicardVector
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -190,6 +190,47 @@ def test_dense_class_limit():
     assert qg_class(9).orbits.dense_size() == 294_897 <= _MAX_DENSE_ENTRIES
 
 
+def test_huge_genus_refused_at_once():
+    # refused before a list of n labels or the (g+1)(n+1) solver slots exist
+    g = "99999999999"
+    for argv in (
+        ["class", "qg", "--g", g],
+        ["class", "qg", "--g", "100000000"],
+        ["audit", "--g", g],
+        ["curve", "--curve", "A:1:2", "--g", g, "--json"],
+        ["pair", "--curve", "A:1:2", "--class", "qg:" + g],
+        ["solve", "--g", g],
+        ["solve", "--g", "1000"],  # 1,999 labels, but 2,000,999 slots
+    ):
+        start = time.perf_counter()
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, out) == (2, ""), argv
+        assert err.getvalue().startswith("domain error:") and err.getvalue().count("\n") == 1
+
+
+def test_only_the_requested_format_is_rendered(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a rendering that is not printed")
+
+    commands = (["class", "qg", "--g", "4"], ["curve", "--curve", "A:1:3", "--g", "3"],
+                ["audit", "--g", "3"])
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_class_table", refuse)
+        m.setattr(AuditReport, "table", refuse)
+        for argv in commands:
+            code, out = run_cli(argv + ["--json"])
+            assert code in (0, 3) and json.loads(out)
+    with monkeypatch.context() as m:
+        m.setattr(_PicardVector, "to_jsonable", refuse)
+        m.setattr(AuditReport, "to_jsonable", refuse)
+        for argv in commands:
+            code, out = run_cli(argv)
+            assert code in (0, 3) and out.count("\n") > 5
+
+
 def test_large_genus_answers_from_orbits(monkeypatch):
     def refuse(self):
         raise AssertionError("the dense boundary view was built")
@@ -234,9 +275,11 @@ def test_levelgraphs_list_mode():
 # -- argv fuzzing ------------------------------------------------------------
 
 _INT = st.integers(-2, 6).map(str)
+# small genera, and huge ones that every command refuses at once
+_G = st.one_of(st.integers(-2, 6), st.integers(10**6, 10**12)).map(str)
 _INT_LIST = st.lists(st.integers(-4, 6), max_size=6).map(lambda xs: ",".join(map(str, xs)))
 _FLAG_VALUES = {
-    "--g": _INT,
+    "--g": _G,
     "--n": _INT,
     "--k": _INT,
     "--d": _INT_LIST,
@@ -246,7 +289,7 @@ _FLAG_VALUES = {
         "{}:{}:{}".format, st.sampled_from("ABCx"), st.integers(-1, 5), st.integers(-1, 6)
     ),
     "--class": st.one_of(
-        st.builds("qg:{}".format, st.integers(-1, 5)),
+        st.builds("qg:{}".format, _G),
         st.builds("{}:{}:{}:{}".format, st.sampled_from(["qd", "logan"]),
                   st.integers(1, 4), st.integers(0, 6), _INT_LIST),
         st.sampled_from(["weierstrass", "qg:x", "qg:", "tests/data/ex1.json", "missing.json"]),

@@ -1,0 +1,111 @@
+"""The dense class path: boundary-index validation, key order and output.
+
+`boundary_term` is the one validator of boundary indices, and the dense
+{BoundaryIndex: coefficient} view feeds JSON, the table and the
+pullbacks.  These tests pin its rejections, the output order of the
+keys, and a digest of the dense output recorded before the keys became
+named tuples.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from qstrata import (
+    BoundaryIndex,
+    InvalidIndex,
+    QdInput,
+    canonical_boundary_indices,
+    forget_pullback,
+    logan_class,
+    pullback_attach,
+    qd_class,
+    qg_class,
+)
+from qstrata.picard import boundary_term
+
+
+@pytest.mark.parametrize("label", [0, 5, 2.0, Fraction(2), True, "1"])
+def test_boundary_term_rejects_non_labels(label):
+    # n = 4: the labels are the ints 1..4, not values equal to them
+    for i in (0, 1, 2):
+        with pytest.raises(InvalidIndex):
+            boundary_term(3, 4, i, {label})
+        with pytest.raises(InvalidIndex):
+            boundary_term(3, 4, i, {label, 3})
+
+
+def test_boundary_term_accepts_any_iterable_of_labels():
+    expected = ("delta", BoundaryIndex(1, (1, 3)))
+    for S in ({1, 3}, frozenset({3, 1}), (3, 1), [1, 3, 1], range(1, 4, 2), iter((1, 3))):
+        assert boundary_term(3, 4, 1, S) == expected
+    assert boundary_term(3, 4, 2, (2, 4)) == ("delta", BoundaryIndex(1, (1, 3)))
+    assert boundary_term(3, 4, 3, (1, 2, 4)) == ("psi", 3)
+    assert boundary_term(3, 4, 3, range(1, 5)) == ("zero", None)
+
+
+def _old_key(idx):
+    # genus part first, then the sorted labels, compared as tuples
+    return (idx.i, idx.points)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+def test_index_order_is_the_old_dataclass_order(g):
+    for n in sorted({1, 2, 2 * g - 2}):
+        indices = canonical_boundary_indices(g, n)
+        assert sorted(indices) == sorted(indices, key=_old_key)
+        assert list(map(_old_key, sorted(indices))) == sorted(map(_old_key, indices))
+
+
+def test_boundary_index_is_a_named_tuple():
+    idx = BoundaryIndex(1, (2, 3))
+    assert (idx.i, idx.points) == (1, (2, 3))
+    assert idx == (1, (2, 3)) and hash(idx) == hash((1, (2, 3)))
+    assert repr(idx) == "BoundaryIndex(i=1, points=(2, 3))"
+    assert str(idx) == "delta_{1:{2,3}}"
+    assert idx.point_set == frozenset({2, 3})
+    assert BoundaryIndex(0, (1, 2)) < BoundaryIndex(0, (1, 3)) < BoundaryIndex(1, ())
+    with pytest.raises(AttributeError):
+        idx.i = 2
+
+
+def _dense_path_classes():
+    """Closed-form classes up to g = 7 and their pullback images."""
+    bases = [qg_class(g) for g in range(2, 8)]
+    bases += [qd_class(QdInput(g, len(d), d)) for g, d in (
+        (3, (1, 1, 1, 1)),
+        (3, (2, 2)),
+        (4, (3, -1, 2, 2)),
+        (5, (4, 2, 2, 0, 0, 0)),
+        (6, (3, -1, 1, 1, 2, 2, 1, 1)),
+        (7, (5, -3, 1, 1, 1, 1, 2, 2, 1, 1)),
+    )]
+    bases += [logan_class(g, len(d), d) for g, d in (
+        (3, (1, 1, 1, 0)),
+        (4, (2, 1, 1, 0, 0, 0)),
+        (5, (1, 1, 1, 1, 1, 0, 0, 0)),
+        (6, (3, 0, 1, 0, 2, 0, 0, 0, 0, 0)),
+        (7, (1,) * 7 + (0,) * 5),
+    )]
+    for cls in bases:
+        yield cls
+        yield forget_pullback(cls)
+        if cls.g > 2:
+            yield pullback_attach(cls, 1, cls.n)
+        if cls.g > 3:  # attach the most genus the target allows
+            yield pullback_attach(cls, cls.g - 2, 2)
+
+
+# sha256 over the JSON of _dense_path_classes(), one line each, computed
+# with the frozen-dataclass keys
+_DENSE_PATH_DIGEST = "7747d5475a38a4c80140be27a38e149f4fed71565f8b65050ce96503f6a40fe0"
+
+
+def test_dense_path_output_digest():
+    lines = [json.dumps(cls.to_jsonable()) for cls in _dense_path_classes()]
+    assert len(lines) == 62
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _DENSE_PATH_DIGEST
+

@@ -330,6 +330,62 @@ def test_pnk_budget():
     eval_pnk([1, 1, 1, 1, 1, 1, 1], 4, budget=4**7)
 
 
+def exact_pnk(residues, k):
+    """P_{n,k} for integer residues, exactly: the norm of y_1 + ... + y_n in
+    Z[y_1..y_n]/(y_i^k - R_i), the determinant of multiplication by it on
+    the k^n monomials y^e, 0 <= e_i < k.  Its eigenvalues are the root sums,
+    a zero residue counted as a k-fold root 0, so the determinant is their
+    product."""
+    n = len(residues)
+    basis = list(product(range(k), repeat=n))
+    pos = {e: row for row, e in enumerate(basis)}
+    size = len(basis)
+    m = [[0] * size for _ in range(size)]
+    for col, e in enumerate(basis):
+        for i, r in enumerate(residues):
+            f = list(e)
+            f[i] += 1
+            c = 1
+            if f[i] == k:  # y_i^k = R_i
+                f[i], c = 0, r
+            m[pos[tuple(f)]][col] += c
+    # Bareiss elimination: integer entries, every division exact
+    sign, prev = 1, 1
+    for p in range(size):
+        if m[p][p] == 0:
+            swap = next((r for r in range(p + 1, size) if m[r][p]), None)
+            if swap is None:
+                return 0
+            m[p], m[swap] = m[swap], m[p]
+            sign = -sign
+        for r in range(p + 1, size):
+            for c in range(p + 1, size):
+                m[r][c] = (m[r][c] * m[p][p] - m[r][p] * m[p][c]) // prev
+        prev = m[p][p]
+    return sign * m[-1][-1]
+
+
+def test_pnk_matches_exact_norm():
+    assert exact_pnk([3, 4], 1) == 7
+    assert exact_pnk([5], 2) == -5
+    assert exact_pnk([1, 1], 2) == 0
+    # (sqrt2 + sqrt3)(sqrt2 - sqrt3)(-sqrt2 + sqrt3)(-sqrt2 - sqrt3) = (2 - 3)^2
+    assert exact_pnk([2, 3], 2) == 1
+    rng = random.Random(5)
+    cases = zeros = 0
+    for k in range(1, 9):
+        for n in range(1, 7):
+            if k**n > 64:
+                continue
+            for _ in range(6):
+                R = [rng.randint(-3, 3) for _ in range(n)]
+                exact = exact_pnk(R, k)
+                assert abs(eval_pnk(R, k) - exact) <= 1e-9 * max(1, abs(exact)), (R, k)
+                cases += 1
+                zeros += exact == 0
+    assert cases == 156 and zeros > 5
+
+
 def test_pnk_permutation_symmetry():
     rng = random.Random(3)
     for _ in range(60):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qstrata import (
     BoundaryIndex,
+    BudgetExceeded,
     CurveFunctional,
     DivisorClass,
     DimensionMismatch,
@@ -21,7 +22,14 @@ from qstrata import (
     pair,
     qg_class,
 )
-from qstrata.picard import Accumulator, boundary_term, format_rational, parse_rational
+from qstrata.picard import (
+    _MAX_DENSE_ENTRIES,
+    Accumulator,
+    OrbitTable,
+    boundary_term,
+    format_rational,
+    parse_rational,
+)
 
 
 def test_canonicalize_examples():
@@ -134,6 +142,23 @@ def test_coefficients_must_be_exact():
         DivisorClass(2, 1, lam=0.1)
     with pytest.raises(TypeError):
         Accumulator(2, 1).add_psi(1, 0.5)
+
+
+def test_size_limits_refuse_before_allocating():
+    def unread():
+        raise AssertionError("the weights were read")
+        yield
+
+    # n labels within the limit, but at least (g + 1)(n + 1) orbit keys
+    g = 500_000
+    with pytest.raises(BudgetExceeded):
+        OrbitTable(g, 2 * g - 2, unread())
+    # more labels than the limit: no space, class or functional
+    n = _MAX_DENSE_ENTRIES + 1
+    for build in (lambda: Accumulator(2, n), lambda: DivisorClass(2, n),
+                  lambda: OrbitTable(2, n, unread()), lambda: boundary_term(2, n, 1, ())):
+        with pytest.raises(BudgetExceeded):
+            build()
 
 
 def test_json_schema_shape():
