@@ -11,12 +11,18 @@ in S, so the classes are built in orbit form (picard.OrbitTable): one
 coefficient per orbit of the labels of equal weight.
 
 solve_qg_coefficients replays the test-curve computation of the
-qg_class coefficients as an exact linear system, and audit compares the
-basis pairings of every admissible test curve against the enumerative
-oracles.  The printed coefficient data is not internally consistent on
-the whole parameter range (the audit shows pairing != oracle exactly on
-the s = 2g-3 column); the audit reports those rows verbatim and the
-solver simply does not use them.
+qg_class coefficients as an exact linear system.  Its columns are the
+sorted orbit keys, so each i-chain c_{i:0}, c_{i:1}, ... lies on adjacent
+columns, with c_psi last; one sparse forward elimination along the
+chains and a back-substitution solve it (_solve_sparse), and a value
+counts as solved only when the system pins it.  A system of more than
+1,000,000 (i, s) slots (g > 706) is refused with BudgetExceeded.
+
+audit compares the basis pairings of every admissible test curve against
+the enumerative oracles.  The printed coefficient data is not internally
+consistent on the whole parameter range (the audit shows pairing !=
+oracle exactly on the s = 2g-3 column); the audit reports those rows
+verbatim and the solver simply does not use them.
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ from .picard import (
     DivisorClass,
     OrbitTable,
     _check_size,
+    _class_is_valid,
     _labels,
-    boundary_term,
     canonicalize_index,
     format_rational,
     orbit_key,
@@ -330,17 +336,16 @@ def weierstrass_check(g: int) -> bool:
 def _slot(g: int, n: int, i: int, s: int):
     """Resolve the size-level coefficient slot c_{i:s} of delta_{i:S}, |S| = s.
 
-    Returns boundary_term's kind of delta_{i:{1..s}} with, for "delta",
-    the canonical orbit key flattened to (i, s); a "psi" slot stands for
-    -c_psi and a "zero" slot for 0.
+    Returns (sign, unknown): the slot is sign times the unknown, which is
+    the canonical orbit key flattened to (i, s) or "psi" for c_psi.
     """
-    if s < 0:
+    if not (0 <= i <= g and 0 <= s <= n):
         raise InvalidIndex("slot (i=%d, s=%d) out of range" % (i, s))
-    kind, _ = boundary_term(g, n, i, range(1, s + 1))
-    if kind != "delta":
-        return kind, None
+    if not _class_is_valid(g, n, i, s):
+        # delta_{0:{j}} and its mirror are -psi_j, delta_{0:{}} and its mirror 0
+        return (-1 if 1 in (s, n - s) else 0), "psi"
     j, (t,) = orbit_key(g, (n,), i, (s,))
-    return kind, (j, t)
+    return 1, (j, t)
 
 
 @dataclass(frozen=True)
@@ -359,12 +364,8 @@ class QgSolution:
 
     def get(self, i: int, s: int) -> Optional[Fraction]:
         """Solved coefficient of delta_{i:S} with |S| = s, None if free."""
-        kind, key = _slot(self.g, 2 * self.g - 2, i, s)
-        if kind == "psi":
-            return -self.c_psi
-        if kind == "zero":
-            return Fraction(0)
-        return self.coefficients.get(key)
+        sign, key = _slot(self.g, 2 * self.g - 2, i, s)
+        return sign * self.c_psi if key == "psi" else self.coefficients.get(key)
 
     def to_jsonable(self) -> dict:
         return {
@@ -390,40 +391,72 @@ class QgSolution:
             ],
         }
 
+    def table(self) -> str:
+        lines = ["c_psi = %s" % format_rational(self.c_psi)]
+        for (i, s), c in sorted(self.coefficients.items()):
+            lines.append("c_{%d:%d} = %s" % (i, s, format_rational(c)))
+        for i, s in self.free:
+            lines.append("c_{%d:%d} free (not determined by the system)" % (i, s))
+        lines.append("rank %d, %d unknowns, %d equations; excluded: %s"
+                     % (self.rank, self.n_unknowns, self.n_equations, self.excluded))
+        for (fam, i, s), r in sorted(self.residuals.items()):
+            if r:
+                lines.append("cross-check %s_{%d:%d} residual %s"
+                             % (fam, i, s, format_rational(r)))
+        return "\n".join(lines)
 
-def _rref(rows: list[dict[int, Fraction]], rhs: list[Fraction], n_cols: int):
-    """In-place reduced row echelon form of sparse rows {column: nonzero
-    entry}; returns the pivot column list.  Pivots are taken column by
-    column from the first row at or below the current one, and a row
-    update touches only the nonzeros of the pivot row."""
-    n_rows = len(rows)
-    pivots = []
-    r = 0
+
+def _sub_scaled(row: dict, other: dict, f: Fraction) -> None:
+    """row -= f * other, dropping the entries that cancel."""
+    for j, x in other.items():
+        y = row.get(j, 0) - f * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+
+
+def _solve_sparse(rows: list[dict[int, Fraction]], rhs: list[Fraction], n_cols: int):
+    """Solve the sparse rows {column: nonzero entry} = rhs exactly; the
+    rows are consumed.  Returns (pivot columns, values, pinned columns).
+
+    The right-hand side is stored, negated, in column n_cols, whose unknown
+    is 1.  Forward elimination: rows wait in a bucket per leading column.
+    Column by column, the sparsest row of the bucket becomes the pivot, and
+    every other row there is reduced by it and moves to the bucket of its
+    new leading column; a row left with only column n_cols reads
+    0 = nonzero and raises SingularSystem.  Back-substitution sets the free
+    (pivotless) columns to zero and writes each value in terms of them and
+    of the constant: a value is pinned, that is fixed by the system,
+    exactly when no free column is left in it.
+    """
+    buckets = [[] for _ in range(n_cols + 1)]
+    for row, b in zip(rows, rhs):
+        if b:
+            row[n_cols] = -b
+        if row:
+            buckets[min(row)].append(row)
+    pivots = {}
     for c in range(n_cols):
-        pivot = next((k for k in range(r, n_rows) if c in rows[k]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
-        inv = 1 / rows[r][c]
-        prow = rows[r] = {j: x * inv for j, x in rows[r].items()}
-        rhs[r] = rhs[r] * inv
-        for k in range(n_rows):
-            if k != r and c in rows[k]:
-                row = rows[k]
-                f = row[c]
-                for j, x in prow.items():
-                    y = row.get(j, 0) - f * x
-                    if y:
-                        row[j] = y
-                    else:
-                        del row[j]
-                rhs[k] = rhs[k] - f * rhs[r]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return pivots
+        if buckets[c]:
+            prow = pivots[c] = min(buckets[c], key=len)
+            for row in buckets[c]:
+                if row is not prow:
+                    _sub_scaled(row, prow, row[c] / prow[c])
+                    if row:
+                        buckets[min(row)].append(row)
+    if buckets[n_cols]:
+        raise SingularSystem("chosen equations are inconsistent")
+
+    exprs = {}  # pivot column -> its value as {free column or n_cols: coefficient}
+    for c in reversed(pivots):
+        prow = pivots[c]
+        expr = exprs[c] = {}
+        for j, x in prow.items():
+            if j != c:
+                _sub_scaled(expr, exprs.get(j, {j: 1}), x / prow[c])
+    values = [exprs.get(c, {}).get(n_cols, Fraction(0)) for c in range(n_cols)]
+    return list(pivots), values, {c for c, expr in exprs.items() if expr.keys() <= {n_cols}}
 
 
 def solve_qg_coefficients(g: int) -> QgSolution:
@@ -452,20 +485,18 @@ def solve_qg_coefficients(g: int) -> QgSolution:
         raise WrongGenus("solver needs g >= 2")
     n = 2 * g - 2
     _check_size(g, n, (g + 1) * (n + 1), "coefficient slots")
-    slots = [_slot(g, n, i, s) for i in range(0, g + 1) for s in range(0, n + 1)]
-    keys = sorted({key for kind, key in slots if kind == "delta"})
-    col = {key: k + 1 for k, key in enumerate(keys)}  # column 0 is c_psi
-    n_cols = len(keys) + 1
+    slots = {(i, s): _slot(g, n, i, s) for i in range(g + 1) for s in range(n + 1)}
+    keys = sorted({key for _, key in slots.values()} - {"psi"})
+    col = {key: k for k, key in enumerate(keys)}
+    psi = col["psi"] = len(keys)  # c_psi is the last column
+    n_cols = psi + 1
 
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
 
     def put(row, i, s, coeff):
-        kind, key = _slot(g, n, i, s)
-        if kind == "delta":
-            row[col[key]] = row.get(col[key], 0) + coeff
-        elif kind == "psi":
-            row[0] = row.get(0, 0) - coeff
+        sign, key = slots[i, s]
+        row[col[key]] = row.get(col[key], 0) + sign * coeff
 
     def add_row(row, value):
         rows.append({c: x for c, x in row.items() if x})
@@ -478,64 +509,39 @@ def solve_qg_coefficients(g: int) -> QgSolution:
             row = {}
             lead = Fraction(2 * g - 2 - s)
             if lead:
-                row[0] = lead
+                row[psi] = lead
                 put(row, i, s + 1, lead)
             put(row, i, s, Fraction(-(4 * g - 2 * i - 4 - s)))
             add_row(row, a_dot_qg_formula(g, i, s))
     for i in range(1, g + 1):
-        row = {0: Fraction(2 * i - 1)}
+        row = {psi: Fraction(2 * i - 1)}
         put(row, i, 0, Fraction(1))
         put(row, i, 1, Fraction(-1))
         add_row(row, oracle_b_dot_qg(g, i, 0))
 
     n_equations = len(rows)
-    pivots = _rref(rows, rhs, n_cols)
-    rank = len(pivots)
-    for k in range(rank, n_equations):
-        if rhs[k]:
-            raise SingularSystem("chosen equations are inconsistent at g=%d" % g)
-
-    free_cols = [c for c in range(n_cols) if c not in pivots]
-    if 0 in free_cols:
+    pivots, values, pinned = _solve_sparse(rows, rhs, n_cols)
+    if psi not in pinned:
         raise SingularSystem("c_psi is not determined at g=%d" % g)
+    c_psi = values[psi]
+    coefficients = {key: values[k] for k, key in enumerate(keys) if k in pinned}
+    free = tuple(key for k, key in enumerate(keys) if k not in pinned)
 
-    # a pivot variable is pinned only when its row touches no free column
-    values = [Fraction(0)] * n_cols
-    determined = [False] * n_cols
-    for r, c in enumerate(pivots):
-        if rows[r].keys().isdisjoint(free_cols):
-            values[c] = rhs[r]
-            determined[c] = True
-        else:
-            values[c] = rhs[r]  # free part set to zero for reporting
-
-    c_psi = values[0]
-    coefficients = {
-        key: values[col[key]] for key in keys if determined[col[key]]
-    }
-    free = tuple(key for key in keys if not determined[col[key]])
-
-    def val(i, s):
-        kind, key = _slot(g, n, i, s)
-        if kind == "psi":
-            return -c_psi
-        if kind == "zero":
-            return Fraction(0)
-        return values[col[key]]
+    val = {slot: sign * values[col[key]] for slot, (sign, key) in slots.items()}
 
     residuals = {}
     for spec in valid_specs(g):
         i, s = spec.i, spec.s
         if spec.family == "B":
-            lhs = (2 * i + 2 * s - 1) * c_psi + s * val(0, 2) + val(i, s) - val(i, s + 1)
+            lhs = (2 * i + 2 * s - 1) * c_psi + s * val[0, 2] + val[i, s] - val[i, s + 1]
         elif spec.family == "C":
             lhs = (
                 2 * c_psi
-                + val(0, 2)
-                + val(g - i, 2 * g - s - 3)
-                - val(g - i, 2 * g - s - 4)
-                + val(i, s + 1)
-                - val(i, s)
+                + val[0, 2]
+                + val[g - i, 2 * g - s - 3]
+                - val[g - i, 2 * g - s - 4]
+                + val[i, s + 1]
+                - val[i, s]
             )
         else:
             continue
@@ -546,7 +552,7 @@ def solve_qg_coefficients(g: int) -> QgSolution:
         c_psi=c_psi,
         coefficients=coefficients,
         free=free,
-        rank=rank,
+        rank=len(pivots),
         n_unknowns=n_cols,
         n_equations=n_equations,
         excluded="family-A rows with s = 2g-3 = %d" % (2 * g - 3),

@@ -216,21 +216,7 @@ def _run(args) -> int:
 
     if args.command == "solve":
         sol = solve_qg_coefficients(args.g)
-        if args.json:
-            print(json.dumps(sol.to_jsonable()))
-        else:
-            lines = ["c_psi = %s" % format_rational(sol.c_psi)]
-            for (i, s), c in sorted(sol.coefficients.items()):
-                lines.append("c_{%d:%d} = %s" % (i, s, format_rational(c)))
-            for i, s in sol.free:
-                lines.append("c_{%d:%d} free (not determined by the system)" % (i, s))
-            lines.append("rank %d, %d unknowns, %d equations; excluded: %s"
-                         % (sol.rank, sol.n_unknowns, sol.n_equations, sol.excluded))
-            for (fam, i, s), r in sorted(sol.residuals.items()):
-                if r:
-                    lines.append("cross-check %s_{%d:%d} residual %s"
-                                 % (fam, i, s, format_rational(r)))
-            print("\n".join(lines))
+        _emit(args, sol.to_jsonable, sol.table)
         return 0
 
     if args.command == "classify-stratum":

@@ -136,6 +136,12 @@ def _class_is_valid(g: int, n: int, i: int, size: int) -> bool:
     return True
 
 
+def _keeps_side(g: int, i: int, S) -> bool:
+    """Is (i, S) the canonical side of delta_{i:S}: the smaller genus part,
+    on a tie the side carrying label 1?"""
+    return i < g - i or (2 * i == g and 1 in S)
+
+
 def canonicalize_index(g: int, n: int, i: int, S: Iterable[int]) -> BoundaryIndex:
     """Return the canonical representative of delta_{i:S} on Mbar_{g,n}.
 
@@ -171,8 +177,7 @@ def boundary_term(g: int, n: int, i: int, S: Iterable[int]):
         bad = next(p for p in S if type(p) is not int or not 1 <= p <= n)
         raise InvalidIndex("marked point %r is not one of the labels 1..%s" % (bad, n))
     if _class_is_valid(g, n, i, len(S)):
-        # keep the smaller genus part; on a tie, the side carrying label 1
-        if i < g - i or (2 * i == g and 1 in S):
+        if _keeps_side(g, i, S):
             return ("delta", BoundaryIndex(i, tuple(sorted(S))))
         return ("delta", BoundaryIndex(g - i, tuple(sorted(labels - S))))
     rest = n - len(S)

@@ -23,15 +23,20 @@ contracted keep their functional meaning through the delta_{0:{j}} =
 -psi_j bookkeeping in the accumulator; the one spec that is rejected
 (family A with i=0, s=1) is the one whose contraction would hand the
 moving role to a different labelled point.
+
+A functional whose boundary terms would list more than 1,000,000 labels
+on their canonical sides (family A at i = g lists about n^2/2) is refused
+with BudgetExceeded before any term is summed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterator
 
-from .errors import InvalidSpec
-from .picard import Accumulator, CurveFunctional
+from .errors import BudgetExceeded, InvalidSpec
+from .picard import _MAX_DENSE_ENTRIES, Accumulator, CurveFunctional, _keeps_side
 
 FAMILIES = ("A", "B", "C")
 
@@ -91,16 +96,40 @@ def valid_specs(g: int) -> Iterator[TestCurveSpec]:
                     continue
 
 
+def _fill(acc: Accumulator, boundary, psi) -> CurveFunctional:
+    """Sum boundary terms (i, S, c) and psi terms (j, c) into acc.
+
+    The labels of each boundary term's canonical side are counted before
+    acc is filled, and more than _MAX_DENSE_ENTRIES in all (the printed
+    functional lists them) is refused with BudgetExceeded: family A at
+    i = g has about n^2/2.
+    """
+    g, n = acc.g, acc.n
+    terms, labels = [], 0
+    for term in boundary:
+        i, S, _ = term
+        labels += len(S) if _keeps_side(g, i, S) else n - len(S)
+        if labels > _MAX_DENSE_ENTRIES:
+            raise BudgetExceeded(
+                "a test curve on Mbar_{%d,%d} would list more than the limit of %d boundary labels"
+                % (g, n, _MAX_DENSE_ENTRIES)
+            )
+        terms.append(term)
+    for j, c in psi:
+        acc.add_psi(j, c)
+    for term in terms:
+        acc.add_boundary(*term)
+    return acc.functional()
+
+
 def curve_a(g: int, i: int, s: int) -> CurveFunctional:
     validate_spec("A", g, i, s)
     n = 2 * g - 2
     acc = Accumulator(g, n)
     base = set(range(1, s + 1))
-    acc.add_boundary(i, base, -(4 * g - 2 * i - 4 - s))
-    for j in range(s + 1, n + 1):
-        acc.add_boundary(i, base | {j}, 1)
-        acc.add_psi(j, 1)
-    return acc.functional()
+    rest = range(s + 1, n + 1)
+    boundary = chain([(i, base, -(4 * g - 2 * i - 4 - s))], ((i, base | {j}, 1) for j in rest))
+    return _fill(acc, boundary, zip(rest, repeat(1)))
 
 
 def curve_b(g: int, i: int, s: int) -> CurveFunctional:
@@ -108,13 +137,11 @@ def curve_b(g: int, i: int, s: int) -> CurveFunctional:
     n = 2 * g - 2
     acc = Accumulator(g, n)
     base = set(range(1, s + 1))
-    acc.add_boundary(i, base, 1)
-    acc.add_boundary(i, base | {s + 1}, -1)
-    acc.add_psi(s + 1, 2 * i - 1 + s)
-    for j in range(1, s + 1):
-        acc.add_psi(j, 1)
-        acc.add_boundary(0, {j, s + 1}, 1)
-    return acc.functional()
+    boundary = chain(
+        [(i, base, 1), (i, base | {s + 1}, -1)], ((0, {j, s + 1}, 1) for j in base)
+    )
+    psi = chain([(s + 1, 2 * i - 1 + s)], zip(base, repeat(1)))
+    return _fill(acc, boundary, psi)
 
 
 def curve_c(g: int, i: int, s: int) -> CurveFunctional:
@@ -123,14 +150,14 @@ def curve_c(g: int, i: int, s: int) -> CurveFunctional:
     acc = Accumulator(g, n)
     base = set(range(1, s + 1))
     tail = set(range(s + 3, n + 1))
-    acc.add_boundary(i, base, -1)
-    acc.add_boundary(g - i, tail, -1)
-    acc.add_psi(s + 1, 1)
-    acc.add_psi(s + 2, 1)
-    acc.add_boundary(0, {s + 1, s + 2}, 1)
-    acc.add_boundary(i, base | {s + 1}, 1)
-    acc.add_boundary(g - i, tail | {s + 1}, 1)
-    return acc.functional()
+    boundary = [
+        (i, base, -1),
+        (g - i, tail, -1),
+        (0, {s + 1, s + 2}, 1),
+        (i, base | {s + 1}, 1),
+        (g - i, tail | {s + 1}, 1),
+    ]
+    return _fill(acc, boundary, [(s + 1, 1), (s + 2, 1)])
 
 
 def curve_functional(spec: TestCurveSpec) -> CurveFunctional:

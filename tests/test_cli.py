@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import time
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qstrata import AuditReport, DivisorClass, cli, oracle_a_dot_qg, qg_class
+from qstrata.classes import QgSolution
 from qstrata.cli import main
 from qstrata.picard import _MAX_DENSE_ENTRIES, OrbitTable, _PicardVector
 
@@ -211,21 +213,41 @@ def test_huge_genus_refused_at_once():
         assert err.getvalue().startswith("domain error:") and err.getvalue().count("\n") == 1
 
 
+def test_curve_label_budget():
+    # family A at i = g lists about n^2/2 labels: refused at once
+    for g in ("2000", "500000"):
+        start = time.perf_counter()
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["curve", "--curve", "A:%s:1" % g, "--g", g])
+        assert time.perf_counter() - start < 1.0, g
+        assert (code, out) == (2, "")
+        assert err.getvalue().startswith("domain error:") and err.getvalue().count("\n") == 1
+    # a long functional with short sides still prints, as it did before the
+    # budget
+    code, out = run_cli(["curve", "--curve", "A:1:1", "--g", "5000"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "301d37708b5db4c05f95bb6159a334b503dd4109a9890c20d8114d38f4e65f6f")
+
+
 def test_only_the_requested_format_is_rendered(monkeypatch):
     def refuse(*args):
         raise AssertionError("built a rendering that is not printed")
 
     commands = (["class", "qg", "--g", "4"], ["curve", "--curve", "A:1:3", "--g", "3"],
-                ["audit", "--g", "3"])
+                ["audit", "--g", "3"], ["solve", "--g", "3"])
     with monkeypatch.context() as m:
         m.setattr(cli, "_class_table", refuse)
         m.setattr(AuditReport, "table", refuse)
+        m.setattr(QgSolution, "table", refuse)
         for argv in commands:
             code, out = run_cli(argv + ["--json"])
             assert code in (0, 3) and json.loads(out)
     with monkeypatch.context() as m:
         m.setattr(_PicardVector, "to_jsonable", refuse)
         m.setattr(AuditReport, "to_jsonable", refuse)
+        m.setattr(QgSolution, "to_jsonable", refuse)
         for argv in commands:
             code, out = run_cli(argv)
             assert code in (0, 3) and out.count("\n") > 5

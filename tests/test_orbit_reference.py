@@ -1,9 +1,13 @@
-"""Orbit-form classes and the sparse solve against frozen dense versions.
+"""Orbit-form classes and the sparse solve against frozen reference versions.
 
 The reference_* builders expand every class into all canonical
 delta_{i:S} entries, and reference_rref eliminates dense rows; the
-library stores one coefficient per label orbit and eliminates sparse
-rows.  Both must give the same classes, pairings and solver output.
+library stores one coefficient per label orbit.  reference_solve_qg is
+the earlier solver, kept as it was: c_psi in column 0, a sparse reduced
+row echelon form checked against reference_rref, and a pass that pins a
+pivot value only when its row touches no free column.  The library's
+forward elimination with back-substitution must give the same classes,
+pairings and solver output.
 """
 
 import random
@@ -14,7 +18,9 @@ import pytest
 
 from qstrata import (
     DivisorClass,
+    InvalidIndex,
     QdInput,
+    SingularSystem,
     canonical_boundary_indices,
     curve_functional,
     logan_class,
@@ -24,7 +30,9 @@ from qstrata import (
     valid_specs,
 )
 from qstrata import classes
-from qstrata.picard import Accumulator
+from qstrata.classes import QgSolution
+from qstrata.picard import Accumulator, boundary_term, orbit_key
+from qstrata.testcurves import a_dot_qg_formula, oracle, oracle_b_dot_qg
 
 
 def _pow2(e):
@@ -142,11 +150,167 @@ def reference_rref(rows, rhs):
 
 
 def dense_rref_on_sparse_rows(rows, rhs, n_cols):
-    """reference_rref behind the library's sparse-row interface."""
+    """reference_rref behind the sparse-row interface of reference_sparse_rref."""
     dense = [[row.get(c, Fraction(0)) for c in range(n_cols)] for row in rows]
     pivots = reference_rref(dense, rhs)
     rows[:] = [{c: x for c, x in enumerate(row) if x} for row in dense]
     return pivots
+
+
+def reference_slot(g, n, i, s):
+    if s < 0:
+        raise InvalidIndex("slot (i=%d, s=%d) out of range" % (i, s))
+    kind, _ = boundary_term(g, n, i, range(1, s + 1))
+    if kind != "delta":
+        return kind, None
+    j, (t,) = orbit_key(g, (n,), i, (s,))
+    return kind, (j, t)
+
+
+def reference_sparse_rref(rows, rhs, n_cols):
+    """In-place reduced row echelon form of sparse rows {column: nonzero
+    entry}; returns the pivot column list.  Pivots are taken column by
+    column from the first row at or below the current one, and a row
+    update touches only the nonzeros of the pivot row."""
+    n_rows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot = next((k for k in range(r, n_rows) if c in rows[k]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
+        inv = 1 / rows[r][c]
+        prow = rows[r] = {j: x * inv for j, x in rows[r].items()}
+        rhs[r] = rhs[r] * inv
+        for k in range(n_rows):
+            if k != r and c in rows[k]:
+                row = rows[k]
+                f = row[c]
+                for j, x in prow.items():
+                    y = row.get(j, 0) - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                rhs[k] = rhs[k] - f * rhs[r]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return pivots
+
+
+def reference_pinning(rows, rhs, n_cols, rref=reference_sparse_rref):
+    """(pivots, values with free columns at zero, determined flags)."""
+    n_equations = len(rows)
+    pivots = rref(rows, rhs, n_cols)
+    rank = len(pivots)
+    for k in range(rank, n_equations):
+        if rhs[k]:
+            raise SingularSystem("chosen equations are inconsistent")
+
+    free_cols = [c for c in range(n_cols) if c not in pivots]
+
+    # a pivot variable is pinned only when its row touches no free column
+    values = [Fraction(0)] * n_cols
+    determined = [False] * n_cols
+    for r, c in enumerate(pivots):
+        if rows[r].keys().isdisjoint(free_cols):
+            values[c] = rhs[r]
+            determined[c] = True
+        else:
+            values[c] = rhs[r]  # free part set to zero for reporting
+    return pivots, values, determined
+
+
+def reference_solve_qg(g, rref=reference_sparse_rref):
+    n = 2 * g - 2
+    slots = [reference_slot(g, n, i, s) for i in range(0, g + 1) for s in range(0, n + 1)]
+    keys = sorted({key for kind, key in slots if kind == "delta"})
+    col = {key: k + 1 for k, key in enumerate(keys)}  # column 0 is c_psi
+    n_cols = len(keys) + 1
+
+    rows = []
+    rhs = []
+
+    def put(row, i, s, coeff):
+        kind, key = reference_slot(g, n, i, s)
+        if kind == "delta":
+            row[col[key]] = row.get(col[key], 0) + coeff
+        elif kind == "psi":
+            row[0] = row.get(0, 0) - coeff
+
+    def add_row(row, value):
+        rows.append({c: x for c, x in row.items() if x})
+        rhs.append(Fraction(value))
+
+    for i in range(0, g + 1):
+        for s in range(1, n + 1):
+            if s == 2 * g - 3:
+                continue
+            row = {}
+            lead = Fraction(2 * g - 2 - s)
+            if lead:
+                row[0] = lead
+                put(row, i, s + 1, lead)
+            put(row, i, s, Fraction(-(4 * g - 2 * i - 4 - s)))
+            add_row(row, a_dot_qg_formula(g, i, s))
+    for i in range(1, g + 1):
+        row = {0: Fraction(2 * i - 1)}
+        put(row, i, 0, Fraction(1))
+        put(row, i, 1, Fraction(-1))
+        add_row(row, oracle_b_dot_qg(g, i, 0))
+
+    n_equations = len(rows)
+    pivots, values, determined = reference_pinning(rows, rhs, n_cols, rref)
+    if 0 not in pivots:
+        raise SingularSystem("c_psi is not determined at g=%d" % g)
+
+    c_psi = values[0]
+    coefficients = {
+        key: values[col[key]] for key in keys if determined[col[key]]
+    }
+    free = tuple(key for key in keys if not determined[col[key]])
+
+    def val(i, s):
+        kind, key = reference_slot(g, n, i, s)
+        if kind == "psi":
+            return -c_psi
+        if kind == "zero":
+            return Fraction(0)
+        return values[col[key]]
+
+    residuals = {}
+    for spec in valid_specs(g):
+        i, s = spec.i, spec.s
+        if spec.family == "B":
+            lhs = (2 * i + 2 * s - 1) * c_psi + s * val(0, 2) + val(i, s) - val(i, s + 1)
+        elif spec.family == "C":
+            lhs = (
+                2 * c_psi
+                + val(0, 2)
+                + val(g - i, 2 * g - s - 3)
+                - val(g - i, 2 * g - s - 4)
+                + val(i, s + 1)
+                - val(i, s)
+            )
+        else:
+            continue
+        residuals[(spec.family, i, s)] = lhs - oracle(spec)
+
+    return QgSolution(
+        g=g,
+        c_psi=c_psi,
+        coefficients=coefficients,
+        free=free,
+        rank=len(pivots),
+        n_unknowns=n_cols,
+        n_equations=n_equations,
+        excluded="family-A rows with s = 2g-3 = %d" % (2 * g - 3),
+        residuals=residuals,
+    )
 
 
 # (g, d): odd, negative, repeated, all-distinct and all-even weights, with
@@ -254,15 +418,43 @@ def test_equals_across_different_label_groups():
     assert twisted.equals(DivisorClass.from_json(twisted.to_json()))
 
 
-@pytest.mark.parametrize("g", range(2, 9))
-def test_solver_matches_dense_rref(g, monkeypatch):
-    sparse = solve_qg_coefficients(g).to_jsonable()
-    monkeypatch.setattr(classes, "_rref", dense_rref_on_sparse_rows)
-    assert sparse == solve_qg_coefficients(g).to_jsonable()
+@pytest.mark.parametrize("g", range(2, 11))
+def test_solver_matches_dense_rref(g):
+    want = reference_solve_qg(g).to_jsonable()
+    assert solve_qg_coefficients(g).to_jsonable() == want
+    if g <= 6:  # and the frozen sparse solve matches dense elimination
+        assert reference_solve_qg(g, dense_rref_on_sparse_rows).to_jsonable() == want
+
+
+def _solve(rows, rhs, n_cols, solver):
+    """solver on copies of the rows: (pivots, values, pinned set), or None
+    when it raises SingularSystem."""
+    try:
+        out = solver([dict(row) for row in rows], list(rhs), n_cols)
+    except SingularSystem:
+        return None
+    pivots, values, pinned = out
+    if not isinstance(pinned, set):  # the reference's determined flags
+        pinned = {c for c, flag in enumerate(pinned) if flag}
+    return pivots, values, pinned
+
+
+def _check_planted(rows, n_cols, x):
+    """The library solve of rows = A x against the reference; returns the
+    pivot columns."""
+    ax = [sum(a * x[c] for c, a in row.items()) for row in rows]
+    got = _solve(rows, ax, n_cols, classes._solve_sparse)
+    assert got == _solve(rows, ax, n_cols, reference_pinning)
+    pivots, values, pinned = got
+    assert all(values[c] == 0 for c in range(n_cols) if c not in pivots)
+    assert all(values[c] == x[c] for c in pinned)
+    assert [sum(a * values[c] for c, a in row.items()) for row in rows] == ax
+    return pivots
 
 
 def test_sparse_rref_matches_dense_on_random_systems():
     rng = random.Random(11)
+    planted = random.Random(12)
     for trial in range(300):
         n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
         density = rng.choice((0.2, 0.4, 0.7))
@@ -274,9 +466,31 @@ def test_sparse_rref_matches_dense_on_random_systems():
         if trial % 5 == 0 and n_rows > 1:
             dense[-1] = [a + b for a, b in zip(dense[0], dense[1 % n_rows])]  # rank drop
         rhs = [Fraction(rng.randint(-5, 5)) for _ in range(n_rows)]
-        sparse = [{c: x for c, x in enumerate(row) if x} for row in dense]
-        sparse_rhs = list(rhs)
+        drawn = list(rhs)
+        rows = [{c: x for c, x in enumerate(row) if x} for row in dense]
+
+        # the frozen sparse RREF against dense elimination
+        sparse, sparse_rhs = [dict(row) for row in rows], list(rhs)
         want = reference_rref(dense, rhs)
-        assert classes._rref(sparse, sparse_rhs, n_cols) == want
+        assert reference_sparse_rref(sparse, sparse_rhs, n_cols) == want
         assert sparse == [{c: x for c, x in enumerate(row) if x} for row in dense]
         assert sparse_rhs == rhs
+
+        # the library solve against the reference: on the drawn right-hand
+        # side it fails exactly when the RREF leaves 0 = nonzero, and on
+        # A x for a planted x it finds the same pivots
+        got = _solve(rows, drawn, n_cols, classes._solve_sparse)
+        assert got == _solve(rows, drawn, n_cols, reference_pinning)
+        assert (got is None) == any(rhs[len(want):])
+        x = [Fraction(planted.randint(-4, 4)) for _ in range(n_cols)]
+        assert _check_planted(rows, n_cols, x) == want
+
+    # entries of +-1 cancel often, so values pinned only through a
+    # cancellation of free columns come up
+    for trial in range(300):
+        n_rows, n_cols = planted.randint(1, 6), planted.randint(2, 7)
+        rows = [
+            {c: Fraction(planted.choice((-1, 1))) for c in range(n_cols) if planted.random() < 0.5}
+            for _ in range(n_rows)
+        ]
+        _check_planted(rows, n_cols, [Fraction(planted.randint(-4, 4)) for _ in range(n_cols)])

@@ -1,4 +1,9 @@
+import hashlib
+import json
 from fractions import Fraction
+from functools import lru_cache
+
+import pytest
 
 from qstrata import audit, pair, qg_class, solve_qg_coefficients, valid_specs
 from qstrata.testcurves import curve_functional, oracle
@@ -60,6 +65,37 @@ def test_solver_diagnostics_unconditional():
         ("B", 1, 3): 8,
         ("B", 2, 3): 16,
     }
+
+
+# the digest and the invariants below share their solutions
+_solved = lru_cache(solve_qg_coefficients)
+
+# sha256 of solve_qg_coefficients(g).to_jsonable() as JSON, one line per
+# g = 2..16, recorded from the earlier RREF solver (kept as the reference in
+# test_orbit_reference.py)
+SOLVER_DIGEST = "15485bfb6a269f176e463ac16e4c35d575d0e590d5c6b6aba4b64fee868dc7ca"
+
+
+def test_solver_output_digest():
+    digest = hashlib.sha256()
+    for g in range(2, 17):
+        digest.update(json.dumps(_solved(g).to_jsonable()).encode() + b"\n")
+    assert digest.hexdigest() == SOLVER_DIGEST
+
+
+@pytest.mark.parametrize("g", [*range(3, 17), 24, 32, 40])
+def test_solver_invariants(g):
+    sol = _solved(g)
+    q = qg_class(g)
+    assert sol.free == ()
+    assert sol.c_psi == q.psi[0]
+    # every orbit coefficient of the class is solved, and no other
+    assert sol.coefficients == {
+        (i, s): q.orbits.coeffs.get((i, (s,)), 0) for i, (s,) in q.orbits.keys()
+    }
+    # the cross-checks fail only on the B_{i:2g-3} rows, by (g-i) 4^i
+    nonzero = {k: r for k, r in sol.residuals.items() if r}
+    assert nonzero == {("B", i, 2 * g - 3): (g - i) * 4**i for i in range(g)}
 
 
 def test_solver_jsonable():
