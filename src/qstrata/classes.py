@@ -8,15 +8,17 @@ Brill-Noether classes (logan_class) and the genus-2 Weierstrass divisor.
 
 Every closed form depends on delta_{i:S} only through i and the weights
 in S, so the classes are built in orbit form (picard.OrbitTable): one
-coefficient per orbit of the labels of equal weight.
+coefficient per orbit of the labels of equal weight, and one psi
+coefficient per weight.  The pullbacks still walk the dense view.
 
 solve_qg_coefficients replays the test-curve computation of the
 qg_class coefficients as an exact linear system.  Its columns are the
 sorted orbit keys, so each i-chain c_{i:0}, c_{i:1}, ... lies on adjacent
 columns, with c_psi last; one sparse forward elimination along the
 chains and a back-substitution solve it (_solve_sparse), and a value
-counts as solved only when the system pins it.  A system of more than
-1,000,000 (i, s) slots (g > 706) is refused with BudgetExceeded.
+counts as solved only when the system pins it.  Its time and memory grow
+about like g^2, so a system of more than _MAX_SOLVE_SLOTS (i, s) slots
+(g > 353) is refused with BudgetExceeded before any row is built.
 
 audit compares the basis pairings of every admissible test curve against
 the enumerative oracles.  The printed coefficient data is not internally
@@ -30,12 +32,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import comb
 from typing import Iterable, Mapping, Optional
 
 from .errors import (
     BadSignature,
+    BudgetExceeded,
     DimensionMismatch,
     InvalidIndex,
     SingularSystem,
@@ -45,7 +47,6 @@ from .picard import (
     Accumulator,
     DivisorClass,
     OrbitTable,
-    _check_size,
     _class_is_valid,
     _labels,
     canonicalize_index,
@@ -89,7 +90,7 @@ def logan_class(g: int, n: int, d: Iterable[int]) -> DivisorClass:
     for i, counts in table.keys():
         d_S = sum(w * c for w, c in zip(table.weights, counts))
         table.put((i, counts), -comb(abs(d_S - i) + 1, 2))
-    return DivisorClass(g, n, -1, [comb(dj + 1, 2) for dj in d], 0, orbits=table)
+    return DivisorClass(g, n, -1, [comb(w + 1, 2) for w in table.weights], 0, orbits=table)
 
 
 def qg_class(g: int) -> DivisorClass:
@@ -103,7 +104,9 @@ def qg_class(g: int) -> DivisorClass:
     if g < 2:
         raise WrongGenus("stratum divisor needs g >= 2")
     n = 2 * g - 2
-    table = OrbitTable(g, n, repeat(1, n))
+    # lazy weights: the table refuses a huge n before reading them, and
+    # itertools.repeat(1, n) would overflow first
+    table = OrbitTable(g, n, (1 for _ in range(n)))
     for i, (s,) in table.keys():
         if s in (0, n):
             i0 = i if s == 0 else g - i  # genus of the unmarked side
@@ -112,8 +115,7 @@ def qg_class(g: int) -> DivisorClass:
             x = s - 2 * i
             c = -_pow2(2 * g - 3) * x * (x + 2)
         table.put((i, (s,)), c)
-    psi = (3 * _pow2(2 * g - 3),) * n
-    return DivisorClass(g, n, -(4**g), psi, 4 ** (g - 2), orbits=table)
+    return DivisorClass(g, n, -(4**g), [3 * _pow2(2 * g - 3)], 4 ** (g - 2), orbits=table)
 
 
 @dataclass(frozen=True)
@@ -175,10 +177,10 @@ def qd_class(q: QdInput) -> DivisorClass:
         table.put(key, c)
     if not bad:
         lam = -(4**g - 1)
-        psi = [Fraction((4**g - 1) * dj * (dj + 2), 8) for dj in d]
+        psi = [Fraction((4**g - 1) * w * (w + 2), 8) for w in table.weights]
     else:
         lam = -(4**g)
-        psi = [_pow2(2 * g - 3) * dj * (dj + 2) for dj in d]
+        psi = [_pow2(2 * g - 3) * w * (w + 2) for w in table.weights]
     return DivisorClass(g, n, lam, psi, 4 ** (g - 2), orbits=table)
 
 
@@ -333,6 +335,12 @@ def weierstrass_check(g: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# Most (i, s) slots, (g + 1)(2g - 1), the solver takes: g = 353 (249,570
+# slots) took 28.5 s and 507 MB peak on a 2-vCPU VM (Python 3.11), where
+# g = 300 took 21-33 s and 358 MB.
+_MAX_SOLVE_SLOTS = 250_000
+
+
 def _slot(g: int, n: int, i: int, s: int):
     """Resolve the size-level coefficient slot c_{i:s} of delta_{i:S}, |S| = s.
 
@@ -484,7 +492,11 @@ def solve_qg_coefficients(g: int) -> QgSolution:
     if g < 2:
         raise WrongGenus("solver needs g >= 2")
     n = 2 * g - 2
-    _check_size(g, n, (g + 1) * (n + 1), "coefficient slots")
+    if (g + 1) * (n + 1) > _MAX_SOLVE_SLOTS:
+        raise BudgetExceeded(
+            "the coefficient system at g=%d has more than the limit of %d (i, s) slots"
+            % (g, _MAX_SOLVE_SLOTS)
+        )
     slots = {(i, s): _slot(g, n, i, s) for i in range(g + 1) for s in range(n + 1)}
     keys = sorted({key for _, key in slots.values()} - {"psi"})
     col = {key: k for k, key in enumerate(keys)}

@@ -10,22 +10,29 @@ canonical form.  Genus-0 pieces need at least two marked points besides
 the node, which rules out (0, S) with |S| < 2 and its mirror (g, S) with
 |S| > n - 2.
 
-A divisor class may keep its separating boundary part in orbit form
-(OrbitTable): labels of equal weight form groups, and one coefficient is
-stored per orbit of the label permutations that preserve the groups, named
-by the genus part i and how many labels of each group S holds.  Pairing,
-boundary_coeff and equals look coefficients up in the table; the dense
-{BoundaryIndex: coefficient} view is built on first access to `boundary`
-and cached.  Building it is refused with BudgetExceeded, before anything
-is allocated, when it would hold more than _MAX_DENSE_ENTRIES entries;
-so is filling a table with more orbit keys than that, and so is any
-space Mbar_{g,n} with more labels than that.
+A divisor class or curve functional may keep its separating boundary
+part in orbit form (OrbitTable): the labels form groups, and one
+coefficient is stored per orbit of the label permutations that preserve
+the groups, named by the genus part i and how many labels of each group S
+holds; psi is then stored once per group too.  A class groups labels of
+equal weight; a test-curve functional groups them into its own blocks of
+consecutive labels.  When each block of a functional lies inside one
+group of a class, pairing them is one lookup per orbit key and per group,
+summed over integer numerators; every other pairing runs entry by entry.
+boundary_coeff and equals look coefficients up in the table.  The dense
+{BoundaryIndex: coefficient} view and the per-label psi tuple are built on
+first access to `boundary` and `psi` and cached.  Building the dense view
+is refused with BudgetExceeded, before anything is allocated, when it
+would hold more than _MAX_DENSE_ENTRIES entries; so is filling a class
+table with more orbit keys than that, and so is any space Mbar_{g,n} with
+more labels than that.
 
 All coefficients are fractions.Fraction; there is no floating point in
 this module.  Values are immutable after construction and all operations
-are pure, so everything here is safe to share between threads.  The one
-write after construction is the cached dense view: threads that race to
-build it build equal dicts, and each stores a complete one with a single
+are pure, so everything here is safe to share between threads.  The
+writes after construction are the cached views (the dense boundary, the
+per-label psi and a table's label index): threads that race to build one
+build equal values, and each stores a complete one with a single
 assignment.
 """
 
@@ -35,7 +42,8 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product
-from math import comb, prod
+from math import comb, lcm, prod
+from operator import sub
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidIndex, WrongGenus
@@ -44,10 +52,13 @@ Rational = Fraction | int
 
 
 def _frac(x: Rational) -> Fraction:
-    if isinstance(x, Fraction):
+    # the exact-type test first: isinstance against Fraction is an ABC check
+    if type(x) is Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, Fraction):
+        return x
     raise TypeError("exact coefficient expected (int or Fraction), got %r" % (x,))
 
 
@@ -213,26 +224,37 @@ def orbit_key(g: int, sizes: tuple[int, ...], i: int, counts: Iterable[int]):
     number of labels of group k in S and sizes[k] the size of group k:
     the smaller of (i, counts) and its mirror (g-i, sizes - counts)."""
     counts = tuple(counts)
-    return min((i, counts), (g - i, tuple(z - c for z, c in zip(sizes, counts))))
+    return min((i, counts), (g - i, tuple(map(sub, sizes, counts))))
+
+
+def orbit_size(g: int, sizes: tuple[int, ...], i: int, counts: tuple[int, ...]) -> int:
+    """Number of boundary divisors in the orbit (i, counts); 0 when a
+    count exceeds its group."""
+    size = prod(map(comb, sizes, counts))
+    if 2 * i == g and all(2 * c == z for z, c in zip(sizes, counts)):
+        size //= 2  # S and S^c lie in one orbit and name one divisor
+    return size
 
 
 class OrbitTable:
     """Separating boundary coefficients that are constant on label orbits.
 
-    The labels 1..n are split into groups of equal weight, ordered by their
-    smallest label; `weights[k]` is the weight of group k.  A coefficient
-    is stored per canonical orbit key (see orbit_key) that names a boundary
-    divisor; zero coefficients are not stored.  Fill the table with `put`
-    over `keys()` before handing it to a DivisorClass, which never changes
-    it afterwards.
+    The labels 1..n are split into groups, ordered by their smallest
+    label.  A class table (the constructor) groups labels of equal weight,
+    and `weights[k]` is the weight of group k; a functional table
+    (`of_blocks`) takes its groups as given runs of consecutive labels and
+    has no weights.  A coefficient is stored per canonical orbit key (see
+    orbit_key) that names a boundary divisor; zero coefficients are not
+    stored.  Fill the table with `put` before handing it to a
+    DivisorClass or CurveFunctional, which never changes it afterwards.
     """
 
-    __slots__ = ("g", "n", "groups", "weights", "sizes", "coeffs", "_group_of")
+    __slots__ = ("g", "n", "groups", "weights", "sizes", "coeffs", "_runs")
 
     def __init__(self, g: int, n: int, weights: Iterable[int]):
         _check_gn(g, n)
-        # every grouping has at least (g + 1)(n + 1) orbit keys: refuse
-        # before reading the n weights
+        # every grouping has at least (g + 1)(n + 1) orbit keys, and a class
+        # table walks them all: refuse before reading the n weights
         _check_size(g, n, (g + 1) * (n + 1), "orbit keys")
         weights = tuple(weights)
         if len(weights) != n:
@@ -240,13 +262,27 @@ class OrbitTable:
         first = {}
         for j, w in enumerate(weights, start=1):
             first.setdefault(w, []).append(j)
+        self._setup(g, n, tuple(tuple(labels) for labels in first.values()))
+        self.weights = tuple(first)
+
+    @classmethod
+    def of_blocks(cls, g: int, n: int, blocks: Iterable[range]) -> "OrbitTable":
+        """A table whose groups are the given nonempty runs of consecutive
+        labels, in order and covering 1..n.  Its keys are put by hand, so
+        it is not refused for the (g + 1)(n + 1) keys a class table walks."""
+        _check_gn(g, n)
+        self = cls.__new__(cls)
+        self._setup(g, n, tuple(blocks))
+        self.weights = None
+        return self
+
+    def _setup(self, g, n, groups) -> None:
         self.g = g
         self.n = n
-        self.groups = tuple(tuple(labels) for labels in first.values())
-        self.weights = tuple(first)
-        self.sizes = tuple(map(len, self.groups))
+        self.groups = groups
+        self.sizes = tuple(map(len, groups))
         self.coeffs: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-        self._group_of = {j: k for k, labels in enumerate(self.groups) for j in labels}
+        self._runs = None
 
     def keys(self):
         """Every canonical orbit key that names a boundary divisor."""
@@ -263,21 +299,42 @@ class OrbitTable:
         if c:
             self.coeffs[key] = c
 
+    def _label_runs(self):
+        """(group of each label, last label of the run of labels in the
+        same group that starts at each label), both indexed by label and
+        built on first use."""
+        if self._runs is None:
+            n = self.n
+            group_of = [-1] * (n + 1)
+            for k, labels in enumerate(self.groups):
+                for j in labels:
+                    group_of[j] = k
+            run_end = list(range(n + 1))
+            for j in range(n - 1, 0, -1):
+                if group_of[j + 1] == group_of[j]:
+                    run_end[j] = run_end[j + 1]
+            self._runs = (group_of, run_end)
+        return self._runs
+
+    def group_map(self, blocks) -> tuple[int, ...] | None:
+        """The group holding each block of sorted labels, or None when the
+        labels from some block's first to its last are not all in one
+        group (for a run of consecutive labels: when it straddles groups)."""
+        group_of, run_end = self._label_runs()
+        if any(run_end[blk[0]] < blk[-1] for blk in blocks):
+            return None
+        return tuple(group_of[blk[0]] for blk in blocks)
+
     def get(self, idx: BoundaryIndex) -> Fraction:
+        group_of = self._label_runs()[0]
         counts = [0] * len(self.sizes)
         for p in idx.points:
-            counts[self._group_of[p]] += 1
+            counts[group_of[p]] += 1
         return self.coeffs.get(orbit_key(self.g, self.sizes, idx.i, counts), Fraction(0))
 
     def dense_size(self) -> int:
         """Number of entries of the dense view, counted without building it."""
-        total = 0
-        for i, counts in self.coeffs:
-            size = prod(comb(z, c) for z, c in zip(self.sizes, counts))
-            if 2 * i == self.g and all(2 * c == z for z, c in zip(self.sizes, counts)):
-                size //= 2  # S and S^c lie in one orbit and name one divisor
-            total += size
-        return total
+        return sum(orbit_size(self.g, self.sizes, i, counts) for i, counts in self.coeffs)
 
     def dense(self) -> dict[BoundaryIndex, Fraction]:
         _check_size(self.g, self.n, self.dense_size(), "dense boundary entries")
@@ -295,37 +352,74 @@ class OrbitTable:
         return out
 
 
+def _dot(terms) -> Fraction:
+    """Exact sum of m * a * b over (m, a, b), m an int and a, b rationals:
+    an integer numerator over the common denominator, made into one
+    Fraction at the end."""
+    num, den = 0, 1
+    for m, a, b in terms:
+        if a and b:
+            p, q = a.as_integer_ratio()
+            r, t = b.as_integer_ratio()
+            q *= t
+            if q == den:
+                num += m * p * r
+            else:
+                common = lcm(den, q)
+                num = num * (common // den) + m * p * r * (common // q)
+                den = common
+    return Fraction(num, den)
+
+
 class _PicardVector:
     """Shared coefficient storage for divisor classes and curve functionals.
 
     The boundary part is either a dense {BoundaryIndex: coefficient} dict
     or, given instead of it, an OrbitTable (`orbits`), from which
-    `boundary` is built on first access.
+    `boundary` is built on first access.  With an OrbitTable the psi
+    coefficients are given one per label group (`group_psi`), and the
+    per-label `psi` tuple is likewise built on first access.
     """
 
-    __slots__ = ("g", "n", "lam", "psi", "delta0", "orbits", "_dense")
+    __slots__ = ("g", "n", "lam", "group_psi", "delta0", "orbits", "_psi", "_dense")
 
     def __init__(self, g, n, lam=0, psi=None, delta0=0, boundary=None, orbits=None):
         _check_gn(g, n)
         self.g = g
         self.n = n
         self.lam = _frac(lam)
-        psi = tuple(_frac(c) for c in (psi or (0,) * n))
-        if len(psi) != n:
-            raise DimensionMismatch("expected %d psi coefficients" % n)
-        self.psi = psi
         self.delta0 = _frac(delta0)
         self.orbits = orbits
         if orbits is not None:
             self._same_space(orbits)
-            self._dense = None
+            width = len(orbits.groups)
+            self.group_psi = tuple(_frac(c) for c in (psi or (0,) * width))
+            if len(self.group_psi) != width:
+                raise DimensionMismatch("expected %d psi coefficients, one per label group" % width)
+            self._psi = self._dense = None
             return
+        psi = tuple(_frac(c) for c in (psi or (0,) * n))
+        if len(psi) != n:
+            raise DimensionMismatch("expected %d psi coefficients" % n)
+        self._psi = psi
+        self.group_psi = None
         items = {}
         for idx, c in (boundary or {}).items():
             c = _frac(c)
             if c:
                 items[idx] = c
         self._dense = items
+
+    @property
+    def psi(self) -> tuple[Fraction, ...]:
+        """psi coefficients, one per label."""
+        if self._psi is None:
+            psi = [None] * self.n
+            for labels, c in zip(self.orbits.groups, self.group_psi):
+                for j in labels:
+                    psi[j - 1] = c
+            self._psi = tuple(psi)
+        return self._psi
 
     @property
     def boundary(self) -> dict[BoundaryIndex, Fraction]:
@@ -466,8 +560,8 @@ class DivisorClass(_PicardVector):
         else:
             a, b = self, other
         if a.orbits is not None and b.orbits is not None and a.orbits.groups == b.orbits.groups:
-            return (a.lam, a.psi, a.delta0, a.orbits.coeffs) == (
-                b.lam, b.psi, b.delta0, b.orbits.coeffs)
+            return (a.lam, a.group_psi, a.delta0, a.orbits.coeffs) == (
+                b.lam, b.group_psi, b.delta0, b.orbits.coeffs)
         return a._coeffs() == b._coeffs()
 
     def __eq__(self, other):
@@ -487,15 +581,35 @@ class CurveFunctional(_PicardVector):
 
     Pairing a functional with a DivisorClass is the bilinear form
     sum over basis elements of (functional value) * (class coefficient).
+    When both are in orbit form and each label group of the functional
+    lies inside one label group of the class, the class is constant on
+    every orbit of the functional, so the sum runs over the functional's
+    orbit keys and groups, each weighted by its number of divisors or
+    labels.  Any other pair is summed entry by entry over the dense view.
     """
 
     def pair(self, d: DivisorClass) -> Fraction:
         self._same_space(d)
-        total = self.lam * d.lam + self.delta0 * d.delta0
-        total += sum(a * b for a, b in zip(self.psi, d.psi))
-        for idx, c in self.boundary.items():
-            total += c * d._boundary_at(idx)
-        return total
+        into = None
+        if self.orbits is not None and d.orbits is not None:
+            into = d.orbits.group_map(self.orbits.groups)
+        if into is None:
+            total = self.lam * d.lam + self.delta0 * d.delta0
+            total += sum(a * b for a, b in zip(self.psi, d.psi))
+            for idx, c in self.boundary.items():
+                total += c * d._boundary_at(idx)
+            return total
+        g, mine, theirs = self.g, self.orbits, d.orbits
+        terms = [(1, self.lam, d.lam), (1, self.delta0, d.delta0)]
+        terms += zip(mine.sizes, self.group_psi, (d.group_psi[k] for k in into))
+        for (i, counts), c in mine.coeffs.items():
+            merged = [0] * len(theirs.sizes)
+            for k, x in zip(into, counts):
+                merged[k] += x
+            b = theirs.coeffs.get(orbit_key(g, theirs.sizes, i, merged))
+            if b:
+                terms.append((orbit_size(g, mine.sizes, i, counts), c, b))
+        return _dot(terms)
 
     def __eq__(self, other):
         if not isinstance(other, CurveFunctional):
@@ -601,6 +715,3 @@ class Accumulator:
 
     def divisor_class(self) -> DivisorClass:
         return DivisorClass(self.g, self.n, self.lam, self.psi, self.delta0, self.boundary)
-
-    def functional(self) -> CurveFunctional:
-        return CurveFunctional(self.g, self.n, self.lam, self.psi, self.delta0, self.boundary)

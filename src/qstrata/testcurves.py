@@ -11,32 +11,49 @@ down by a genus split i and a marked-point split s:
   bridge, with p_{s+1} sweeping the bridge.
 
 curve_a/curve_b/curve_c return the intersection numbers of the family
-against the whole divisor basis as a CurveFunctional.  The oracle_*
-functions return independently derived intersection numbers of the same
-families against the divisor class of the quadratic-differential stratum
-with signature (1^{2g-2}, 2^{g-1}); the two routes are compared by the
-audit in qstrata.classes, and the known disagreements are reported there
-rather than patched here.
+against the whole divisor basis as a CurveFunctional in orbit form: each
+family splits the labels into its own blocks of consecutive labels,
+
+* family A: base {1..s} | rest {s+1..n};
+* family B: base | {s+1} | rest {s+2..n};
+* family C: base | {s+1} | {s+2} | tail {s+3..n},
+
+and each of its at most five boundary terms is one whole orbit of those
+blocks, so a functional stores one coefficient per orbit key and one psi
+coefficient per block.  The oracle_* functions return independently
+derived intersection numbers of the same families against the divisor
+class of the quadratic-differential stratum with signature
+(1^{2g-2}, 2^{g-1}); the two routes are compared by the audit in
+qstrata.classes, and the known disagreements are reported there rather
+than patched here.
 
 Degenerate parameter corners whose unstable component would be
 contracted keep their functional meaning through the delta_{0:{j}} =
--psi_j bookkeeping in the accumulator; the one spec that is rejected
-(family A with i=0, s=1) is the one whose contraction would hand the
-moving role to a different labelled point.
+-psi_j bookkeeping of picard.boundary_term, applied per orbit; the one
+spec that is rejected (family A with i=0, s=1) is the one whose
+contraction would hand the moving role to a different labelled point.
 
 A functional whose boundary terms would list more than 1,000,000 labels
 on their canonical sides (family A at i = g lists about n^2/2) is refused
-with BudgetExceeded before any term is summed.
+with BudgetExceeded before its table is filled; the labels are counted per
+orbit, as orbit size times canonical-side length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from operator import sub
 from typing import Iterator
 
 from .errors import BudgetExceeded, InvalidSpec
-from .picard import _MAX_DENSE_ENTRIES, Accumulator, CurveFunctional, _keeps_side
+from .picard import (
+    _MAX_DENSE_ENTRIES,
+    CurveFunctional,
+    OrbitTable,
+    _class_is_valid,
+    orbit_key,
+    orbit_size,
+)
 
 FAMILIES = ("A", "B", "C")
 
@@ -96,68 +113,89 @@ def valid_specs(g: int) -> Iterator[TestCurveSpec]:
                     continue
 
 
-def _fill(acc: Accumulator, boundary, psi) -> CurveFunctional:
-    """Sum boundary terms (i, S, c) and psi terms (j, c) into acc.
+def _functional(g: int, blocks: list[range], boundary, psi: list[int]) -> CurveFunctional:
+    """The functional on Mbar_{g,2g-2} over label blocks (runs of
+    consecutive labels covering 1..n in order, some maybe empty) from
+    boundary terms (i, counts, c) and psi[k], the psi coefficient of every
+    label of block k.
 
-    The labels of each boundary term's canonical side are counted before
-    acc is filled, and more than _MAX_DENSE_ENTRIES in all (the printed
-    functional lists them) is refused with BudgetExceeded: family A at
-    i = g has about n^2/2.
+    A boundary term is c times the sum of delta_{i:S} over every S with
+    counts[k] labels of block k: one orbit of the block permutations, or
+    nothing when a count exceeds its block.  Like picard.boundary_term, a
+    term naming delta_{0:{j}} (or its mirror) adds -c to psi on the block
+    of j, and one naming delta_{0:{}} (or its mirror) adds nothing.
+
+    Each term lists orbit size x canonical-side length labels, and more
+    than _MAX_DENSE_ENTRIES in all (the printed functional lists them) is
+    refused with BudgetExceeded: family A at i = g has about n^2/2.
     """
-    g, n = acc.g, acc.n
-    terms, labels = [], 0
-    for term in boundary:
-        i, S, _ = term
-        labels += len(S) if _keeps_side(g, i, S) else n - len(S)
+    n = 2 * g - 2
+    keep = [k for k, blk in enumerate(blocks) if blk]
+    # the table refuses a space with too many labels, before len() of a
+    # block could overflow
+    table = OrbitTable.of_blocks(g, n, [blocks[k] for k in keep])
+    full = tuple(map(len, blocks))
+    sizes = table.sizes
+    group_psi = [psi[k] for k in keep]
+    coeffs, labels = {}, 0
+    for i, counts, c in boundary:
+        size = orbit_size(g, full, i, counts)
+        if not size:
+            continue
+        if len(keep) < len(full):
+            counts = tuple(counts[k] for k in keep)
+        t = sum(counts)
+        # on a tie the canonical side holds label 1, which opens block 0,
+        # and every term holds block 0 wholly or not at all
+        keeps = i < g - i or (2 * i == g and counts[0])
+        labels += size * (t if keeps else n - t)
         if labels > _MAX_DENSE_ENTRIES:
             raise BudgetExceeded(
                 "a test curve on Mbar_{%d,%d} would list more than the limit of %d boundary labels"
                 % (g, n, _MAX_DENSE_ENTRIES)
             )
-        terms.append(term)
-    for j, c in psi:
-        acc.add_psi(j, c)
-    for term in terms:
-        acc.add_boundary(*term)
-    return acc.functional()
+        if _class_is_valid(g, n, i, t):
+            key = orbit_key(g, sizes, i, counts)
+            coeffs[key] = coeffs.get(key, 0) + c
+        elif i == 0 and t == 1:
+            group_psi[counts.index(1)] -= c
+        elif i == g and t == n - 1:
+            group_psi[list(map(sub, sizes, counts)).index(1)] -= c
+    for key, c in coeffs.items():
+        table.put(key, c)
+    return CurveFunctional(g, n, psi=group_psi, orbits=table)
 
 
 def curve_a(g: int, i: int, s: int) -> CurveFunctional:
     validate_spec("A", g, i, s)
     n = 2 * g - 2
-    acc = Accumulator(g, n)
-    base = set(range(1, s + 1))
-    rest = range(s + 1, n + 1)
-    boundary = chain([(i, base, -(4 * g - 2 * i - 4 - s))], ((i, base | {j}, 1) for j in rest))
-    return _fill(acc, boundary, zip(rest, repeat(1)))
+    blocks = [range(1, s + 1), range(s + 1, n + 1)]  # base | rest
+    boundary = [(i, (s, 0), -(4 * g - 2 * i - 4 - s)), (i, (s, 1), 1)]
+    return _functional(g, blocks, boundary, [0, 1])
 
 
 def curve_b(g: int, i: int, s: int) -> CurveFunctional:
     validate_spec("B", g, i, s)
     n = 2 * g - 2
-    acc = Accumulator(g, n)
-    base = set(range(1, s + 1))
-    boundary = chain(
-        [(i, base, 1), (i, base | {s + 1}, -1)], ((0, {j, s + 1}, 1) for j in base)
-    )
-    psi = chain([(s + 1, 2 * i - 1 + s)], zip(base, repeat(1)))
-    return _fill(acc, boundary, psi)
+    blocks = [range(1, s + 1), range(s + 1, s + 2), range(s + 2, n + 1)]  # base | s+1 | rest
+    boundary = [(i, (s, 0, 0), 1), (i, (s, 1, 0), -1), (0, (1, 1, 0), 1)]
+    return _functional(g, blocks, boundary, [1, 2 * i - 1 + s, 0])
 
 
 def curve_c(g: int, i: int, s: int) -> CurveFunctional:
     validate_spec("C", g, i, s)
     n = 2 * g - 2
-    acc = Accumulator(g, n)
-    base = set(range(1, s + 1))
-    tail = set(range(s + 3, n + 1))
+    # base | s+1 | s+2 | tail
+    blocks = [range(1, s + 1), range(s + 1, s + 2), range(s + 2, s + 3), range(s + 3, n + 1)]
+    t = n - s - 2
     boundary = [
-        (i, base, -1),
-        (g - i, tail, -1),
-        (0, {s + 1, s + 2}, 1),
-        (i, base | {s + 1}, 1),
-        (g - i, tail | {s + 1}, 1),
+        (i, (s, 0, 0, 0), -1),
+        (g - i, (0, 0, 0, t), -1),
+        (0, (0, 1, 1, 0), 1),
+        (i, (s, 1, 0, 0), 1),
+        (g - i, (0, 1, 0, t), 1),
     ]
-    return _fill(acc, boundary, [(s + 1, 1), (s + 2, 1)])
+    return _functional(g, blocks, boundary, [0, 1, 1, 0])
 
 
 def curve_functional(spec: TestCurveSpec) -> CurveFunctional:

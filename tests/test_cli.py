@@ -203,6 +203,11 @@ def test_huge_genus_refused_at_once():
         ["pair", "--curve", "A:1:2", "--class", "qg:" + g],
         ["solve", "--g", g],
         ["solve", "--g", "1000"],  # 1,999 labels, but 2,000,999 slots
+        ["solve", "--g", "706"],  # 997,577 slots, past the solver's 250,000
+        # past 2^63 labels, where len() of a range or repeat(1, n) overflows
+        ["curve", "--curve", "A:1:2", "--g", "1" + "0" * 30],
+        ["audit", "--g", "1" + "0" * 30],
+        ["class", "qg", "--g", "1" + "0" * 30],
     ):
         start = time.perf_counter()
         err = io.StringIO()
@@ -263,6 +268,11 @@ def test_large_genus_answers_from_orbits(monkeypatch):
     # the s = 2g-3 column still disagrees, in 2g rows of families A and B
     assert code == 3 and report["mismatched"] == 24
     assert {e["s"] for e in report["entries"] if not e["match"]} == {21}
+    # the test curves are built and paired in orbit form as well
+    code, out = run_cli(["audit", "--g", "30", "--json"])
+    report = json.loads(out)
+    assert code == 3 and report["total"] == 5_355 and report["mismatched"] == 60
+    assert {e["s"] for e in report["entries"] if not e["match"]} == {57}
     code, out = run_cli(["pair", "--curve", "A:1:2", "--class", "qg:12", "--json"])
     assert code == 0
     assert json.loads(out)["pairing"] == "%d/1" % oracle_a_dot_qg(12, 1, 2)

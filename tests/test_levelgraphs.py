@@ -1,5 +1,6 @@
 import functools
 import random
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -384,6 +385,24 @@ def test_pnk_matches_exact_norm():
                 cases += 1
                 zeros += exact == 0
     assert cases == 156 and zeros > 5
+    # rational residues p_i/q: P_{n,k} is homogeneous of degree k^(n-1) in
+    # the R_i, so P_{n,k}(p/q) = q^(-k^(n-1)) P_{n,k}(p)
+    # (1 + sqrt2)(1 - sqrt2)(-1 + sqrt2)(-1 - sqrt2) = (1 - 2)^2
+    assert exact_pnk([1, 2], 2) == 1
+    assert eval_pnk([Fraction(1, 3), Fraction(2, 3)], 2) == pytest.approx(Fraction(1, 9))
+    cases = 0
+    for k in range(1, 9):
+        for n in range(1, 7):
+            if k**n > 64:
+                continue
+            for _ in range(4):
+                q = rng.randint(2, 5)
+                p = [rng.choice([x for x in range(-7, 8) if x % q]) for _ in range(n)]
+                exact = Fraction(exact_pnk(p, k), q ** (k ** (n - 1)))
+                value = eval_pnk([Fraction(x, q) for x in p], k)
+                assert abs(value - exact) <= 1e-9 * max(1, abs(exact)), (p, q, k)
+                cases += 1
+    assert cases == 104
 
 
 def test_pnk_permutation_symmetry():

@@ -1,22 +1,29 @@
-"""Orbit-form classes and the sparse solve against frozen reference versions.
+"""Orbit-form classes, functionals and the sparse solve against frozen
+reference versions.
 
 The reference_* builders expand every class into all canonical
-delta_{i:S} entries, and reference_rref eliminates dense rows; the
+delta_{i:S} entries, reference_curve_a/b/c (the earlier test-curve
+builders, kept as they were) sum every term through
+Accumulator.add_boundary, and reference_rref eliminates dense rows; the
 library stores one coefficient per label orbit.  reference_solve_qg is
 the earlier solver, kept as it was: c_psi in column 0, a sparse reduced
 row echelon form checked against reference_rref, and a pass that pins a
 pivot value only when its row touches no free column.  The library's
-forward elimination with back-substitution must give the same classes,
-pairings and solver output.
+orbit tables, orbit functionals and forward elimination with
+back-substitution must give the same classes, functionals, pairings and
+solver output.
 """
 
 import random
 from fractions import Fraction
+from itertools import chain, repeat
 from math import comb
 
 import pytest
 
 from qstrata import (
+    BudgetExceeded,
+    CurveFunctional,
     DivisorClass,
     InvalidIndex,
     QdInput,
@@ -31,8 +38,16 @@ from qstrata import (
 )
 from qstrata import classes
 from qstrata.classes import QgSolution
-from qstrata.picard import Accumulator, boundary_term, orbit_key
-from qstrata.testcurves import a_dot_qg_formula, oracle, oracle_b_dot_qg
+from qstrata.picard import (
+    _MAX_DENSE_ENTRIES,
+    Accumulator,
+    OrbitTable,
+    _keeps_side,
+    boundary_term,
+    orbit_key,
+)
+from qstrata.testcurves import TestCurveSpec as CurveSpec
+from qstrata.testcurves import a_dot_qg_formula, oracle, oracle_b_dot_qg, validate_spec
 
 
 def _pow2(e):
@@ -121,6 +136,70 @@ def reference_qd_class(q):
                     c = -_pow2(2 * g - 3) * x * (x + 2)
             _add_boundary(acc, idx, c)
     return acc.divisor_class()
+
+
+def reference_fill(acc: Accumulator, boundary, psi) -> CurveFunctional:
+    """Sum boundary terms (i, S, c) and psi terms (j, c) into acc.
+
+    The labels of each boundary term's canonical side are counted before
+    acc is filled, and more than _MAX_DENSE_ENTRIES in all (the printed
+    functional lists them) is refused with BudgetExceeded: family A at
+    i = g has about n^2/2.
+    """
+    g, n = acc.g, acc.n
+    terms, labels = [], 0
+    for term in boundary:
+        i, S, _ = term
+        labels += len(S) if _keeps_side(g, i, S) else n - len(S)
+        if labels > _MAX_DENSE_ENTRIES:
+            raise BudgetExceeded(
+                "a test curve on Mbar_{%d,%d} would list more than the limit of %d boundary labels"
+                % (g, n, _MAX_DENSE_ENTRIES)
+            )
+        terms.append(term)
+    for j, c in psi:
+        acc.add_psi(j, c)
+    for term in terms:
+        acc.add_boundary(*term)
+    return CurveFunctional(acc.g, acc.n, acc.lam, acc.psi, acc.delta0, acc.boundary)
+
+
+def reference_curve_a(g: int, i: int, s: int) -> CurveFunctional:
+    validate_spec("A", g, i, s)
+    n = 2 * g - 2
+    acc = Accumulator(g, n)
+    base = set(range(1, s + 1))
+    rest = range(s + 1, n + 1)
+    boundary = chain([(i, base, -(4 * g - 2 * i - 4 - s))], ((i, base | {j}, 1) for j in rest))
+    return reference_fill(acc, boundary, zip(rest, repeat(1)))
+
+
+def reference_curve_b(g: int, i: int, s: int) -> CurveFunctional:
+    validate_spec("B", g, i, s)
+    n = 2 * g - 2
+    acc = Accumulator(g, n)
+    base = set(range(1, s + 1))
+    boundary = chain(
+        [(i, base, 1), (i, base | {s + 1}, -1)], ((0, {j, s + 1}, 1) for j in base)
+    )
+    psi = chain([(s + 1, 2 * i - 1 + s)], zip(base, repeat(1)))
+    return reference_fill(acc, boundary, psi)
+
+
+def reference_curve_c(g: int, i: int, s: int) -> CurveFunctional:
+    validate_spec("C", g, i, s)
+    n = 2 * g - 2
+    acc = Accumulator(g, n)
+    base = set(range(1, s + 1))
+    tail = set(range(s + 3, n + 1))
+    boundary = [
+        (i, base, -1),
+        (g - i, tail, -1),
+        (0, {s + 1, s + 2}, 1),
+        (i, base | {s + 1}, 1),
+        (g - i, tail | {s + 1}, 1),
+    ]
+    return reference_fill(acc, boundary, [(s + 1, 1), (s + 2, 1)])
 
 
 def reference_rref(rows, rhs):
@@ -494,3 +573,96 @@ def test_sparse_rref_matches_dense_on_random_systems():
             for _ in range(n_rows)
         ]
         _check_planted(rows, n_cols, [Fraction(planted.randint(-4, 4)) for _ in range(n_cols)])
+
+
+REFERENCE_CURVES = {"A": reference_curve_a, "B": reference_curve_b, "C": reference_curve_c}
+
+# more signatures at g = 7, where QD_SIGNATURES has none: one whose weight
+# groups split every test-curve block the same way as qg, and two whose
+# groups cut through blocks
+QD_SIGNATURES_G7 = [(1,) * 12, (3, -1) * 6, (2,) * 6 + (0,) * 6]
+
+
+def _random_orbit_class(g, weights, rng):
+    """An orbit-form class with random non-integer coefficients, so that
+    the pairing's common denominator is exercised."""
+    table = OrbitTable(g, len(weights), weights)
+    draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    for key in table.keys():
+        table.put(key, draw())
+    psi = [draw() for _ in table.groups]
+    return DivisorClass(g, len(weights), draw(), psi, draw(), orbits=table)
+
+
+def _paired_classes(g):
+    """(name, class) for every class on Mbar_{g,2g-2} the functionals are
+    checked against: qg, its dense copy, the qd and logan signatures, and
+    random rational classes over the qg labels and over two groups."""
+    yield "qg", qg_class(g)
+    yield "dense qg", DivisorClass.from_json(qg_class(g).to_json())
+    rng = random.Random(g)
+    n = 2 * g - 2
+    yield "random, one group", _random_orbit_class(g, (0,) * n, rng)
+    yield "random, two groups", _random_orbit_class(g, (1,) * (n // 2) + (0,) * (n - n // 2), rng)
+    qd = [d for gg, d in QD_SIGNATURES if gg == g] + (QD_SIGNATURES_G7 if g == 7 else [])
+    for d in qd:
+        yield "qd %s" % (d,), qd_class(QdInput(g, len(d), d))
+    for d in (d for gg, d in LOGAN_SIGNATURES if gg == g):
+        yield "logan %s" % (d,), logan_class(g, len(d), d)
+
+
+@pytest.mark.parametrize("g", range(2, 8))
+def test_orbit_functionals_match_dense_reference(g):
+    classes_g = list(_paired_classes(g))
+    per_orbit = per_entry = 0
+    for spec in valid_specs(g):
+        f = curve_functional(spec)
+        ref = REFERENCE_CURVES[spec.family](spec.g, spec.i, spec.s)
+        assert f.orbits is not None and f._psi is None
+        for name, cls in classes_g:
+            if cls.orbits is not None and cls.orbits.group_map(f.orbits.groups) is not None:
+                per_orbit += 1
+            else:
+                per_entry += 1
+            assert f.pair(cls) == ref.pair(cls), (spec, name)
+        # the dense view, built last, is the reference functional
+        assert f.to_jsonable() == ref.to_jsonable(), spec
+        assert f == ref
+    # both pairing routes ran: orbit classes whose groups hold every block,
+    # and the dense class or groups that cut a block
+    assert per_orbit and per_entry
+
+
+def test_self_mirror_functionals():
+    # at even g and i = g/2 both sides of a node have genus i, and the
+    # canonical side of delta_{i:S} is the one holding label 1
+    for g in (2, 4, 6):
+        i = g // 2
+        qg = qg_class(g)
+        dense = DivisorClass.from_json(qg.to_json())
+        specs = [spec for spec in valid_specs(g) if spec.i == i]
+        assert {spec.family for spec in specs} == {"A", "B", "C"}
+        for spec in specs:
+            f = curve_functional(spec)
+            ref = REFERENCE_CURVES[spec.family](spec.g, spec.i, spec.s)
+            assert f.pair(qg) == ref.pair(qg) == f.pair(dense)
+            entries = f.to_jsonable()["boundary"]
+            assert entries == ref.to_jsonable()["boundary"], spec
+            assert all(1 in e["S"] for e in entries if 2 * e["i"] == g), spec
+    # B_{i:0} at a tie: delta_{i:{}} is written delta_{i:{1..n}}
+    assert curve_functional(CurveSpec("B", 4, 2, 0)).boundary_coeff(2, range(1, 7)) == 1
+
+
+def test_functional_label_budget_matches_reference():
+    # the labels are counted per orbit now; both routes refuse the same
+    # specs.  A_{g:1} lists (n-1)^2 labels: 998,001 at g = 501, 1,002,001
+    # at g = 502
+    for g, i, s, want in ((501, 501, 1, "built"), (502, 502, 1, "refused"),
+                          (502, 501, 1, "refused"), (502, 1, 1, "built")):
+        for build in (curve_functional, lambda spec: REFERENCE_CURVES["A"](spec.g, spec.i, spec.s)):
+            try:
+                build(CurveSpec("A", g, i, s))
+                got = "built"
+            except BudgetExceeded:
+                got = "refused"
+            assert got == want, (g, i, s, build)

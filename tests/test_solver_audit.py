@@ -161,3 +161,22 @@ def test_audit_report_serialization():
     assert data["total"] == len(report.entries)
     assert data["matched"] + data["mismatched"] == data["total"]
     assert "MISMATCH" in report.table()
+
+
+@pytest.mark.parametrize("g", list(range(3, 21)) + [24, 32, 40])
+def test_audit_mismatches_are_pinned(g):
+    # The two routes disagree exactly on the s = 2g-3 column, by
+    # -(g-i) 4^i on A_{i:2g-3} and +(g-i) 4^i on B_{i:2g-3}, 0 <= i <= g-1.
+    # Neither route is patched: a drift in either one fails here by name.
+    s = 2 * g - 3
+    want = {("A", i, s): -(g - i) * 4**i for i in range(g)}
+    want.update({("B", i, s): (g - i) * 4**i for i in range(g)})
+    got = {(e.spec.family, e.spec.i, e.spec.s): e.pairing - e.oracle
+           for e in audit(g).mismatches}
+    assert got == want
+
+
+def test_audit_mismatches_at_genus_2():
+    # the genus-2 Picard group has a relation, and the mismatches differ
+    got = {(e.spec.family, e.spec.i, e.spec.s) for e in audit(2).mismatches}
+    assert got == {("A", 1, 1), ("B", 1, 1), ("B", 2, 1), ("C", 1, 0)}
