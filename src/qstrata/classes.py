@@ -9,7 +9,7 @@ Brill-Noether classes (logan_class) and the genus-2 Weierstrass divisor.
 Every closed form depends on delta_{i:S} only through i and the weights
 in S, so the classes are built in orbit form (picard.OrbitTable): one
 coefficient per orbit of the labels of equal weight, and one psi
-coefficient per weight.  The pullbacks still walk the dense view.
+coefficient per weight.  The pullbacks map orbit table to orbit table.
 
 solve_qg_coefficients replays the test-curve computation of the
 qg_class coefficients as an exact linear system.  Its columns are the
@@ -33,6 +33,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import sub
 from typing import Iterable, Mapping, Optional
 
 from .errors import (
@@ -44,15 +45,14 @@ from .errors import (
     WrongGenus,
 )
 from .picard import (
-    Accumulator,
     DivisorClass,
     OrbitTable,
     _class_is_valid,
-    _labels,
     canonicalize_index,
     format_rational,
     orbit_key,
     pair,
+    self_mirror,
 )
 from .testcurves import (
     TestCurveSpec,
@@ -246,6 +246,11 @@ def pullback_attach(d: DivisorClass, h: int, attach_label: int = 1) -> DivisorCl
     lambda and delta_0 are preserved, psi_j dies, delta_{h:{j}} becomes
     -psi_j, delta_{i:S} with j in S drops for i < h and shifts to
     delta_{i-h:S} otherwise.
+
+    In orbit form, j is split off its group, which halves each orbit
+    into the part whose S holds j and the part whose S^c does; each half
+    maps through the side holding j.  The halves of a self-mirror orbit
+    name the same divisors, so only one is mapped.
     """
     if h < 1:
         raise DimensionMismatch("attached genus must be >= 1")
@@ -257,23 +262,29 @@ def pullback_attach(d: DivisorClass, h: int, attach_label: int = 1) -> DivisorCl
     j = attach_label
     if not 1 <= j <= d.n:
         raise InvalidIndex("attach label %s outside 1..%d" % (j, d.n))
-    acc = Accumulator(target_g, d.n)
-    acc.add_lambda(d.lam)
-    acc.add_delta0(d.delta0)
-    for m in range(1, d.n + 1):
-        if m != j:
-            acc.add_psi(m, d.psi[m - 1])
-    labels = _labels(d.n)
-    for idx, c in d.boundary.items():
-        if j in idx.points:
-            side_i, side_S = idx.i, idx.points
-        else:
-            side_i = d.g - idx.i
-            side_S = labels.difference(idx.points)
-        if side_i < h:
-            continue
-        acc.add_boundary(side_i - h, side_S, c)
-    return acc.divisor_class()
+    g, src = d.g, d.orbits
+    home = next(k for k, labels in enumerate(src.groups) if j in labels)
+    # the groups with j split off as a last part; `order` lists the nonempty
+    # parts by smallest label, which is the target's group order
+    parts = list(src.groups) + [(j,)]
+    parts[home] = tuple(p for p in parts[home] if p != j)
+    order = sorted((k for k, labels in enumerate(parts) if labels), key=lambda k: parts[k][0])
+    table = OrbitTable.of_groups(target_g, d.n, [parts[k] for k in order])
+    sizes = [len(labels) for labels in parts]
+
+    def terms():
+        for (i, counts), c in src.coeffs.items():
+            x = counts[home]
+            if x and i >= h:  # S holds j
+                side = list(counts) + [1]
+                side[home] -= 1
+                yield i - h, tuple(map(side.__getitem__, order)), c
+            if x < src.sizes[home] and g - i >= h and not self_mirror(g, src.sizes, i, counts):
+                side = list(map(sub, sizes, counts + (0,)))  # S^c holds j
+                yield g - i - h, tuple(map(side.__getitem__, order)), c
+
+    psi = d.group_psi + (0,)  # psi_j dies
+    return DivisorClass.from_terms(table, d.lam, [psi[k] for k in order], d.delta0, terms())
 
 
 def forget_pullback(d: DivisorClass) -> DivisorClass:
@@ -282,20 +293,25 @@ def forget_pullback(d: DivisorClass) -> DivisorClass:
     lambda and delta_0 are preserved, psi_j becomes psi_j -
     delta_{0:{j,n+1}}, and delta_{i:S} becomes delta_{i:S} +
     delta_{i:S+{n+1}}.
+
+    In orbit form, n+1 is a group of its own, and an orbit (i, counts)
+    maps to (i, counts + (0,)) and (i, counts + (1,)): one orbit when
+    (i, counts) is self-mirror.
     """
-    new = d.n + 1
-    acc = Accumulator(d.g, new)
-    acc.add_lambda(d.lam)
-    acc.add_delta0(d.delta0)
-    for j in range(1, d.n + 1):
-        c = d.psi[j - 1]
-        if c:
-            acc.add_psi(j, c)
-            acc.add_boundary(0, {j, new}, -c)
-    for idx, c in d.boundary.items():
-        acc.add_boundary(idx.i, idx.points, c)
-        acc.add_boundary(idx.i, idx.points + (new,), c)
-    return acc.divisor_class()
+    g, src = d.g, d.orbits
+    table = OrbitTable.of_groups(g, d.n + 1, src.groups + ((d.n + 1,),))
+
+    def terms():
+        for k, p in enumerate(d.group_psi):
+            pair_k = [0] * len(table.groups)
+            pair_k[k] = pair_k[-1] = 1
+            yield 0, tuple(pair_k), -p
+        for (i, counts), c in src.coeffs.items():
+            yield i, counts + (0,), c
+            if not self_mirror(g, src.sizes, i, counts):
+                yield i, counts + (1,), c
+
+    return DivisorClass.from_terms(table, d.lam, d.group_psi + (0,), d.delta0, terms())
 
 
 def weierstrass_pullback(g: int) -> DivisorClass:

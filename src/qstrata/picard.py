@@ -10,22 +10,27 @@ canonical form.  Genus-0 pieces need at least two marked points besides
 the node, which rules out (0, S) with |S| < 2 and its mirror (g, S) with
 |S| > n - 2.
 
-A divisor class or curve functional may keep its separating boundary
-part in orbit form (OrbitTable): the labels form groups, and one
+Every divisor class and curve functional keeps its separating boundary
+part in one form, an OrbitTable: the labels form groups, and one
 coefficient is stored per orbit of the label permutations that preserve
 the groups, named by the genus part i and how many labels of each group S
-holds; psi is then stored once per group too.  A class groups labels of
-equal weight; a test-curve functional groups them into its own blocks of
-consecutive labels.  When each block of a functional lies inside one
-group of a class, pairing them is one lookup per orbit key and per group,
-summed over integer numerators; every other pairing runs entry by entry.
-boundary_coeff and equals look coefficients up in the table.  The dense
-{BoundaryIndex: coefficient} view and the per-label psi tuple are built on
-first access to `boundary` and `psi` and cached.  Building the dense view
-is refused with BudgetExceeded, before anything is allocated, when it
-would hold more than _MAX_DENSE_ENTRIES entries; so is filling a class
-table with more orbit keys than that, and so is any space Mbar_{g,n} with
-more labels than that.
+holds; psi is stored once per group too.  A closed-form class groups
+labels of equal weight, a test-curve functional groups them into its own
+blocks of consecutive labels, and a pullback adds or splits off one
+group.  A dense {BoundaryIndex: coefficient} given as `boundary=` is only
+an input adapter: it becomes a table with one group per label.  Terms
+given per orbit go through one router, from_terms.
+
+When each group of a functional lies inside one group of a class, pairing
+them is one lookup per orbit key and per group, summed over integer
+numerators; equal label groups likewise let equals compare table
+against table.  Other operands, and add, sub and scale, work over the
+dense view, which, like the per-label psi tuple, is otherwise an output
+view built on first access to `boundary` and `psi` and cached.  Building it is refused with
+BudgetExceeded, before anything is allocated, when it would hold more
+than _MAX_DENSE_ENTRIES entries; so is filling a class table with more
+orbit keys than that, and so is any space Mbar_{g,n} with more labels
+than that.
 
 All coefficients are fractions.Fraction; there is no floating point in
 this module.  Values are immutable after construction and all operations
@@ -41,7 +46,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations, compress, product
 from math import comb, lcm, prod
 from operator import sub
 from typing import Iterable, Mapping, NamedTuple
@@ -224,29 +229,36 @@ def orbit_key(g: int, sizes: tuple[int, ...], i: int, counts: Iterable[int]):
     number of labels of group k in S and sizes[k] the size of group k:
     the smaller of (i, counts) and its mirror (g-i, sizes - counts)."""
     counts = tuple(counts)
-    return min((i, counts), (g - i, tuple(map(sub, sizes, counts))))
+    if 2 * i < g:
+        return (i, counts)
+    mirror = (g - i, tuple(map(sub, sizes, counts)))
+    return mirror if 2 * i > g else min((i, counts), mirror)
+
+
+def self_mirror(g: int, sizes: tuple[int, ...], i: int, counts: tuple[int, ...]) -> bool:
+    """Is the orbit (i, counts) its own mirror, so that S and S^c lie in it
+    and name one divisor?"""
+    return 2 * i == g and all(2 * c == z for z, c in zip(sizes, counts))
 
 
 def orbit_size(g: int, sizes: tuple[int, ...], i: int, counts: tuple[int, ...]) -> int:
     """Number of boundary divisors in the orbit (i, counts); 0 when a
     count exceeds its group."""
     size = prod(map(comb, sizes, counts))
-    if 2 * i == g and all(2 * c == z for z, c in zip(sizes, counts)):
-        size //= 2  # S and S^c lie in one orbit and name one divisor
-    return size
+    return size // 2 if self_mirror(g, sizes, i, counts) else size
 
 
 class OrbitTable:
     """Separating boundary coefficients that are constant on label orbits.
 
     The labels 1..n are split into groups, ordered by their smallest
-    label.  A class table (the constructor) groups labels of equal weight,
-    and `weights[k]` is the weight of group k; a functional table
-    (`of_blocks`) takes its groups as given runs of consecutive labels and
-    has no weights.  A coefficient is stored per canonical orbit key (see
-    orbit_key) that names a boundary divisor; zero coefficients are not
-    stored.  Fill the table with `put` before handing it to a
-    DivisorClass or CurveFunctional, which never changes it afterwards.
+    label.  A closed-form class table (the constructor) groups labels of
+    equal weight, and `weights[k]` is the weight of group k; every other
+    table (`of_groups`) takes its groups as given and has no weights.  A
+    coefficient is stored per canonical orbit key (see orbit_key) that
+    names a boundary divisor; zero coefficients are not stored.  Fill the
+    table with `put` before handing it to a DivisorClass or
+    CurveFunctional, which never changes it afterwards.
     """
 
     __slots__ = ("g", "n", "groups", "weights", "sizes", "coeffs", "_runs")
@@ -266,13 +278,14 @@ class OrbitTable:
         self.weights = tuple(first)
 
     @classmethod
-    def of_blocks(cls, g: int, n: int, blocks: Iterable[range]) -> "OrbitTable":
-        """A table whose groups are the given nonempty runs of consecutive
-        labels, in order and covering 1..n.  Its keys are put by hand, so
-        it is not refused for the (g + 1)(n + 1) keys a class table walks."""
+    def of_groups(cls, g: int, n: int, groups: Iterable) -> "OrbitTable":
+        """A table whose groups are the given nonempty sorted label
+        sequences, ordered by smallest label and covering 1..n.  Its keys
+        are put by hand, so it is not refused for the (g + 1)(n + 1) keys a
+        class table walks."""
         _check_gn(g, n)
         self = cls.__new__(cls)
-        self._setup(g, n, tuple(blocks))
+        self._setup(g, n, tuple(groups))
         self.weights = None
         return self
 
@@ -334,18 +347,25 @@ class OrbitTable:
 
     def dense_size(self) -> int:
         """Number of entries of the dense view, counted without building it."""
+        if len(self.groups) == self.n:
+            return len(self.coeffs)  # one label per group: one divisor per orbit
         return sum(orbit_size(self.g, self.sizes, i, counts) for i, counts in self.coeffs)
 
     def dense(self) -> dict[BoundaryIndex, Fraction]:
         _check_size(self.g, self.n, self.dense_size(), "dense boundary entries")
-        g, labels = self.g, _labels(self.n)
+        g, n, groups = self.g, self.n, self.groups
+        labels, points, singles = _labels(n), range(1, n + 1), len(groups) == n
         out = {}
         # a canonical key has i <= g - i, so only a tie can need the mirror
         for (i, counts), c in self.coeffs.items():
-            choices = (combinations(grp, k) for grp, k in zip(self.groups, counts))
-            for parts in product(*choices):
+            if singles:
+                # one label per group: counts marks the labels of S
+                subsets = (tuple(compress(points, counts)),)
+            else:
                 # each group's choice is sorted, so one group needs no merge
-                S = parts[0] if len(parts) == 1 else tuple(sorted(chain.from_iterable(parts)))
+                subsets = (parts[0] if len(parts) == 1 else tuple(sorted(chain.from_iterable(parts)))
+                           for parts in product(*map(combinations, groups, counts)))
+            for S in subsets:
                 if 2 * i == g and 1 not in S:
                     S = tuple(sorted(labels.difference(S)))
                 out[BoundaryIndex(i, S)] = c
@@ -371,14 +391,32 @@ def _dot(terms) -> Fraction:
     return Fraction(num, den)
 
 
+def _per_label(g: int, n: int, entries) -> OrbitTable:
+    """The input adapter: a table with one group per label holding the
+    sum of the (canonical BoundaryIndex, coefficient) entries."""
+    table = OrbitTable.of_groups(g, n, ((j,) for j in range(1, n + 1)))
+    coeffs, sizes = {}, table.sizes
+    for idx, c in entries:
+        counts = [0] * n
+        for p in idx.points:
+            counts[p - 1] = 1
+        key = orbit_key(g, sizes, idx.i, counts)
+        old = coeffs.get(key)
+        coeffs[key] = c if old is None else old + c
+    for key, c in coeffs.items():
+        table.put(key, c)
+    return table
+
+
 class _PicardVector:
     """Shared coefficient storage for divisor classes and curve functionals.
 
-    The boundary part is either a dense {BoundaryIndex: coefficient} dict
-    or, given instead of it, an OrbitTable (`orbits`), from which
-    `boundary` is built on first access.  With an OrbitTable the psi
-    coefficients are given one per label group (`group_psi`), and the
-    per-label `psi` tuple is likewise built on first access.
+    The boundary part is an OrbitTable (`orbits`) and the psi coefficients
+    are given one per label group (`group_psi`).  Without a table, the
+    input adapter takes a dense {canonical BoundaryIndex: coefficient}
+    (`boundary`) and per-label psi, and builds a table with one group per
+    label (`_per_label`).  The dense boundary and the per-label psi are
+    output views, built on first access.
     """
 
     __slots__ = ("g", "n", "lam", "group_psi", "delta0", "orbits", "_psi", "_dense")
@@ -389,26 +427,42 @@ class _PicardVector:
         self.n = n
         self.lam = _frac(lam)
         self.delta0 = _frac(delta0)
+        self._psi = self._dense = None
+        orbits = orbits or _per_label(g, n, (boundary or {}).items())
+        self._same_space(orbits)
         self.orbits = orbits
-        if orbits is not None:
-            self._same_space(orbits)
-            width = len(orbits.groups)
-            self.group_psi = tuple(_frac(c) for c in (psi or (0,) * width))
-            if len(self.group_psi) != width:
-                raise DimensionMismatch("expected %d psi coefficients, one per label group" % width)
-            self._psi = self._dense = None
-            return
-        psi = tuple(_frac(c) for c in (psi or (0,) * n))
-        if len(psi) != n:
-            raise DimensionMismatch("expected %d psi coefficients" % n)
-        self._psi = psi
-        self.group_psi = None
-        items = {}
-        for idx, c in (boundary or {}).items():
-            c = _frac(c)
-            if c:
-                items[idx] = c
-        self._dense = items
+        width = len(orbits.groups)
+        self.group_psi = tuple(_frac(c) for c in (psi or (0,) * width))
+        if len(self.group_psi) != width:
+            raise DimensionMismatch("expected %d psi coefficients, one per label group" % width)
+
+    @classmethod
+    def from_terms(cls, table: OrbitTable, lam, group_psi, delta0, terms):
+        """The vector with these lambda, group psi and delta_0 coefficients
+        and the boundary terms (i, counts, c) over the groups of the empty
+        table, which it fills.
+
+        A term adds c to every divisor of the orbit (i, counts), once per
+        divisor.  Like boundary_term, a term naming delta_{0:{j}} (or its
+        mirror) adds -c to psi on the group of j instead, and one naming
+        delta_{0:{}} (or its mirror) adds nothing.
+        """
+        g, n, sizes = table.g, table.n, table.sizes
+        group_psi = list(group_psi)
+        coeffs = {}
+        for i, counts, c in terms:
+            t = sum(counts)
+            if _class_is_valid(g, n, i, t):
+                key = orbit_key(g, sizes, i, counts)
+                old = coeffs.get(key)
+                coeffs[key] = c if old is None else old + c
+            elif i == 0 and t == 1:
+                group_psi[counts.index(1)] -= c
+            elif i == g and t == n - 1:
+                group_psi[list(map(sub, sizes, counts)).index(1)] -= c
+        for key, c in coeffs.items():
+            table.put(key, c)
+        return cls(g, n, lam, group_psi, delta0, orbits=table)
 
     @property
     def psi(self) -> tuple[Fraction, ...]:
@@ -436,15 +490,18 @@ class _PicardVector:
         return self.psi[j - 1]
 
     def boundary_coeff(self, i: int, S: Iterable[int]) -> Fraction:
-        return self._boundary_at(canonicalize_index(self.g, self.n, i, S))
-
-    def _boundary_at(self, idx: BoundaryIndex) -> Fraction:
-        if self.orbits is not None:
-            return self.orbits.get(idx)
-        return self._dense.get(idx, Fraction(0))
+        return self.orbits.get(canonicalize_index(self.g, self.n, i, S))
 
     def _coeffs(self):
         return (self.lam, self.psi, self.delta0, self.boundary)
+
+    def _same(self, other) -> bool:
+        """Coefficientwise equality: table against table when the label
+        groups agree, else over the dense views."""
+        if self.orbits.groups == other.orbits.groups:
+            return (self.lam, self.group_psi, self.delta0, self.orbits.coeffs) == (
+                other.lam, other.group_psi, other.delta0, other.orbits.coeffs)
+        return self._coeffs() == other._coeffs()
 
     def sorted_boundary(self) -> list[tuple[BoundaryIndex, Fraction]]:
         """Dense boundary entries in BoundaryIndex order."""
@@ -459,18 +516,19 @@ class _PicardVector:
 
     # -- linear structure ----------------------------------------------------
 
-    def _combine(self, other, r: Rational):
+    def _combine(self, other, r: Rational, s: Rational = 1):
+        """s * self + r * other, over the dense views."""
         self._same_space(other)
-        r = _frac(r)
-        boundary = dict(self.boundary)
+        r, s = _frac(r), _frac(s)
+        boundary = {idx: s * c for idx, c in self.boundary.items()}
         for idx, c in other.boundary.items():
-            boundary[idx] = boundary.get(idx, Fraction(0)) + r * c
+            boundary[idx] = boundary.get(idx, 0) + r * c
         return type(self)(
             self.g,
             self.n,
-            self.lam + r * other.lam,
-            tuple(a + r * b for a, b in zip(self.psi, other.psi)),
-            self.delta0 + r * other.delta0,
+            s * self.lam + r * other.lam,
+            [s * a + r * b for a, b in zip(self.psi, other.psi)],
+            s * self.delta0 + r * other.delta0,
             boundary,
         )
 
@@ -481,19 +539,10 @@ class _PicardVector:
         return self._combine(other, -1)
 
     def scale(self, r: Rational):
-        r = _frac(r)
-        return type(self)(
-            self.g,
-            self.n,
-            r * self.lam,
-            tuple(r * c for c in self.psi),
-            r * self.delta0,
-            {idx: r * c for idx, c in self.boundary.items()},
-        )
+        return self._combine(self, r, 0)
 
     def is_zero(self) -> bool:
-        boundary = self._dense if self.orbits is None else self.orbits.coeffs
-        return not (self.lam or self.delta0 or any(self.psi) or boundary)
+        return not (self.lam or self.delta0 or any(self.group_psi) or self.orbits.coeffs)
 
     # -- serialization -------------------------------------------------------
 
@@ -518,28 +567,24 @@ class _PicardVector:
     def from_jsonable(cls, d: Mapping):
         g, n = _json_int(d["g"]), _json_int(d["n"])
         # entries naming the same class under mirrored indices accumulate
-        boundary: dict[BoundaryIndex, Fraction] = {}
-        for e in d["boundary"]:
-            idx = canonicalize_index(g, n, _json_int(e["i"]), [_json_int(p) for p in e["S"]])
-            c = parse_rational(e["c"])
-            old = boundary.get(idx)
-            boundary[idx] = c if old is None else old + c
+        table = _per_label(g, n, (
+            (canonicalize_index(g, n, _json_int(e["i"]), [_json_int(p) for p in e["S"]]),
+             parse_rational(e["c"]))
+            for e in d["boundary"]))
         return cls(
             g,
             n,
             parse_rational(d["lambda"]),
             tuple(parse_rational(c) for c in d["psi"]),
             parse_rational(d["delta0"]),
-            boundary,
+            orbits=table,
         )
 
     def __repr__(self):
-        return "%s(g=%d, n=%d, %s)" % (
-            type(self).__name__,
-            self.g,
-            self.n,
-            self.to_json(),
-        )
+        # no dense view: a large class must still print
+        return "%s(g=%d, n=%d, lambda=%s, delta0=%s, group_sizes=%r, orbit_keys=%d)" % (
+            type(self).__name__, self.g, self.n, format_rational(self.lam),
+            format_rational(self.delta0), self.orbits.sizes, len(self.orbits.coeffs))
 
 
 class DivisorClass(_PicardVector):
@@ -556,13 +601,8 @@ class DivisorClass(_PicardVector):
         """
         self._same_space(other)
         if self.g == 2:
-            a, b = g2_normal_form(self), g2_normal_form(other)
-        else:
-            a, b = self, other
-        if a.orbits is not None and b.orbits is not None and a.orbits.groups == b.orbits.groups:
-            return (a.lam, a.group_psi, a.delta0, a.orbits.coeffs) == (
-                b.lam, b.group_psi, b.delta0, b.orbits.coeffs)
-        return a._coeffs() == b._coeffs()
+            return g2_normal_form(self)._same(g2_normal_form(other))
+        return self._same(other)
 
     def __eq__(self, other):
         if not isinstance(other, DivisorClass):
@@ -581,23 +621,21 @@ class CurveFunctional(_PicardVector):
 
     Pairing a functional with a DivisorClass is the bilinear form
     sum over basis elements of (functional value) * (class coefficient).
-    When both are in orbit form and each label group of the functional
-    lies inside one label group of the class, the class is constant on
-    every orbit of the functional, so the sum runs over the functional's
-    orbit keys and groups, each weighted by its number of divisors or
-    labels.  Any other pair is summed entry by entry over the dense view.
+    When each label group of the functional lies inside one label group of
+    the class, the class is constant on every orbit of the functional, so
+    the sum runs over the functional's orbit keys and groups, each weighted
+    by its number of divisors or labels.  Any other pair is summed entry
+    by entry over the functional's dense view.
     """
 
     def pair(self, d: DivisorClass) -> Fraction:
         self._same_space(d)
-        into = None
-        if self.orbits is not None and d.orbits is not None:
-            into = d.orbits.group_map(self.orbits.groups)
+        into = d.orbits.group_map(self.orbits.groups)
         if into is None:
             total = self.lam * d.lam + self.delta0 * d.delta0
             total += sum(a * b for a, b in zip(self.psi, d.psi))
             for idx, c in self.boundary.items():
-                total += c * d._boundary_at(idx)
+                total += c * d.orbits.get(idx)
             return total
         g, mine, theirs = self.g, self.orbits, d.orbits
         terms = [(1, self.lam, d.lam), (1, self.delta0, d.delta0)]
@@ -615,7 +653,7 @@ class CurveFunctional(_PicardVector):
         if not isinstance(other, CurveFunctional):
             return NotImplemented
         self._same_space(other)
-        return self._coeffs() == other._coeffs()
+        return self._same(other)
 
     __hash__ = None
 
@@ -672,46 +710,3 @@ def g2_normal_form(d: DivisorClass) -> DivisorClass:
         genus1_boundary_sum(2, d.n).scale(Fraction(1, 5))
     )
     return d.sub(lambda_class(2, d.n).scale(d.lam)).add(relation.scale(d.lam))
-
-
-class Accumulator:
-    """Builder that accumulates coefficient contributions term by term.
-
-    Boundary contributions are routed through boundary_term, so repeated
-    names for the same geometric class pile up on one canonical key, a
-    delta_{0:{j}}-shaped term lands on psi_j with flipped sign, and a
-    delta_{0:{}}-shaped term is dropped.
-    """
-
-    def __init__(self, g: int, n: int):
-        _check_gn(g, n)
-        self.g = g
-        self.n = n
-        self.lam = Fraction(0)
-        self.psi = [Fraction(0)] * n
-        self.delta0 = Fraction(0)
-        self.boundary: dict[BoundaryIndex, Fraction] = {}
-
-    def add_lambda(self, c: Rational) -> None:
-        self.lam += _frac(c)
-
-    def add_delta0(self, c: Rational) -> None:
-        self.delta0 += _frac(c)
-
-    def add_psi(self, j: int, c: Rational) -> None:
-        if not 1 <= j <= self.n:
-            raise InvalidIndex("psi index %s outside 1..%d" % (j, self.n))
-        self.psi[j - 1] += _frac(c)
-
-    def add_boundary(self, i: int, S: Iterable[int], c: Rational) -> None:
-        kind, payload = boundary_term(self.g, self.n, i, S)
-        if kind == "delta":
-            c = _frac(c)
-            old = self.boundary.get(payload)
-            self.boundary[payload] = c if old is None else old + c
-        elif kind == "psi":
-            self.add_psi(payload, -_frac(c))
-        # "zero": nothing to record
-
-    def divisor_class(self) -> DivisorClass:
-        return DivisorClass(self.g, self.n, self.lam, self.psi, self.delta0, self.boundary)

@@ -29,9 +29,10 @@ than patched here.
 
 Degenerate parameter corners whose unstable component would be
 contracted keep their functional meaning through the delta_{0:{j}} =
--psi_j bookkeeping of picard.boundary_term, applied per orbit; the one
-spec that is rejected (family A with i=0, s=1) is the one whose
-contraction would hand the moving role to a different labelled point.
+-psi_j bookkeeping that picard's term router (from_terms) applies per
+orbit; the one spec that is rejected (family A with i=0, s=1) is the one
+whose contraction would hand the moving role to a different labelled
+point.
 
 A functional whose boundary terms would list more than 1,000,000 labels
 on their canonical sides (family A at i = g lists about n^2/2) is refused
@@ -42,7 +43,6 @@ orbit, as orbit size times canonical-side length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
 from typing import Iterator
 
 from .errors import BudgetExceeded, InvalidSpec
@@ -50,8 +50,6 @@ from .picard import (
     _MAX_DENSE_ENTRIES,
     CurveFunctional,
     OrbitTable,
-    _class_is_valid,
-    orbit_key,
     orbit_size,
 )
 
@@ -121,9 +119,8 @@ def _functional(g: int, blocks: list[range], boundary, psi: list[int]) -> CurveF
 
     A boundary term is c times the sum of delta_{i:S} over every S with
     counts[k] labels of block k: one orbit of the block permutations, or
-    nothing when a count exceeds its block.  Like picard.boundary_term, a
-    term naming delta_{0:{j}} (or its mirror) adds -c to psi on the block
-    of j, and one naming delta_{0:{}} (or its mirror) adds nothing.
+    nothing when a count exceeds its block.  The terms go through
+    CurveFunctional.from_terms, which routes delta_{0:{j}} to -psi_j.
 
     Each term lists orbit size x canonical-side length labels, and more
     than _MAX_DENSE_ENTRIES in all (the printed functional lists them) is
@@ -133,11 +130,9 @@ def _functional(g: int, blocks: list[range], boundary, psi: list[int]) -> CurveF
     keep = [k for k, blk in enumerate(blocks) if blk]
     # the table refuses a space with too many labels, before len() of a
     # block could overflow
-    table = OrbitTable.of_blocks(g, n, [blocks[k] for k in keep])
+    table = OrbitTable.of_groups(g, n, [blocks[k] for k in keep])
     full = tuple(map(len, blocks))
-    sizes = table.sizes
-    group_psi = [psi[k] for k in keep]
-    coeffs, labels = {}, 0
+    terms, labels = [], 0
     for i, counts, c in boundary:
         size = orbit_size(g, full, i, counts)
         if not size:
@@ -154,16 +149,8 @@ def _functional(g: int, blocks: list[range], boundary, psi: list[int]) -> CurveF
                 "a test curve on Mbar_{%d,%d} would list more than the limit of %d boundary labels"
                 % (g, n, _MAX_DENSE_ENTRIES)
             )
-        if _class_is_valid(g, n, i, t):
-            key = orbit_key(g, sizes, i, counts)
-            coeffs[key] = coeffs.get(key, 0) + c
-        elif i == 0 and t == 1:
-            group_psi[counts.index(1)] -= c
-        elif i == g and t == n - 1:
-            group_psi[list(map(sub, sizes, counts)).index(1)] -= c
-    for key, c in coeffs.items():
-        table.put(key, c)
-    return CurveFunctional(g, n, psi=group_psi, orbits=table)
+        terms.append((i, counts, c))
+    return CurveFunctional.from_terms(table, 0, [psi[k] for k in keep], 0, terms)
 
 
 def curve_a(g: int, i: int, s: int) -> CurveFunctional:

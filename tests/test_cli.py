@@ -1,14 +1,24 @@
 import hashlib
 import io
 import json
+import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qstrata import AuditReport, DivisorClass, cli, oracle_a_dot_qg, qg_class
+from qstrata import (
+    AuditReport,
+    DivisorClass,
+    cli,
+    forget_pullback,
+    oracle_a_dot_qg,
+    pullback_attach,
+    qg_class,
+)
 from qstrata.classes import QgSolution
 from qstrata.cli import main
 from qstrata.picard import _MAX_DENSE_ENTRIES, OrbitTable, _PicardVector
@@ -276,6 +286,38 @@ def test_large_genus_answers_from_orbits(monkeypatch):
     code, out = run_cli(["pair", "--curve", "A:1:2", "--class", "qg:12", "--json"])
     assert code == 0
     assert json.loads(out)["pairing"] == "%d/1" % oracle_a_dot_qg(12, 1, 2)
+
+    # the pullbacks map table to table; checked against the closed form of
+    # qg on sampled indices
+    def qg_coefficient(g, i, s):
+        if s in (0, 2 * g - 2):
+            i0 = i if s == 0 else g - i
+            return -Fraction(2) ** (2 * (g - i0) - 1) * (4**i0 * (i0 - 1) + 2) * i0
+        return -Fraction(2) ** (2 * g - 3) * (s - 2 * i) * (s - 2 * i + 2)
+
+    def sample(g, n, rng):
+        # a random (i, S) naming a divisor on Mbar_{g,n}
+        while True:
+            i = rng.randint(0, g)
+            S = tuple(p for p in range(1, n + 1) if rng.random() < 0.5)
+            if not (i == 0 and len(S) < 2 or i == g and len(S) > n - 2):
+                return i, S
+
+    q, n, rng = qg_class(12), 22, random.Random(12)
+    forgot, attached = forget_pullback(q), pullback_attach(q, 2)
+    for _ in range(40):
+        # forget: delta_{i:S} -> delta_{i:S} + delta_{i:S+{23}}
+        i, S = sample(12, n, rng)
+        c = qg_coefficient(12, i, len(S))
+        assert forgot.boundary_coeff(i, S) == forgot.boundary_coeff(i, S + (23,)) == c
+        # attach genus 2 at label 1: the side holding 1 came from genus + 2
+        i, S = sample(10, n, rng)
+        if 1 not in S:
+            i, S = 10 - i, [p for p in range(1, n + 1) if p not in S]
+        assert attached.boundary_coeff(i, S) == qg_coefficient(12, i + 2, len(S))
+    assert forgot.boundary_coeff(0, (5, 23)) == -q.psi_coeff(5) == -forgot.psi_coeff(5)
+    assert attached.psi_coeff(1) == -q.boundary_coeff(2, (1,))
+    assert attached.psi_coeff(2) == q.psi_coeff(2)
 
 
 def test_pair_accepts_class_file(tmp_path):

@@ -1,36 +1,46 @@
 """Orbit-form classes, functionals and the sparse solve against frozen
 reference versions.
 
+Accumulator, the earlier dense class builder, is kept as it was; its
+classes enter the library through the dense `boundary=` input adapter.
 The reference_* builders expand every class into all canonical
 delta_{i:S} entries, reference_curve_a/b/c (the earlier test-curve
 builders, kept as they were) sum every term through
-Accumulator.add_boundary, and reference_rref eliminates dense rows; the
-library stores one coefficient per label orbit.  reference_solve_qg is
-the earlier solver, kept as it was: c_psi in column 0, a sparse reduced
-row echelon form checked against reference_rref, and a pass that pins a
-pivot value only when its row touches no free column.  The library's
-orbit tables, orbit functionals and forward elimination with
-back-substitution must give the same classes, functionals, pairings and
-solver output.
+Accumulator.add_boundary, reference_forget_pullback and
+reference_pullback_attach (the earlier pullbacks, kept as they were) walk
+the dense view through the same Accumulator, and reference_rref
+eliminates dense rows; the library stores one coefficient per label
+orbit.  reference_solve_qg is the earlier solver, kept as it was: c_psi
+in column 0, a sparse reduced row echelon form checked against
+reference_rref, and a pass that pins a pivot value only when its row
+touches no free column.  The library's orbit tables, orbit functionals,
+table-to-table pullbacks and forward elimination with back-substitution
+must give the same classes, functionals, pairings, pullbacks and solver
+output.
 """
 
 import random
 from fractions import Fraction
 from itertools import chain, repeat
 from math import comb
+from typing import Iterable
 
 import pytest
 
 from qstrata import (
+    BoundaryIndex,
     BudgetExceeded,
     CurveFunctional,
+    DimensionMismatch,
     DivisorClass,
     InvalidIndex,
     QdInput,
     SingularSystem,
     canonical_boundary_indices,
     curve_functional,
+    forget_pullback,
     logan_class,
+    pullback_attach,
     qd_class,
     qg_class,
     solve_qg_coefficients,
@@ -40,14 +50,122 @@ from qstrata import classes
 from qstrata.classes import QgSolution
 from qstrata.picard import (
     _MAX_DENSE_ENTRIES,
-    Accumulator,
     OrbitTable,
+    Rational,
+    _check_gn,
+    _frac,
     _keeps_side,
+    _labels,
     boundary_term,
     orbit_key,
+    orbit_size,
+    self_mirror,
 )
 from qstrata.testcurves import TestCurveSpec as CurveSpec
 from qstrata.testcurves import a_dot_qg_formula, oracle, oracle_b_dot_qg, validate_spec
+
+
+class Accumulator:
+    """Builder that accumulates coefficient contributions term by term.
+
+    Boundary contributions are routed through boundary_term, so repeated
+    names for the same geometric class pile up on one canonical key, a
+    delta_{0:{j}}-shaped term lands on psi_j with flipped sign, and a
+    delta_{0:{}}-shaped term is dropped.
+    """
+
+    def __init__(self, g: int, n: int):
+        _check_gn(g, n)
+        self.g = g
+        self.n = n
+        self.lam = Fraction(0)
+        self.psi = [Fraction(0)] * n
+        self.delta0 = Fraction(0)
+        self.boundary: dict[BoundaryIndex, Fraction] = {}
+
+    def add_lambda(self, c: Rational) -> None:
+        self.lam += _frac(c)
+
+    def add_delta0(self, c: Rational) -> None:
+        self.delta0 += _frac(c)
+
+    def add_psi(self, j: int, c: Rational) -> None:
+        if not 1 <= j <= self.n:
+            raise InvalidIndex("psi index %s outside 1..%d" % (j, self.n))
+        self.psi[j - 1] += _frac(c)
+
+    def add_boundary(self, i: int, S: Iterable[int], c: Rational) -> None:
+        kind, payload = boundary_term(self.g, self.n, i, S)
+        if kind == "delta":
+            c = _frac(c)
+            old = self.boundary.get(payload)
+            self.boundary[payload] = c if old is None else old + c
+        elif kind == "psi":
+            self.add_psi(payload, -_frac(c))
+        # "zero": nothing to record
+
+    def divisor_class(self) -> DivisorClass:
+        return DivisorClass(self.g, self.n, self.lam, self.psi, self.delta0, self.boundary)
+
+
+def reference_pullback_attach(d: DivisorClass, h: int, attach_label: int = 1) -> DivisorClass:
+    """Pull back along gluing a fixed genus-h curve at marked point j.
+
+    The map replaces marked point j of a genus-(g) curve by a node to a
+    fixed two-pointed genus-h curve, landing in genus g+h.  On classes:
+    lambda and delta_0 are preserved, psi_j dies, delta_{h:{j}} becomes
+    -psi_j, delta_{i:S} with j in S drops for i < h and shifts to
+    delta_{i-h:S} otherwise.
+    """
+    if h < 1:
+        raise DimensionMismatch("attached genus must be >= 1")
+    target_g = d.g - h
+    if target_g < 2:
+        raise DimensionMismatch(
+            "pullback target genus %d is below 2" % (target_g,)
+        )
+    j = attach_label
+    if not 1 <= j <= d.n:
+        raise InvalidIndex("attach label %s outside 1..%d" % (j, d.n))
+    acc = Accumulator(target_g, d.n)
+    acc.add_lambda(d.lam)
+    acc.add_delta0(d.delta0)
+    for m in range(1, d.n + 1):
+        if m != j:
+            acc.add_psi(m, d.psi[m - 1])
+    labels = _labels(d.n)
+    for idx, c in d.boundary.items():
+        if j in idx.points:
+            side_i, side_S = idx.i, idx.points
+        else:
+            side_i = d.g - idx.i
+            side_S = labels.difference(idx.points)
+        if side_i < h:
+            continue
+        acc.add_boundary(side_i - h, side_S, c)
+    return acc.divisor_class()
+
+
+def reference_forget_pullback(d: DivisorClass) -> DivisorClass:
+    """Pull back along forgetting a new marked point n+1.
+
+    lambda and delta_0 are preserved, psi_j becomes psi_j -
+    delta_{0:{j,n+1}}, and delta_{i:S} becomes delta_{i:S} +
+    delta_{i:S+{n+1}}.
+    """
+    new = d.n + 1
+    acc = Accumulator(d.g, new)
+    acc.add_lambda(d.lam)
+    acc.add_delta0(d.delta0)
+    for j in range(1, d.n + 1):
+        c = d.psi[j - 1]
+        if c:
+            acc.add_psi(j, c)
+            acc.add_boundary(0, {j, new}, -c)
+    for idx, c in d.boundary.items():
+        acc.add_boundary(idx.i, idx.points, c)
+        acc.add_boundary(idx.i, idx.points + (new,), c)
+    return acc.divisor_class()
 
 
 def _pow2(e):
@@ -470,7 +588,7 @@ def test_orbit_class_matches_dense_reference(name, build, reference):
         assert cls.boundary_coeff(i, S) == ref.boundary_coeff(i, S), (i, S)
     assert cls.equals(build()) and build().equals(cls)
     # (at g = 2 equals compares dense normal forms)
-    assert cls.orbits is not None and (cls._dense is None or g == 2)
+    assert cls._dense is None or g == 2
 
     # ...and the dense view is the reference class, entry for entry
     assert cls.equals(ref) and ref.equals(cls)
@@ -618,9 +736,9 @@ def test_orbit_functionals_match_dense_reference(g):
     for spec in valid_specs(g):
         f = curve_functional(spec)
         ref = REFERENCE_CURVES[spec.family](spec.g, spec.i, spec.s)
-        assert f.orbits is not None and f._psi is None
+        assert f._psi is None
         for name, cls in classes_g:
-            if cls.orbits is not None and cls.orbits.group_map(f.orbits.groups) is not None:
+            if cls.orbits.group_map(f.orbits.groups) is not None:
                 per_orbit += 1
             else:
                 per_entry += 1
@@ -666,3 +784,68 @@ def test_functional_label_budget_matches_reference():
             except BudgetExceeded:
                 got = "refused"
             assert got == want, (g, i, s, build)
+
+
+def test_accumulator_checks():
+    with pytest.raises(TypeError):
+        Accumulator(2, 1).add_psi(1, 0.5)
+    with pytest.raises(BudgetExceeded):
+        Accumulator(2, _MAX_DENSE_ENTRIES + 1)
+
+
+# qg for g = 2..7 and every qd and logan signature above
+PULLBACK_CASES = [("qg:%d" % g, lambda g=g: qg_class(g)) for g in range(2, 8)]
+PULLBACK_CASES += [(name, build) for name, build, _ in CASES if not name.startswith("qg:")]
+
+
+@pytest.mark.parametrize("name, build", PULLBACK_CASES, ids=[c[0] for c in PULLBACK_CASES])
+def test_pullbacks_match_dense_reference(name, build):
+    cls = build()
+    # the JSON copy has one label group per label
+    copy = DivisorClass.from_json(cls.to_json())
+    assert copy.orbits.sizes == (1,) * cls.n
+
+    def same(got, ref):
+        # every coefficient: table against table when the label groups
+        # agree, else the dense views (the reference's is built once)
+        return (got.g, got.n) == (ref.g, ref.n) and got._same(ref)
+
+    ref = reference_forget_pullback(cls)
+    for d in (cls, copy):
+        assert same(forget_pullback(d), ref)
+    for h in range(1, cls.g - 1):
+        for j in range(1, cls.n + 1):
+            ref = reference_pullback_attach(cls, h, j)
+            assert same(pullback_attach(cls, h, j), ref), (h, j)
+            # the reference, built through the input adapter, has one group
+            # per label, like the JSON copy's pullback
+            got = pullback_attach(copy, h, j)
+            assert got.orbits.groups == ref.orbits.groups and same(got, ref), (h, j)
+
+
+@pytest.mark.parametrize("g", [4, 6])
+def test_self_mirror_pullbacks(g):
+    # qg's orbit (g/2, (g-1,)) holds S and S^c: both genus g/2 with g-1 of
+    # the 2g-2 labels, so it has comb(2g-2, g-1)/2 divisors
+    q = qg_class(g)
+    n, i, key = q.n, g // 2, (g // 2, (g - 1,))
+    assert self_mirror(g, q.orbits.sizes, *key)
+    c = q.orbits.coeffs[key]
+    S = tuple(range(1, g))
+    # forget: both image terms name the one orbit (i, (g-1, 0)), which gets
+    # c per divisor, not 2c
+    forgot = forget_pullback(q)
+    assert forgot.orbits.coeffs[(i, (g - 1, 0))] == c
+    assert (i, (g - 1, 1)) not in forgot.orbits.coeffs
+    assert forgot.boundary_coeff(i, S) == forgot.boundary_coeff(i, S + (n + 1,)) == c
+    assert forgot.to_jsonable() == reference_forget_pullback(q).to_jsonable()
+    # attach at label 1: the halves holding 1 and missing it are mirrors,
+    # mapped once; the side holding 1 keeps its comb(2g-3, g-2) divisors
+    for h in range(1, i + 1):
+        attached = pullback_attach(q, h, 1)
+        assert attached.orbits.sizes == (1, n - 1)
+        half = orbit_key(g - h, (1, n - 1), i - h, (1, g - 2))
+        assert orbit_size(g - h, (1, n - 1), *half) == orbit_size(g, (n,), *key) == comb(2 * g - 3, g - 2)
+        assert attached.orbits.coeffs[half] == c
+        assert attached.boundary_coeff(i - h, S) == c
+        assert attached.to_jsonable() == reference_pullback_attach(q, h, 1).to_jsonable()

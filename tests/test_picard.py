@@ -24,10 +24,10 @@ from qstrata import (
 )
 from qstrata.picard import (
     _MAX_DENSE_ENTRIES,
-    Accumulator,
     OrbitTable,
     boundary_term,
     format_rational,
+    orbit_key,
     parse_rational,
 )
 
@@ -137,11 +137,20 @@ def test_rational_format():
         parse_rational(0.5)  # a JSON number, not a string rational
 
 
+def test_repr_builds_no_dense_view():
+    # qg at g = 10 would list 1,310,703 dense entries, past the limit
+    q = qg_class(10)
+    assert repr(q) == (
+        "DivisorClass(g=10, n=18, lambda=-1048576/1, delta0=65536/1, group_sizes=(18,), orbit_keys=%d)"
+        % len(q.orbits.coeffs))
+    assert q._dense is None
+
+
 def test_coefficients_must_be_exact():
     with pytest.raises(TypeError):
         DivisorClass(2, 1, lam=0.1)
     with pytest.raises(TypeError):
-        Accumulator(2, 1).add_psi(1, 0.5)
+        DivisorClass(2, 1, psi=(0.5,))
 
 
 def test_size_limits_refuse_before_allocating():
@@ -155,7 +164,7 @@ def test_size_limits_refuse_before_allocating():
         OrbitTable(g, 2 * g - 2, unread())
     # more labels than the limit: no space, class or functional
     n = _MAX_DENSE_ENTRIES + 1
-    for build in (lambda: Accumulator(2, n), lambda: DivisorClass(2, n),
+    for build in (lambda: DivisorClass(2, n),
                   lambda: OrbitTable(2, n, unread()), lambda: boundary_term(2, n, 1, ())):
         with pytest.raises(BudgetExceeded):
             build()
@@ -207,14 +216,23 @@ def boundary_pairs(draw):
     g, n = draw(small_gn)
     i = draw(st.integers(0, g))
     S = frozenset(draw(st.sets(st.integers(1, n))))
-    return g, n, i, S
+    # the labels cut into runs, one label group each
+    cuts = sorted(draw(st.sets(st.integers(1, n + 1))) | {1, n + 1})
+    groups = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    return g, n, i, S, groups
 
 
 @settings(max_examples=200, deadline=None)
 @given(boundary_pairs())
 def test_involution_and_idempotence(data):
-    g, n, i, S = data
+    g, n, i, S, groups = data
     comp = frozenset(range(1, n + 1)) - S
+
+    # orbit_key names (i, counts) and its mirror by the smaller of the two
+    sizes = tuple(map(len, groups))
+    counts = tuple(len(S.intersection(grp)) for grp in groups)
+    mirror = (g - i, tuple(z - c for z, c in zip(sizes, counts)))
+    assert orbit_key(g, sizes, i, counts) == orbit_key(g, sizes, *mirror) == min((i, counts), mirror)
     try:
         term = boundary_term(g, n, i, S)
     except InvalidIndex:
