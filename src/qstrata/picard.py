@@ -17,9 +17,12 @@ the groups, named by the genus part i and how many labels of each group S
 holds; psi is stored once per group too.  A closed-form class groups
 labels of equal weight, a test-curve functional groups them into its own
 blocks of consecutive labels, and a pullback adds or splits off one
-group.  A dense {BoundaryIndex: coefficient} given as `boundary=` is only
-an input adapter: it becomes a table with one group per label.  Terms
-given per orbit go through one router, from_terms.
+group.  A dense {BoundaryIndex: coefficient}, given as `boundary=` or
+read from JSON, takes one input route: its labels are grouped by what a
+label symmetry must preserve (psi_j and the delta_{0:{j,k}} row), and the
+grouping is kept only when every orbit it meets is checked to be full and
+constant; otherwise each label is a group of its own.  Terms given per
+orbit go through one router, from_terms.
 
 When each group of a functional lies inside one group of a class, pairing
 them is one lookup per orbit key and per group, summed over integer
@@ -78,6 +81,9 @@ def format_rational(x: Rational) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+# a class file repeats few coefficients many times: parsing each string once
+# also makes equal coefficients one object, which _grouped compares first
+@lru_cache(maxsize=1024)
 def parse_rational(s: str) -> Fraction:
     if not isinstance(s, str):
         raise TypeError("expected a rational as a string such as \"3/2\", got %r" % (s,))
@@ -162,9 +168,12 @@ def canonicalize_index(g: int, n: int, i: int, S: Iterable[int]) -> BoundaryInde
     """Return the canonical representative of delta_{i:S} on Mbar_{g,n}.
 
     Raises InvalidIndex when neither (i, S) nor (g-i, S^c) names a
-    boundary divisor.
+    boundary divisor, or when S repeats a label.
     """
-    S = frozenset(S)
+    points = tuple(S)
+    S = frozenset(points)
+    if len(S) != len(points):
+        raise InvalidIndex("marked points %s repeat a label" % (list(points),))
     kind, idx = boundary_term(g, n, i, S)
     if kind != "delta":
         raise InvalidIndex(
@@ -391,21 +400,54 @@ def _dot(terms) -> Fraction:
     return Fraction(num, den)
 
 
-def _per_label(g: int, n: int, entries) -> OrbitTable:
-    """The input adapter: a table with one group per label holding the
-    sum of the (canonical BoundaryIndex, coefficient) entries."""
-    table = OrbitTable.of_groups(g, n, ((j,) for j in range(1, n + 1)))
-    coeffs, sizes = {}, table.sizes
-    for idx, c in entries:
-        counts = [0] * n
-        for p in idx.points:
-            counts[p - 1] = 1
-        key = orbit_key(g, sizes, idx.i, counts)
-        old = coeffs.get(key)
-        coeffs[key] = c if old is None else old + c
-    for key, c in coeffs.items():
-        table.put(key, c)
-    return table
+def _grouped(g: int, n: int, groups, total) -> OrbitTable | None:
+    """A table over these label groups holding the dense entries `total`
+    ({canonical BoundaryIndex: nonzero coefficient}), or None when some
+    orbit it meets has two coefficients or misses a divisor."""
+    table = OrbitTable.of_groups(g, n, groups)
+    group_of, sizes, coeffs = table._label_runs()[0], table.sizes, table.coeffs
+    for (i, S), c in total.items():
+        counts = [0] * len(sizes)
+        for p in S:
+            counts[group_of[p]] += 1
+        old = coeffs.setdefault(orbit_key(g, sizes, i, counts), c)
+        if old is not c and old != c:
+            return None
+    # no orbit holds more entries than divisors: equal totals mean that
+    # every orbit met is full
+    return table if table.dense_size() == len(total) else None
+
+
+def _from_dense(g: int, n: int, psi, boundary: Mapping) -> tuple[OrbitTable, tuple]:
+    """The input adapter: a dense {canonical BoundaryIndex: coefficient}
+    and per-label psi as a table in the coarsest label grouping checked to
+    be exact, and its psi per group.
+
+    A label permutation that fixes the class maps the psi and
+    delta_{0:{j,k}} coefficients of label j onto those of its image, so
+    labels are grouped by psi_j and the sorted delta_{0:{j,k}} row over
+    k != j.  The grouping is kept when every orbit the entries meet gets
+    one coefficient from all of its divisors, so that the dense view is
+    `boundary` less its zeros, entry for entry; otherwise each label is a
+    group of its own.
+    """
+    psi = tuple(map(_frac, psi or (0,) * n))
+    if len(psi) != n:
+        raise DimensionMismatch("expected %d psi coefficients, one per label" % n)
+    total, rows = {}, [[] for _ in range(n + 1)]
+    for idx, c in boundary.items():
+        c = _frac(c)
+        if c:
+            total[idx] = c
+            if idx.i == 0 and len(idx.points) == 2:
+                for j in idx.points:
+                    rows[j].append(c)
+    by_row = {}
+    for j in range(1, n + 1):
+        by_row.setdefault((psi[j - 1], tuple(sorted(rows[j]))), []).append(j)
+    table = len(by_row) < n and _grouped(g, n, map(tuple, by_row.values()), total)
+    table = table or _grouped(g, n, [(j,) for j in range(1, n + 1)], total)
+    return table, tuple(psi[labels[0] - 1] for labels in table.groups)
 
 
 class _PicardVector:
@@ -414,9 +456,9 @@ class _PicardVector:
     The boundary part is an OrbitTable (`orbits`) and the psi coefficients
     are given one per label group (`group_psi`).  Without a table, the
     input adapter takes a dense {canonical BoundaryIndex: coefficient}
-    (`boundary`) and per-label psi, and builds a table with one group per
-    label (`_per_label`).  The dense boundary and the per-label psi are
-    output views, built on first access.
+    (`boundary`) and per-label psi, and builds a table in the coarsest
+    label grouping it can check (`_from_dense`).  The dense boundary and
+    the per-label psi are output views, built on first access.
     """
 
     __slots__ = ("g", "n", "lam", "group_psi", "delta0", "orbits", "_psi", "_dense")
@@ -428,7 +470,8 @@ class _PicardVector:
         self.lam = _frac(lam)
         self.delta0 = _frac(delta0)
         self._psi = self._dense = None
-        orbits = orbits or _per_label(g, n, (boundary or {}).items())
+        if orbits is None:
+            orbits, psi = _from_dense(g, n, psi, boundary or {})
         self._same_space(orbits)
         self.orbits = orbits
         width = len(orbits.groups)
@@ -567,18 +610,13 @@ class _PicardVector:
     def from_jsonable(cls, d: Mapping):
         g, n = _json_int(d["g"]), _json_int(d["n"])
         # entries naming the same class under mirrored indices accumulate
-        table = _per_label(g, n, (
-            (canonicalize_index(g, n, _json_int(e["i"]), [_json_int(p) for p in e["S"]]),
-             parse_rational(e["c"]))
-            for e in d["boundary"]))
-        return cls(
-            g,
-            n,
-            parse_rational(d["lambda"]),
-            tuple(parse_rational(c) for c in d["psi"]),
-            parse_rational(d["delta0"]),
-            orbits=table,
-        )
+        boundary = {}
+        for e in d["boundary"]:
+            idx = canonicalize_index(g, n, _json_int(e["i"]), [_json_int(p) for p in e["S"]])
+            c, old = parse_rational(e["c"]), boundary.get(idx)
+            boundary[idx] = c if old is None else old + c
+        return cls(g, n, parse_rational(d["lambda"]), tuple(map(parse_rational, d["psi"])),
+                   parse_rational(d["delta0"]), boundary)
 
     def __repr__(self):
         # no dense view: a large class must still print

@@ -137,6 +137,17 @@ def test_bad_input_files_are_usage_errors(tmp_path):
         inexact.write_text(json.dumps(data))
         code, out = run_cli(["pair", "--curve", "A:1:1", "--class", str(inexact)])
         assert (code, out) == (1, ""), (field, value)
+    # a label out of range, or repeated in S, names no divisor: a domain error
+    for S in ([1, 9], [1, 1, 2]):
+        data = qg_class(3).to_jsonable()
+        data["boundary"][0]["S"] = S
+        bad_label = tmp_path / "bad_label.json"
+        bad_label.write_text(json.dumps(data))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["pair", "--curve", "A:1:2", "--class", str(bad_label)])
+        assert (code, out) == (2, ""), S
+        assert err.getvalue().startswith("domain error:") and err.getvalue().count("\n") == 1
     # structurally bad graphs are domain errors, not usage errors
     bad = tmp_path / "bad.json"
     bad.write_text(

@@ -19,6 +19,7 @@ must give the same classes, functionals, pairings, pullbacks and solver
 output.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import chain, repeat
@@ -37,6 +38,7 @@ from qstrata import (
     QdInput,
     SingularSystem,
     canonical_boundary_indices,
+    canonicalize_index,
     curve_functional,
     forget_pullback,
     logan_class,
@@ -57,8 +59,10 @@ from qstrata.picard import (
     _keeps_side,
     _labels,
     boundary_term,
+    format_rational,
     orbit_key,
     orbit_size,
+    parse_rational,
     self_mirror,
 )
 from qstrata.testcurves import TestCurveSpec as CurveSpec
@@ -793,6 +797,41 @@ def test_accumulator_checks():
         Accumulator(2, _MAX_DENSE_ENTRIES + 1)
 
 
+def _same_as(got, ref) -> bool:
+    # every coefficient: table against table when the label groups agree,
+    # else the dense views (the reference's is built once)
+    return (got.g, got.n) == (ref.g, ref.n) and got._same(ref)
+
+
+def _no_finer(groups, than) -> bool:
+    """Does every label group of `than` lie inside one of `groups`?"""
+    where = {j: k for k, labels in enumerate(groups) for j in labels}
+    return all(len({where[j] for j in labels}) == 1 for labels in than)
+
+
+def _entry_orbit_size(table, e) -> int:
+    """Number of divisors in the orbit, under the table's label groups, of
+    the class-file entry e."""
+    group_of, counts = table._label_runs()[0], [0] * len(table.sizes)
+    for p in e["S"]:
+        counts[group_of[p]] += 1
+    return orbit_size(table.g, table.sizes, e["i"], tuple(counts))
+
+
+def _per_label_copy(cls):
+    """A JSON copy of cls with one coefficient changed so that no grouping
+    coarser than one group per label holds: an entry, not a
+    delta_{0:{j,k}}, of an orbit with more than one divisor, else psi_1."""
+    data = cls.to_jsonable()
+    for e in data["boundary"]:
+        if _entry_orbit_size(cls.orbits, e) > 1 and (e["i"], len(e["S"])) != (0, 2):
+            e["c"] = format_rational(parse_rational(e["c"]) + 1)
+            break
+    else:
+        data["psi"][0] = format_rational(parse_rational(data["psi"][0]) + 1)
+    return DivisorClass.from_jsonable(data)
+
+
 # qg for g = 2..7 and every qd and logan signature above
 PULLBACK_CASES = [("qg:%d" % g, lambda g=g: qg_class(g)) for g in range(2, 8)]
 PULLBACK_CASES += [(name, build) for name, build, _ in CASES if not name.startswith("qg:")]
@@ -801,26 +840,27 @@ PULLBACK_CASES += [(name, build) for name, build, _ in CASES if not name.startsw
 @pytest.mark.parametrize("name, build", PULLBACK_CASES, ids=[c[0] for c in PULLBACK_CASES])
 def test_pullbacks_match_dense_reference(name, build):
     cls = build()
-    # the JSON copy has one label group per label
+    # the JSON copy reads in a grouping no finer than the class's own, and
+    # a copy with one coefficient changed in one group per label
     copy = DivisorClass.from_json(cls.to_json())
-    assert copy.orbits.sizes == (1,) * cls.n
-
-    def same(got, ref):
-        # every coefficient: table against table when the label groups
-        # agree, else the dense views (the reference's is built once)
-        return (got.g, got.n) == (ref.g, ref.n) and got._same(ref)
+    assert _no_finer(copy.orbits.groups, cls.orbits.groups)
+    changed = _per_label_copy(cls)
+    assert changed.orbits.sizes == (1,) * cls.n
 
     ref = reference_forget_pullback(cls)
     for d in (cls, copy):
-        assert same(forget_pullback(d), ref)
+        assert _same_as(forget_pullback(d), ref)
+    assert _same_as(forget_pullback(changed), reference_forget_pullback(changed))
     for h in range(1, cls.g - 1):
         for j in range(1, cls.n + 1):
             ref = reference_pullback_attach(cls, h, j)
-            assert same(pullback_attach(cls, h, j), ref), (h, j)
-            # the reference, built through the input adapter, has one group
-            # per label, like the JSON copy's pullback
+            assert _same_as(pullback_attach(cls, h, j), ref), (h, j)
+            # the reference, built through the input adapter, reads in a
+            # grouping no finer than the JSON copy's pullback
             got = pullback_attach(copy, h, j)
-            assert got.orbits.groups == ref.orbits.groups and same(got, ref), (h, j)
+            assert _no_finer(ref.orbits.groups, got.orbits.groups) and _same_as(got, ref), (h, j)
+            ref = reference_pullback_attach(changed, h, j)
+            assert _same_as(pullback_attach(changed, h, j), ref), (h, j)
 
 
 @pytest.mark.parametrize("g", [4, 6])
@@ -849,3 +889,87 @@ def test_self_mirror_pullbacks(g):
         assert attached.orbits.coeffs[half] == c
         assert attached.boundary_coeff(i - h, S) == c
         assert attached.to_jsonable() == reference_pullback_attach(q, h, 1).to_jsonable()
+
+
+# qg at g = 2..6, the qd and logan signatures above, and qd signatures whose
+# psi values collide across weights: w(w+2) is equal for w = 1 and -3 and
+# for w = 0 and -2, so only the delta_{0:{j,k}} rows tell those labels apart
+REGROUP_CASES = [("qg:%d" % g, lambda g=g: qg_class(g)) for g in range(2, 7)]
+REGROUP_CASES += [(name, build) for name, build, _ in CASES if not name.startswith("qg:")]
+REGROUP_CASES += [
+    ("qd:%d:%s" % (len(d) // 2 + 1, d), lambda d=d: qd_class(QdInput(len(d) // 2 + 1, len(d), d)))
+    for d in ((1, -3, 3, 3), (0, -2, 3, 3), (1, 1, -3, 3, 3, 1), (0, -2, 2, 2, 2, 2),
+              (1, -3, 1, -3, 3, 3, 3, 3), (0, -2, 0, -2, 3, 3, 3, 3))
+]
+
+
+def _dense_reading(data):
+    """(lambda, psi, delta_0, dense boundary) of a class file, summed entry
+    by entry without the library's input route; zero sums dropped."""
+    g, n = data["g"], data["n"]
+    boundary = {}
+    for e in data["boundary"]:
+        idx = canonicalize_index(g, n, e["i"], e["S"])
+        boundary[idx] = boundary.get(idx, 0) + parse_rational(e["c"])
+    return (parse_rational(data["lambda"]), tuple(map(parse_rational, data["psi"])),
+            parse_rational(data["delta0"]), {idx: c for idx, c in boundary.items() if c})
+
+
+def _perturbed(data, copy):
+    """Hand-edited copies of a class file, around an entry of a largest orbit
+    of the copy's grouping: one coefficient changed, the entry deleted, a
+    mirrored duplicate of it, and its mirror with the opposite coefficient,
+    so that the two cancel to zero."""
+    g, n = data["g"], data["n"]
+    entries = data["boundary"]
+    at = max(range(len(entries)), key=lambda k: _entry_orbit_size(copy.orbits, entries[k]))
+    e = entries[at]
+    c = parse_rational(e["c"])
+    mirror = {"i": g - e["i"], "S": [p for p in range(1, n + 1) if p not in e["S"]]}
+    edits = (
+        ("changed", lambda b: b[at].update(c=format_rational(c + 1))),
+        ("deleted", lambda b: b.pop(at)),
+        ("mirrored duplicate", lambda b: b.append(dict(mirror, c=e["c"]))),
+        ("cancelled", lambda b: b.append(dict(mirror, c=format_rational(-c)))),
+    )
+    for what, edit in edits:
+        edited = json.loads(json.dumps(data))
+        edit(edited["boundary"])
+        yield what, edited
+
+
+@pytest.mark.parametrize("name, build", REGROUP_CASES, ids=[c[0] for c in REGROUP_CASES])
+def test_json_copy_regroups_exactly(name, build):
+    cls = build()
+    data = cls.to_jsonable()
+    copy = DivisorClass.from_jsonable(data)
+    assert _no_finer(copy.orbits.groups, cls.orbits.groups)
+    assert _same_as(copy, cls) and copy.to_jsonable() == data
+    assert _same_as(forget_pullback(copy), reference_forget_pullback(cls))
+    for h in range(1, cls.g - 1):
+        for j in sorted({1, cls.n}):
+            assert _same_as(pullback_attach(copy, h, j), reference_pullback_attach(cls, h, j)), (h, j)
+    # an edited file reads back as its entries sum, whatever grouping it
+    # reads in: an orbit with two coefficients or a missing divisor is not
+    # expanded, and a zero sum is no entry
+    for what, edited in _perturbed(data, copy):
+        got = DivisorClass.from_jsonable(edited)
+        assert got._coeffs() == _dense_reading(edited), what
+
+
+def test_json_copy_of_large_class_stays_in_orbits(monkeypatch):
+    # qg at g = 8 lists 65,523 divisors in 60 orbits
+    q = qg_class(8)
+    copy = DivisorClass.from_json(q.to_json())
+    assert copy.orbits.sizes == (q.n,)
+    forgot, attached = forget_pullback(copy), pullback_attach(copy, 1, 5)
+    assert len(forgot.orbits.coeffs) <= 200 and len(attached.orbits.coeffs) <= 200
+    assert forgot._same(forget_pullback(q)) and attached._same(pullback_attach(q, 1, 5))
+
+    def no_dense(self):
+        raise AssertionError("a dense view was built")
+
+    monkeypatch.setattr(OrbitTable, "dense", no_dense)
+    for spec in valid_specs(8):
+        f = curve_functional(spec)
+        assert f.pair(copy) == f.pair(q), spec

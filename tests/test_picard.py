@@ -48,6 +48,9 @@ def test_canonicalize_rejects_bad_input():
         canonicalize_index(3, 4, 0, ())
     with pytest.raises(InvalidIndex):
         canonicalize_index(3, 4, 3, {1, 2, 3})
+    # a repeated label is refused, not collapsed into delta_{1:{1,2}}
+    with pytest.raises(InvalidIndex):
+        canonicalize_index(3, 4, 1, [1, 1, 2])
 
 
 def test_boundary_term_routing():
