@@ -46,6 +46,7 @@ COMMANDS = [
     ["levelgraphs", "--input", "tests/data/ex2.json", "--json"],
     ["levelgraphs", "--input", "tests/data/ex2.json", "--admissible", "--json"],
     ["levelgraphs", "--input", "tests/data/ex2.json"],
+    ["levelgraphs", "--input", "tests/data/ex3.json", "--json"],
     ["pnk", "--k", "2", "--R", "1,1", "--json"],
     ["pnk", "--k", "1", "--R", "3,4"],
     ["curve", "--curve", "C:1:0", "--g", "3"],

@@ -18,11 +18,14 @@ _MAX_LEVEL_GRAPHS raises BudgetExceeded before any level graph is built.
 
 grc_admissible applies the global residue conditions with three-valued
 residue knowledge (zero / nonzero / unknown) per edge side.  It walks
-the levels top down with one union-find over the part above the current
-level, so each level visits only the upper components that have an edge
-down to it.  The two criss-cross cases that need root-of-unity
-bookkeeping on the internal structure of an upper-level component are
-not modelled; when only they could decide, the verdict is Indeterminate.
+the levels top down; what one level adds (its conditions, and whether a
+component above it fails) depends only on the vertex bitmasks of the
+part above it and of the level, the level number and the bitmask of the
+horizontal edges.  Each DualGraph memoises these fragments by that key
+for the residue states last seen, so the level graphs of one graph share
+them.  The two criss-cross cases that need root-of-unity bookkeeping on
+the internal structure of an upper-level component are not modelled;
+when only they could decide, the verdict is Indeterminate.
 """
 
 from __future__ import annotations
@@ -68,9 +71,10 @@ class Edge:
     ord_b: int
 
 
-def _json_int(value, what: str) -> int:
-    if type(value) is not int:  # bool is an int subclass, float a silent truncation
-        raise BadInput("%s must be an integer, got %r" % (what, value))
+def _json_value(value, what: str, kind: type = int):
+    if type(value) is not kind:  # bool is an int subclass, float a silent truncation
+        name = "an integer" if kind is int else "a boolean"
+        raise BadInput("%s must be %s, got %r" % (what, name, value))
     return value
 
 
@@ -95,7 +99,8 @@ class DualGraph:
         self.k = k
         self.vertices = vertices
         self.edges = edges
-        find, _ = _union_find(len(vertices), [(e.a, e.b) for e in edges])
+        self._grc_memo: Optional[tuple[dict, dict]] = None  # see grc_admissible
+        find = _union_find(len(vertices), [(e.a, e.b) for e in edges])
         if len({find(v) for v in range(len(vertices))}) != 1:
             raise BadInput("dual graph must be connected")
 
@@ -103,18 +108,18 @@ class DualGraph:
     def from_jsonable(cls, data: Mapping) -> tuple["DualGraph", "ResidueState"]:
         vertices = [
             Vertex(
-                genus=_json_int(v["genus"], "genus"),
-                marked=frozenset(_json_int(p, "marked label") for p in v.get("marked", ())),
-                has_marked_pole=bool(v.get("pole", False)),
+                genus=_json_value(v["genus"], "genus"),
+                marked=frozenset(_json_value(p, "marked label") for p in v.get("marked", ())),
+                has_marked_pole=_json_value(v.get("pole", False), "pole", bool),
                 is_kth_power=str(v.get("kth_power", "unknown")).lower(),
             )
             for v in data["vertices"]
         ]
         edges = [
-            Edge(*(_json_int(e[f], f) for f in ("a", "b", "ord_a", "ord_b")))
+            Edge(*(_json_value(e[f], f) for f in ("a", "b", "ord_a", "ord_b")))
             for e in data["edges"]
         ]
-        graph = cls(_json_int(data["k"], "k"), vertices, edges)
+        graph = cls(_json_value(data["k"], "k"), vertices, edges)
         states = {}
         for r in data.get("residues", ()):
             side = str(r["side"]).lower()
@@ -123,12 +128,14 @@ class DualGraph:
                 raise BadInput("residue side must be 'a' or 'b'")
             if state not in _STATES:
                 raise BadInput("residue state must be one of %s" % (_STATES,))
-            edge = _json_int(r["edge"], "residue edge")
+            edge = _json_value(r["edge"], "residue edge")
             if not 0 <= edge < len(edges):
                 raise BadInput(
                     "residue entry names edge %r; the graph has %d edge(s)"
                     % (edge, len(edges))
                 )
+            if (edge, side) in states:
+                raise BadInput("repeated residue entry for edge %d side %s" % (edge, side))
             states[(edge, side)] = state
         return graph, ResidueState(states)
 
@@ -214,11 +221,9 @@ class LevelGraph:
     levels: tuple[int, ...]
 
 
-def _union_find(n: int, pairs: Sequence[tuple[int, int]] = ()):
-    """Union-find over range(n), joined by the given pairs; the root of a
-    class is its smallest item.  Returns find(x), the root of x's class,
-    and union(u, v), which joins two classes and returns (kept root,
-    absorbed root), or None when they are one class already."""
+def _union_find(n: int, pairs: Sequence[tuple[int, int]]):
+    """find(x) of the union-find over range(n) joined by the given pairs:
+    the root of x's class, which is its smallest item."""
     parent = list(range(n))
 
     def find(x):
@@ -227,17 +232,10 @@ def _union_find(n: int, pairs: Sequence[tuple[int, int]] = ()):
             x = parent[x]
         return x
 
-    def union(u, v):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return None
-        ru, rv = min(ru, rv), max(ru, rv)
-        parent[rv] = ru
-        return ru, rv
-
     for u, v in pairs:
-        union(u, v)
-    return find, union
+        ru, rv = find(u), find(v)
+        parent[max(ru, rv)] = min(ru, rv)
+    return find
 
 
 def _strict_order(
@@ -246,7 +244,7 @@ def _strict_order(
     """The same-level groups of components 0..n-1 (ascending lists, in
     order of their smallest member), the group of each component, and per
     group the bitmask of the groups strictly above it."""
-    find, _ = _union_find(n, same)
+    find = _union_find(n, same)
     members: dict[int, list[int]] = {}
     for v in range(n):
         members.setdefault(find(v), []).append(v)
@@ -384,111 +382,111 @@ def grc_admissible(lg: LevelGraph, res: ResidueState) -> GrcResult:
     to level L must satisfy the root-sum product condition, which with
     one non-zero slot forces that k-residue to vanish and with two or
     more is satisfiable by scaling.  Horizontal nodes record their
-    matching condition as text; they are never evaluated.
+    matching condition as text; they are never evaluated.  Each level's
+    share comes from the graph's memo of _grc_fragment results.
     """
     dg = lg.graph
     k = dg.k
     levels = lg.levels
-    conditions: list[str] = []
-    # (edge index, ends, side of the lower end or None if horizontal) by
-    # the level of the lower end
-    by_low: dict[int, list[tuple[int, int, int, Optional[str]]]] = {}
-
     states = res.states
+    conditions: list[str] = []
+    horizontal = 0  # bitmask of the edges with both ends on one level
+    low = set()  # the levels holding the lower end of a strict edge
     for ei, e in enumerate(dg.edges):
         la, lb = levels[e.a], levels[e.b]
-        lower = None if la == lb else "a" if la < lb else "b"
-        by_low.setdefault(min(la, lb), []).append((ei, e.a, e.b, lower))
-        if lower is None:
-            if k == 1:
-                conditions.append(
-                    "edge %d horizontal: res at side a + res at side b = 0" % ei
-                )
-            else:
-                conditions.append(
-                    "edge %d horizontal: res^%d side a = (-1)^%d res^%d side b"
-                    % (ei, k, k, k)
-                )
-        elif states.get((ei, lower)) is None:
+        if la == lb:
+            horizontal |= 1 << ei
+            conditions.append(
+                "edge %d horizontal: res at side a + res at side b = 0" % ei if k == 1
+                else "edge %d horizontal: res^%d side a = (-1)^%d res^%d side b"
+                % (ei, k, k, k)
+            )
+            continue
+        lower = "a" if la < lb else "b"
+        low.add(la if la < lb else lb)
+        if states.get((ei, lower)) is None:
             raise MissingResidueState(
                 "no residue state for edge %d side %s (lower end)" % (ei, lower)
             )
+    on_level: dict[int, int] = {}  # level -> bitmask of its vertices
+    for v, level in enumerate(levels):
+        on_level[level] = on_level.get(level, 0) | 1 << v
 
-    # the part above the current level, with the members of each component
-    find, union = _union_find(len(dg.vertices))
-    members = [[v] for v in range(len(dg.vertices))]
-
-    worst = "admissible"
-    reason = None
-    for level in sorted(by_low, reverse=True):  # levels without edges change nothing
-        edges_here = by_low[level]
-        # the upper components with an edge down to this level, and the
-        # lower ends of those edges in edge order
-        down: dict[int, list[tuple[int, str]]] = {}
-        for ei, a, b, side in edges_here:
-            if side is not None:
-                top = b if side == "a" else a
-                down.setdefault(find(top), []).append((ei, side))
-        for root in sorted(down):
-            comp = members[root]
-            if any(
-                dg.vertices[v].has_marked_pole or dg.vertices[v].is_kth_power == "no"
-                for v in comp
-            ):
-                continue
-            slots = down[root]
-            not_zero = [
-                (slot, st) for slot in slots if (st := states.get(slot)) != ZERO
-            ]
-            if not not_zero:
-                continue  # the residue sum already vanishes
-            if len(not_zero) == 1:
-                (ei, side), st = not_zero[0]
-                if st == NONZERO:
-                    verdict = _verdict_on_violation(dg, levels, set(comp))
-                    if verdict == "inadmissible":
-                        return GrcResult(
-                            "inadmissible",
-                            tuple(conditions),
-                            "component above level %d forces res^%d = 0 at edge %d "
-                            "side %s, but that k-residue is nonzero" % (level, k, ei, side),
-                        )
-                    worst = "indeterminate"
-                    reason = (
-                        "violated residue condition could still be lifted by an "
-                        "unmodelled criss-cross or k-th power case"
-                    )
-                else:
-                    conditions.append(
-                        "res^%d = 0 at edge %d side %s (component above level %d)"
-                        % (k, ei, side, level)
-                    )
-            else:
-                names = ", ".join("edge %d side %s" % s for s, _ in not_zero)
-                conditions.append(
-                    "P_{%d,%d}(res^%d at %s) = 0 (component above level %d; "
-                    "satisfiable by scaling)" % (len(slots), k, k, names, level)
-                )
-        # this level joins the part above the next one
-        for _, a, b, _ in edges_here:
-            joined = union(a, b)
-            if joined:
-                members[joined[0]] += members[joined[1]]
+    if dg._grc_memo is None or dg._grc_memo[0] != states:
+        dg._grc_memo = (dict(states), {})
+    snapshot, fragments = dg._grc_memo
+    worst, reason = "admissible", None
+    above = 0
+    for level in sorted(on_level, reverse=True):
+        if level in low:
+            key = (above, on_level[level], level, horizontal)
+            fragment = fragments.get(key)
+            if fragment is None:
+                fragment = fragments[key] = _grc_fragment(dg, snapshot, *key)
+            conds, status, why = fragment
+            conditions += conds
+            if status == "inadmissible":
+                return GrcResult(status, tuple(conditions), why)
+            if status == "indeterminate":
+                worst, reason = status, why
+        above |= on_level[level]  # levels without edges join it too
     return GrcResult(worst, tuple(conditions), reason)
 
 
-def _verdict_on_violation(dg: DualGraph, levels, comp) -> str:
-    """Could an out-of-scope case still save a violated residue condition?"""
-    if any(dg.vertices[v].is_kth_power == "unknown" for v in comp):
-        return "indeterminate"  # the not-a-power escape might apply
-    internal = [
-        e for e in dg.edges if e.a in comp and e.b in comp
-    ]
-    horizontal = any(levels[e.a] == levels[e.b] for e in internal)
-    has_cycle = len(internal) >= len(comp)  # connected multigraph
-    if horizontal or has_cycle:
-        return "indeterminate"  # criss-cross territory, not modelled
-    return "inadmissible"
+def _grc_fragment(dg: DualGraph, states, above: int, here: int, level: int, horizontal: int):
+    """The (conditions, status, reason) that the components of the vertex
+    bitmask `above` impose on the vertices `here` on `level`; `horizontal`
+    is the bitmask of the horizontal edges.  An inadmissible fragment
+    stops at the component that fails."""
+    k = dg.k
+    edges = dg.edges
+    find = _union_find(
+        len(dg.vertices), [(e.a, e.b) for e in edges if above >> e.a & 1 and above >> e.b & 1]
+    )
+    down: dict[int, list[tuple[int, str]]] = {}  # upper component -> lower ends
+    for ei, e in enumerate(edges):
+        for top, bottom, side in ((e.b, e.a, "a"), (e.a, e.b, "b")):
+            if here >> bottom & 1 and above >> top & 1:
+                down.setdefault(find(top), []).append((ei, side))
+    conditions = []
+    status, reason = "admissible", None
+    for root in sorted(down):
+        comp = [v for v in range(len(dg.vertices)) if above >> v & 1 and find(v) == root]
+        powers = {dg.vertices[v].is_kth_power for v in comp}
+        if "no" in powers or any(dg.vertices[v].has_marked_pole for v in comp):
+            continue
+        slots = down[root]
+        not_zero = [(slot, st) for slot in slots if (st := states.get(slot)) != ZERO]
+        if len(not_zero) == 1:
+            (ei, side), st = not_zero[0]
+            if st != NONZERO:
+                conditions.append(
+                    "res^%d = 0 at edge %d side %s (component above level %d)"
+                    % (k, ei, side, level)
+                )
+                continue
+            mask = sum(1 << v for v in comp)
+            internal = [i for i, e in enumerate(edges) if mask >> e.a & 1 and mask >> e.b & 1]
+            # an unknown power status or criss-cross territory (an internal
+            # horizontal edge or a cycle) might still lift it: not modelled
+            if "unknown" not in powers and len(internal) < len(comp) and not any(
+                horizontal >> i & 1 for i in internal
+            ):
+                return (tuple(conditions), "inadmissible",
+                        "component above level %d forces res^%d = 0 at edge %d side %s, "
+                        "but that k-residue is nonzero" % (level, k, ei, side))
+            status = "indeterminate"
+            reason = (
+                "violated residue condition could still be lifted by an "
+                "unmodelled criss-cross or k-th power case"
+            )
+        elif not_zero:  # with no such slot the residue sum already vanishes
+            names = ", ".join("edge %d side %s" % s for s, _ in not_zero)
+            conditions.append(
+                "P_{%d,%d}(res^%d at %s) = 0 (component above level %d; "
+                "satisfiable by scaling)" % (len(slots), k, k, names, level)
+            )
+    return tuple(conditions), status, reason
 
 
 def eval_pnk(residues: Sequence[complex], k: int, budget: int = 4096) -> complex:

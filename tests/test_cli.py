@@ -184,6 +184,24 @@ def test_bad_input_files_are_usage_errors(tmp_path):
         path.write_text(json.dumps(graph))
         code, out = run_cli(["levelgraphs", "--input", str(path), "--list"])
         assert (code, out) == (2, ""), (where, value)
+    # `pole` must be a JSON boolean: "false" used to read as a marked pole and
+    # turned ex2's inadmissible levels 0,-2,-1 admissible; a repeated residue
+    # entry used to override the earlier one, with the same effect
+    ex2 = json.loads((ROOT / "tests/data/ex2.json").read_text())
+    edits = [("pole", v) for v in ("false", "no", 0, 1, None)] + [("repeat", "zero")]
+    for what, value in edits:
+        graph = json.loads(json.dumps(ex2))
+        if what == "pole":
+            graph["vertices"][0]["pole"] = value
+        else:
+            graph["residues"].append({"edge": 1, "side": "b", "state": value})
+        path.write_text(json.dumps(graph))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["levelgraphs", "--input", str(path)])
+        assert (code, out) == (2, ""), (what, value)
+        assert err.getvalue().startswith("domain error:") and err.getvalue().count("\n") == 1
+    assert "edge 1 side b" in err.getvalue()
 
 
 def test_levelgraphs_budget(tmp_path):

@@ -68,6 +68,24 @@ def test_example2_relations_enumeration_admissibility():
     assert any("P_{2,2}" in c for c in verdicts[(0, -1, -1)].conditions)
 
 
+def test_example3_broom_covers_every_verdict():
+    # a head above three bristles (two with doubled edges) and a handle
+    # whose two components share a horizontal edge: four groups below the
+    # head, so Fubini(4) = 75 level graphs
+    graph, residues = load("ex3.json")
+    level_graphs = enumerate_level_graphs(validate_twisted(graph))
+    assert len(level_graphs) == 75
+    verdicts = [grc_admissible(lg, residues) for lg in level_graphs]
+    assert {v.status for v in verdicts} == {"admissible", "inadmissible", "indeterminate"}
+    conditions = [c for v in verdicts for c in v.conditions]
+    for kind in ("horizontal", "P_{", "res^2 = 0"):
+        assert any(kind in c for c in conditions), kind
+    # the bristle with a nonzero k-residue fails alone below the head
+    assert grc_admissible(
+        next(lg for lg in level_graphs if lg.levels == (0, -1, -2, -2, -2, -2)), residues
+    ).status == "inadmissible"
+
+
 def test_single_vertex_relation_empty():
     graph = DualGraph(2, [Vertex(2, frozenset(), False, "unknown")], [])
     rel = validate_twisted(graph)
