@@ -12,11 +12,13 @@ coefficient per orbit of the labels of equal weight, and one psi
 coefficient per weight.  The pullbacks map orbit table to orbit table.
 
 solve_qg_coefficients replays the test-curve computation of the
-qg_class coefficients as an exact linear system.  Its columns are the
-sorted orbit keys, so each i-chain c_{i:0}, c_{i:1}, ... lies on adjacent
-columns, with c_psi last; one sparse forward elimination along the
-chains and a back-substitution solve it (_solve_sparse), and a value
-counts as solved only when the system pins it.  Its time and memory grow
+qg_class coefficients as an exact linear system.  Its rows are the test
+curves, read off the terms table of qstrata.testcurves, paired with the
+unknown symmetric class.  Its columns are the sorted orbit keys, so each
+i-chain c_{i:0}, c_{i:1}, ... lies on adjacent columns, with c_psi last;
+one sparse forward elimination along the chains and a back-substitution
+solve it (_solve_sparse), and a value counts as solved only when the
+system pins it.  Its time and memory grow
 about like g^2, so a system of more than _MAX_SOLVE_SLOTS (i, s) slots
 (g > 353) is refused with BudgetExceeded before any row is built.
 
@@ -33,7 +35,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import sub
+from operator import mul, sub
 from typing import Iterable, Mapping, Optional
 
 from .errors import (
@@ -48,14 +50,18 @@ from .picard import (
     DivisorClass,
     OrbitTable,
     _class_is_valid,
+    _dot,
     canonicalize_index,
     format_rational,
     orbit_key,
+    orbit_size,
     pair,
     self_mirror,
 )
 from .testcurves import (
+    FAMILIES,
     TestCurveSpec,
+    _curve_terms,
     a_dot_qg_formula,
     curve_functional,
     oracle,
@@ -372,6 +378,21 @@ def _slot(g: int, n: int, i: int, s: int):
     return 1, (j, t)
 
 
+def _curve_row(g: int, family: str, i: int, s: int) -> dict:
+    """Test curve family_{i:s} paired with the unknown symmetric class, as
+    {unknown (see _slot): nonzero integer}: orbit size x c per boundary term
+    of _curve_terms, and block size x psi per block on c_psi."""
+    blocks, boundary, psi = _curve_terms(family, g, i, s)
+    sizes = tuple(map(len, blocks))
+    row = {"psi": sum(map(mul, sizes, psi))}
+    for j, counts, c in boundary:
+        size = orbit_size(g, sizes, j, counts)
+        if size:  # checked first: an empty orbit may name a slot past n
+            sign, key = _slot(g, 2 * g - 2, j, sum(counts))
+            row[key] = row.get(key, 0) + sign * size * c
+    return {key: x for key, x in row.items() if x}
+
+
 @dataclass(frozen=True)
 class QgSolution:
     """Exact solution of the test-curve coefficient system at genus g."""
@@ -488,21 +509,16 @@ def solve_qg_coefficients(g: int) -> QgSolution:
 
     Unknowns are c_psi and one coefficient c_{i:s} per boundary class
     (coefficients depend only on the genus part and |S|), with the
-    conventions c_{0:1} = -c_psi and c_{0:0} = 0.  Equations: every
-    family-A row
-
-        (2g-2-s)(c_psi + c_{i:s+1}) - (4g-2i-4-s) c_{i:s} = A_{i:s}-oracle
-
-    on the grid i in [0,g], s in [1,2g-2] except the s = 2g-3 column
-    (where the printed data is inconsistent - see the audit), plus the
-    family-B rows at s = 0,
-
-        (2i-1) c_psi + c_{i:0} - c_{i:1} = B_{i:0}-oracle,
-
-    which carry the delta_{i:empty} information the trimmed A-grid loses.
-    The family-B and family-C equations over the whole admissible range
-    are evaluated against the solution and reported as residuals.  At
-    g = 2 the Picard relation leaves a one-dimensional solution space;
+    conventions c_{0:1} = -c_psi and c_{0:0} = 0.  A row is a test curve's
+    functional, from the same terms that build curve_functional, paired
+    with the unknown symmetric class.  Each equation sets a row equal to
+    its oracle: the family-A rows on the grid i in [0,g], s in [1,2g-2]
+    except the s = 2g-3 column (where the printed data is inconsistent -
+    see the audit), and the family-B rows at s = 0, which carry the
+    delta_{i:empty} information the trimmed A-grid loses.  The family-B
+    and family-C rows over the whole admissible range are evaluated
+    against the solution and reported as residuals, pairing minus oracle.
+    At g = 2 the Picard relation leaves a one-dimensional solution space;
     the affected slots are reported as free rather than guessed.
     """
     if g < 2:
@@ -513,67 +529,29 @@ def solve_qg_coefficients(g: int) -> QgSolution:
             "the coefficient system at g=%d has more than the limit of %d (i, s) slots"
             % (g, _MAX_SOLVE_SLOTS)
         )
-    slots = {(i, s): _slot(g, n, i, s) for i in range(g + 1) for s in range(n + 1)}
-    keys = sorted({key for _, key in slots.values()} - {"psi"})
+    keys = sorted({_slot(g, n, i, s)[1] for i in range(g + 1) for s in range(n + 1)} - {"psi"})
     col = {key: k for k, key in enumerate(keys)}
     psi = col["psi"] = len(keys)  # c_psi is the last column
     n_cols = psi + 1
 
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-
-    def put(row, i, s, coeff):
-        sign, key = slots[i, s]
-        row[col[key]] = row.get(col[key], 0) + sign * coeff
-
-    def add_row(row, value):
-        rows.append({c: x for c, x in row.items() if x})
-        rhs.append(Fraction(value))
-
-    for i in range(0, g + 1):
-        for s in range(1, n + 1):
-            if s == 2 * g - 3:
-                continue
-            row = {}
-            lead = Fraction(2 * g - 2 - s)
-            if lead:
-                row[psi] = lead
-                put(row, i, s + 1, lead)
-            put(row, i, s, Fraction(-(4 * g - 2 * i - 4 - s)))
-            add_row(row, a_dot_qg_formula(g, i, s))
-    for i in range(1, g + 1):
-        row = {psi: Fraction(2 * i - 1)}
-        put(row, i, 0, Fraction(1))
-        put(row, i, 1, Fraction(-1))
-        add_row(row, oracle_b_dot_qg(g, i, 0))
-
-    n_equations = len(rows)
+    # integer rows, made exact once: _sub_scaled divides its entries
+    specs = [("A", i, s) for i in range(g + 1) for s in range(1, n + 1) if s != 2 * g - 3]
+    specs += [("B", i, 0) for i in range(1, g + 1)]
+    rows = [{col[key]: Fraction(x) for key, x in _curve_row(g, *spec).items()} for spec in specs]
+    rhs = [Fraction(a_dot_qg_formula(g, i, s) if fam == "A" else oracle_b_dot_qg(g, i, s))
+           for fam, i, s in specs]
     pivots, values, pinned = _solve_sparse(rows, rhs, n_cols)
     if psi not in pinned:
         raise SingularSystem("c_psi is not determined at g=%d" % g)
     c_psi = values[psi]
     coefficients = {key: values[k] for k, key in enumerate(keys) if k in pinned}
     free = tuple(key for k, key in enumerate(keys) if k not in pinned)
-
-    val = {slot: sign * values[col[key]] for slot, (sign, key) in slots.items()}
-
     residuals = {}
     for spec in valid_specs(g):
-        i, s = spec.i, spec.s
-        if spec.family == "B":
-            lhs = (2 * i + 2 * s - 1) * c_psi + s * val[0, 2] + val[i, s] - val[i, s + 1]
-        elif spec.family == "C":
-            lhs = (
-                2 * c_psi
-                + val[0, 2]
-                + val[g - i, 2 * g - s - 3]
-                - val[g - i, 2 * g - s - 4]
-                + val[i, s + 1]
-                - val[i, s]
-            )
-        else:
-            continue
-        residuals[(spec.family, i, s)] = lhs - oracle(spec)
+        if spec.family != "A":
+            name = (spec.family, spec.i, spec.s)
+            paired = _dot((1, x, values[col[key]]) for key, x in _curve_row(g, *name).items())
+            residuals[name] = paired - oracle(spec)
 
     return QgSolution(
         g=g,
@@ -582,7 +560,7 @@ def solve_qg_coefficients(g: int) -> QgSolution:
         free=free,
         rank=len(pivots),
         n_unknowns=n_cols,
-        n_equations=n_equations,
+        n_equations=len(specs),
         excluded="family-A rows with s = 2g-3 = %d" % (2 * g - 3),
         residuals=residuals,
     )
@@ -661,9 +639,21 @@ class AuditReport:
         return "\n".join(lines)
 
 
+# Most (family, i, s) specs, 3(g + 1)(2g - 1), valid_specs may try for audit:
+# g = 330 (654,387).  In one session on a 2-vCPU VM (Python 3.11), audit took
+# 48.1 s at g = 300 and 68.4 s at g = 350, and solve 61.0 s at g = 353.
+_MAX_AUDIT_SPECS = 655_000
+
+
 def audit(g: int) -> AuditReport:
     """Pair every admissible test curve against qg_class(g) and compare
-    with its oracle.  Mismatches are data, never an error."""
+    with its oracle.  Mismatches are data, never an error.  Past g = 330
+    (_MAX_AUDIT_SPECS) it raises BudgetExceeded before building any."""
+    if g >= 2 and len(FAMILIES) * (g + 1) * (2 * g - 1) > _MAX_AUDIT_SPECS:
+        raise BudgetExceeded(
+            "the audit at g=%d would try more than the limit of %d test curves"
+            % (g, _MAX_AUDIT_SPECS)
+        )
     cls = qg_class(g)
     entries = []
     for spec in valid_specs(g):

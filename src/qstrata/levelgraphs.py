@@ -214,11 +214,16 @@ def validate_twisted(dg: DualGraph) -> TwistedOrderRelation:
 
 @dataclass(frozen=True)
 class LevelGraph:
-    """A dual graph with a full level assignment (top level 0, descending,
-    contiguous)."""
+    """A dual graph with one level per component (enumerated ones have top
+    level 0, descending, contiguous)."""
 
     graph: DualGraph
     levels: tuple[int, ...]
+
+    def __post_init__(self):
+        n = len(self.graph.vertices)
+        if len(self.levels) != n:
+            raise BadInput("%d levels given for %d components" % (len(self.levels), n))
 
 
 def _union_find(n: int, pairs: Sequence[tuple[int, int]]):

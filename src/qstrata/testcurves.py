@@ -11,8 +11,9 @@ down by a genus split i and a marked-point split s:
   bridge, with p_{s+1} sweeping the bridge.
 
 curve_a/curve_b/curve_c return the intersection numbers of the family
-against the whole divisor basis as a CurveFunctional in orbit form: each
-family splits the labels into its own blocks of consecutive labels,
+against the whole divisor basis as a CurveFunctional in orbit form, read
+off _curve_terms (which the coefficient solver reads too).  Each family
+splits the labels into its own blocks of consecutive labels,
 
 * family A: base {1..s} | rest {s+1..n};
 * family B: base | {s+1} | rest {s+2..n};
@@ -111,10 +112,37 @@ def valid_specs(g: int) -> Iterator[TestCurveSpec]:
                     continue
 
 
-def _functional(g: int, blocks: list[range], boundary, psi: list[int]) -> CurveFunctional:
-    """The functional on Mbar_{g,2g-2} over label blocks (runs of
-    consecutive labels covering 1..n in order, some maybe empty) from
-    boundary terms (i, counts, c) and psi[k], the psi coefficient of every
+def _curve_terms(family: str, g: int, i: int, s: int):
+    """The one table of test-curve terms, (blocks, boundary, psi): the
+    family's label blocks, its boundary terms (i, counts, c) and the psi
+    coefficient of each block.  Not validated: the coefficient solver reads
+    family A on the whole (i, s) grid."""
+    n = 2 * g - 2
+    if family == "A":
+        blocks = [range(1, s + 1), range(s + 1, n + 1)]  # base | rest
+        boundary = [(i, (s, 0), -(4 * g - 2 * i - 4 - s)), (i, (s, 1), 1)]
+        return blocks, boundary, [0, 1]
+    if family == "B":
+        blocks = [range(1, s + 1), range(s + 1, s + 2), range(s + 2, n + 1)]  # base | s+1 | rest
+        boundary = [(i, (s, 0, 0), 1), (i, (s, 1, 0), -1), (0, (1, 1, 0), 1)]
+        return blocks, boundary, [1, 2 * i - 1 + s, 0]
+    # base | s+1 | s+2 | tail
+    blocks = [range(1, s + 1), range(s + 1, s + 2), range(s + 2, s + 3), range(s + 3, n + 1)]
+    t = n - s - 2
+    boundary = [
+        (i, (s, 0, 0, 0), -1),
+        (g - i, (0, 0, 0, t), -1),
+        (0, (0, 1, 1, 0), 1),
+        (i, (s, 1, 0, 0), 1),
+        (g - i, (0, 1, 0, t), 1),
+    ]
+    return blocks, boundary, [0, 1, 1, 0]
+
+
+def curve_functional(spec: TestCurveSpec) -> CurveFunctional:
+    """The functional of the test curve on Mbar_{g,2g-2} over the label
+    blocks of _curve_terms (runs of consecutive labels covering 1..n in
+    order, some maybe empty), where psi[k] is the psi coefficient of every
     label of block k.
 
     A boundary term is c times the sum of delta_{i:S} over every S with
@@ -126,7 +154,8 @@ def _functional(g: int, blocks: list[range], boundary, psi: list[int]) -> CurveF
     than _MAX_DENSE_ENTRIES in all (the printed functional lists them) is
     refused with BudgetExceeded: family A at i = g has about n^2/2.
     """
-    n = 2 * g - 2
+    g, n = spec.g, 2 * spec.g - 2
+    blocks, boundary, psi = _curve_terms(spec.family, g, spec.i, spec.s)
     keep = [k for k, blk in enumerate(blocks) if blk]
     # the table refuses a space with too many labels, before len() of a
     # block could overflow
@@ -154,40 +183,15 @@ def _functional(g: int, blocks: list[range], boundary, psi: list[int]) -> CurveF
 
 
 def curve_a(g: int, i: int, s: int) -> CurveFunctional:
-    validate_spec("A", g, i, s)
-    n = 2 * g - 2
-    blocks = [range(1, s + 1), range(s + 1, n + 1)]  # base | rest
-    boundary = [(i, (s, 0), -(4 * g - 2 * i - 4 - s)), (i, (s, 1), 1)]
-    return _functional(g, blocks, boundary, [0, 1])
+    return curve_functional(TestCurveSpec("A", g, i, s))
 
 
 def curve_b(g: int, i: int, s: int) -> CurveFunctional:
-    validate_spec("B", g, i, s)
-    n = 2 * g - 2
-    blocks = [range(1, s + 1), range(s + 1, s + 2), range(s + 2, n + 1)]  # base | s+1 | rest
-    boundary = [(i, (s, 0, 0), 1), (i, (s, 1, 0), -1), (0, (1, 1, 0), 1)]
-    return _functional(g, blocks, boundary, [1, 2 * i - 1 + s, 0])
+    return curve_functional(TestCurveSpec("B", g, i, s))
 
 
 def curve_c(g: int, i: int, s: int) -> CurveFunctional:
-    validate_spec("C", g, i, s)
-    n = 2 * g - 2
-    # base | s+1 | s+2 | tail
-    blocks = [range(1, s + 1), range(s + 1, s + 2), range(s + 2, s + 3), range(s + 3, n + 1)]
-    t = n - s - 2
-    boundary = [
-        (i, (s, 0, 0, 0), -1),
-        (g - i, (0, 0, 0, t), -1),
-        (0, (0, 1, 1, 0), 1),
-        (i, (s, 1, 0, 0), 1),
-        (g - i, (0, 1, 0, t), 1),
-    ]
-    return _functional(g, blocks, boundary, [0, 1, 1, 0])
-
-
-def curve_functional(spec: TestCurveSpec) -> CurveFunctional:
-    builder = {"A": curve_a, "B": curve_b, "C": curve_c}[spec.family]
-    return builder(spec.g, spec.i, spec.s)
+    return curve_functional(TestCurveSpec("C", g, i, s))
 
 
 def a_dot_qg_formula(g: int, i: int, s: int) -> int:

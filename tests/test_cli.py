@@ -19,7 +19,7 @@ from qstrata import (
     pullback_attach,
     qg_class,
 )
-from qstrata.classes import QgSolution
+from qstrata.classes import _MAX_AUDIT_SPECS, QgSolution
 from qstrata.cli import main
 from qstrata.picard import _MAX_DENSE_ENTRIES, OrbitTable, _PicardVector
 
@@ -255,6 +255,20 @@ def test_huge_genus_refused_at_once():
         assert time.perf_counter() - start < 1.0, argv
         assert (code, out) == (2, ""), argv
         assert err.getvalue().startswith("domain error:") and err.getvalue().count("\n") == 1
+
+
+def test_audit_budget():
+    # g = 331 is the first genus past the audit's limit on the specs it
+    # tries; both it and 10^6 are refused at once, before qg_class is built
+    for g in ("331", "1000000"):
+        start = time.perf_counter()
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["audit", "--g", g, "--json"])
+        assert time.perf_counter() - start < 1.0, g
+        assert (code, out) == (2, "")
+        assert err.getvalue().startswith("domain error:") and err.getvalue().count("\n") == 1
+    assert 3 * 331 * 659 <= _MAX_AUDIT_SPECS < 3 * 332 * 661
 
 
 def test_curve_label_budget():

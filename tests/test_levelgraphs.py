@@ -12,6 +12,7 @@ from qstrata import (
     DirectedLoop,
     DualGraph,
     Edge,
+    LevelGraph,
     MissingResidueState,
     MixedEdgeOrders,
     ResidueState,
@@ -243,6 +244,19 @@ def test_missing_residue_state():
     (lg,) = enumerate_level_graphs(rel)
     with pytest.raises(MissingResidueState):
         grc_admissible(lg, ResidueState({}))
+
+
+def test_level_vector_must_match_components():
+    # a chain of three components: one level per component, no more or less
+    v = Vertex(1, frozenset(), False, "yes")
+    graph = DualGraph(2, [v, v, v], [Edge(0, 1, 0, -4), Edge(1, 2, 0, -4)])
+    res = ResidueState({(0, "b"): "nonzero", (1, "b"): "nonzero"})
+    for levels in ((0, -1), (0, -1, -2, -3)):
+        with pytest.raises(BadInput):
+            grc_admissible(LevelGraph(graph, levels), res)
+    # gaps and a top level other than 0 stay accepted
+    for levels in ((0, -1, -2), (3, 1, -2)):
+        assert grc_admissible(LevelGraph(graph, levels), res).status == "inadmissible"
 
 
 def test_horizontal_condition_recorded_not_evaluated():

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from qstrata import audit, pair, qg_class, solve_qg_coefficients, valid_specs
+from qstrata import DivisorClass, audit, pair, qg_class, solve_qg_coefficients, valid_specs
+from qstrata.classes import _curve_row
+from qstrata.picard import OrbitTable
 from qstrata.testcurves import curve_functional, oracle
 
 
@@ -96,6 +99,39 @@ def test_solver_invariants(g):
     # the cross-checks fail only on the B_{i:2g-3} rows, by (g-i) 4^i
     nonzero = {k: r for k, r in sol.residuals.items() if r}
     assert nonzero == {("B", i, 2 * g - 3): (g - i) * 4**i for i in range(g)}
+
+
+@pytest.mark.parametrize("g", range(2, 13))
+def test_solver_residuals_are_the_audit_rows(g):
+    # the solver's cross-checks are the audit's B and C rows, paired with
+    # the solved coefficients instead of qg_class
+    want = {(e.spec.family, e.spec.i, e.spec.s): e.pairing - e.oracle
+            for e in audit(g).entries if e.spec.family != "A"}
+    assert _solved(g).residuals == want
+
+
+def _random_symmetric_class(g, rng):
+    """A class on Mbar_{g,2g-2} with all labels in one group and random
+    non-integer coefficients."""
+    n = 2 * g - 2
+    table = OrbitTable(g, n, (0,) * n)
+    draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    for key in table.keys():
+        table.put(key, draw())
+    return DivisorClass(g, n, draw(), [draw()], draw(), orbits=table)
+
+
+@pytest.mark.parametrize("g", range(2, 8))
+def test_solver_rows_are_the_curve_functionals(g):
+    # a solver row dotted with a symmetric class's (c_psi, c_{i:s}) is the
+    # pairing of the test curve's functional with that class
+    cls = _random_symmetric_class(g, random.Random(g))
+    unknown = {(i, s): c for (i, (s,)), c in cls.orbits.coeffs.items()}
+    unknown["psi"] = cls.group_psi[0]
+    for spec in valid_specs(g):
+        row = _curve_row(g, spec.family, spec.i, spec.s)
+        got = sum(x * unknown.get(key, 0) for key, x in row.items())
+        assert got == pair(curve_functional(spec), cls), spec
 
 
 def test_solver_jsonable():
