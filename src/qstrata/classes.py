@@ -358,7 +358,8 @@ def weierstrass_check(g: int) -> bool:
 
 
 # Most (i, s) slots, (g + 1)(2g - 1), the solver takes: g = 353 (249,570
-# slots) took 28.5 s and 507 MB peak on a 2-vCPU VM (Python 3.11), where
+# slots) took 507 MB peak and 28.5 s in one session, 54.2-61.0 s in others,
+# on a 2-vCPU VM (Python 3.11) whose speed regimes are about twofold apart;
 # g = 300 took 21-33 s and 358 MB.
 _MAX_SOLVE_SLOTS = 250_000
 
@@ -547,11 +548,10 @@ def solve_qg_coefficients(g: int) -> QgSolution:
     coefficients = {key: values[k] for k, key in enumerate(keys) if k in pinned}
     free = tuple(key for k, key in enumerate(keys) if k not in pinned)
     residuals = {}
-    for spec in valid_specs(g):
-        if spec.family != "A":
-            name = (spec.family, spec.i, spec.s)
-            paired = _dot((1, x, values[col[key]]) for key, x in _curve_row(g, *name).items())
-            residuals[name] = paired - oracle(spec)
+    for spec in valid_specs(g, "BC"):
+        name = (spec.family, spec.i, spec.s)
+        paired = _dot((1, x, values[col[key]]) for key, x in _curve_row(g, *name).items())
+        residuals[name] = paired - oracle(spec)
 
     return QgSolution(
         g=g,

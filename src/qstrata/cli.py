@@ -12,6 +12,7 @@ import argparse
 import cmath
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .classes import (
@@ -25,7 +26,7 @@ from .classes import (
 )
 from .errors import DomainError
 from .levelgraphs import DualGraph, enumerate_level_graphs, eval_pnk, grc_admissible, validate_twisted
-from .picard import DivisorClass, format_rational, pair
+from .picard import DivisorClass, _index_name, format_rational, pair
 from .strata import Signature, multidegree, quad_components
 from .testcurves import TestCurveSpec, curve_functional
 
@@ -56,6 +57,8 @@ def _complex_list(text: str) -> list[complex]:
     raise UsageError("expected a comma-separated list of finite complex numbers, got %r" % text)
 
 
+# built on the first main() call, not at import, and reused by later calls
+@cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="qstrata", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -163,8 +166,8 @@ def _class_table(d) -> str:
     for j, c in enumerate(d.psi, start=1):
         lines.append("  psi_%-3d %s" % (j, format_rational(c)))
     lines.append("  delta_0 %s" % format_rational(d.delta0))
-    for idx, c in d.sorted_boundary():
-        lines.append("  %-20s %s" % (idx, format_rational(c)))
+    for i, S, c in d.orbits._rendered():
+        lines.append("  %-20s %s" % (_index_name(i, S), c))
     return "\n".join(lines)
 
 

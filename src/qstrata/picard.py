@@ -27,13 +27,14 @@ orbit go through one router, from_terms.
 When each group of a functional lies inside one group of a class, pairing
 them is one lookup per orbit key and per group, summed over integer
 numerators; equal label groups likewise let equals compare table
-against table.  Other operands, and add, sub and scale, work over the
-dense view, which, like the per-label psi tuple, is otherwise an output
-view built on first access to `boundary` and `psi` and cached.  Building it is refused with
-BudgetExceeded, before anything is allocated, when it would hold more
-than _MAX_DENSE_ENTRIES entries; so is filling a class table with more
-orbit keys than that, and so is any space Mbar_{g,n} with more labels
-than that.
+against table.  JSON and the CLI table print from one sorted walk of the
+table's divisors, which formats each orbit's coefficient once.  The
+dense view, built from the same walk on first access to `boundary` and
+cached, serves only add, sub and scale and the pairing of a functional
+whose groups straddle the class's.  Walking more than
+_MAX_DENSE_ENTRIES divisors is refused with BudgetExceeded before
+anything is allocated; so is filling a class table with more orbit keys
+than that, and so is any space Mbar_{g,n} with more labels than that.
 
 All coefficients are fractions.Fraction; there is no floating point in
 this module.  Values are immutable after construction and all operations
@@ -49,12 +50,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, compress, product
+from itertools import chain, combinations, compress, product, repeat
 from math import comb, lcm, prod
-from operator import sub
+from operator import lt, sub
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import BudgetExceeded, DimensionMismatch, InvalidIndex, WrongGenus
+from .errors import BudgetExceeded, DimensionMismatch, DomainError, InvalidIndex, WrongGenus
 
 Rational = Fraction | int
 
@@ -113,7 +114,11 @@ class BoundaryIndex(NamedTuple):
         return frozenset(self.points)
 
     def __str__(self) -> str:
-        return "delta_{%d:{%s}}" % (self.i, ",".join(map(str, self.points)))
+        return _index_name(*self)
+
+
+def _index_name(i: int, points) -> str:
+    return "delta_{%d:{%s}}" % (i, ",".join(map(str, points)))
 
 
 # Most boundary entries a class may list densely, most orbit keys a table
@@ -168,9 +173,16 @@ def canonicalize_index(g: int, n: int, i: int, S: Iterable[int]) -> BoundaryInde
     """Return the canonical representative of delta_{i:S} on Mbar_{g,n}.
 
     Raises InvalidIndex when neither (i, S) nor (g-i, S^c) names a
-    boundary divisor, or when S repeats a label.
+    boundary divisor, or when S repeats a label.  An (i, S) already in
+    canonical form, S a strictly increasing run of int labels in 1..n, is
+    its own index; anything else takes the route through boundary_term.
     """
     points = tuple(S)
+    if type(i) is int and 0 <= i and set(map(type, points)) <= _INT and all(map(lt, points, points[1:])):
+        _check_gn(g, n)  # what boundary_term checks first
+        if ((not points or (0 < points[0] and points[-1] <= n))
+                and _class_is_valid(g, n, i, len(points)) and _keeps_side(g, i, points)):
+            return BoundaryIndex(i, points)
     S = frozenset(points)
     if len(S) != len(points):
         raise InvalidIndex("marked points %s repeat a label" % (list(points),))
@@ -360,25 +372,40 @@ class OrbitTable:
             return len(self.coeffs)  # one label per group: one divisor per orbit
         return sum(orbit_size(self.g, self.sizes, i, counts) for i, counts in self.coeffs)
 
-    def dense(self) -> dict[BoundaryIndex, Fraction]:
+    def _divisors(self):
+        """The one walk of the divisors: (i, sides, c) per orbit, sides the
+        sorted canonical side S of each divisor, once.  A key has i <= g - i,
+        so only a tie needs the side holding label 1, and a self-mirror
+        orbit, naming each divisor as S and as S^c, drops the second name."""
         _check_size(self.g, self.n, self.dense_size(), "dense boundary entries")
         g, n, groups = self.g, self.n, self.groups
-        labels, points, singles = _labels(n), range(1, n + 1), len(groups) == n
-        out = {}
-        # a canonical key has i <= g - i, so only a tie can need the mirror
+        labels, points = _labels(n), range(1, n + 1)
         for (i, counts), c in self.coeffs.items():
-            if singles:
+            if len(groups) == n:
                 # one label per group: counts marks the labels of S
-                subsets = (tuple(compress(points, counts)),)
+                sides = (tuple(compress(points, counts)),)
+            elif len(groups) == 1:
+                sides = combinations(groups[0], counts[0])  # sorted, as the group is
             else:
-                # each group's choice is sorted, so one group needs no merge
-                subsets = (parts[0] if len(parts) == 1 else tuple(sorted(chain.from_iterable(parts)))
-                           for parts in product(*map(combinations, groups, counts)))
-            for S in subsets:
-                if 2 * i == g and 1 not in S:
-                    S = tuple(sorted(labels.difference(S)))
-                out[BoundaryIndex(i, S)] = c
-        return out
+                sides = (tuple(sorted(chain.from_iterable(parts)))
+                         for parts in product(*map(combinations, groups, counts)))
+            if 2 * i == g:
+                if self_mirror(g, self.sizes, i, counts):
+                    sides = [S for S in sides if S[0] == 1]
+                else:
+                    sides = [S if S and S[0] == 1 else tuple(sorted(labels.difference(S))) for S in sides]
+            yield i, sides, c
+
+    def dense(self) -> dict[BoundaryIndex, Fraction]:
+        return {BoundaryIndex(i, S): c for i, sides, c in self._divisors() for S in sides}
+
+    def _rendered(self) -> list[tuple[int, tuple[int, ...], str]]:
+        """Every divisor as sorted (i, S, "p/q"), formatted once per orbit."""
+        rows = []
+        for i, sides, c in self._divisors():
+            rows += zip(repeat(i), sides, repeat(format_rational(c)))
+        rows.sort()
+        return rows
 
 
 def _dot(terms) -> Fraction:
@@ -402,14 +429,18 @@ def _dot(terms) -> Fraction:
 
 def _grouped(g: int, n: int, groups, total) -> OrbitTable | None:
     """A table over these label groups holding the dense entries `total`
-    ({canonical BoundaryIndex: nonzero coefficient}), or None when some
-    orbit it meets has two coefficients or misses a divisor."""
+    ((canonical BoundaryIndex, nonzero coefficient), each index once), or
+    None when some orbit it meets has two coefficients or misses a
+    divisor."""
     table = OrbitTable.of_groups(g, n, groups)
     group_of, sizes, coeffs = table._label_runs()[0], table.sizes, table.coeffs
-    for (i, S), c in total.items():
-        counts = [0] * len(sizes)
-        for p in S:
-            counts[group_of[p]] += 1
+    for (i, S), c in total:
+        if len(sizes) == 1:
+            counts = (len(S),)
+        else:
+            counts = [0] * len(sizes)
+            for p in S:
+                counts[group_of[p]] += 1
         old = coeffs.setdefault(orbit_key(g, sizes, i, counts), c)
         if old is not c and old != c:
             return None
@@ -434,11 +465,11 @@ def _from_dense(g: int, n: int, psi, boundary: Mapping) -> tuple[OrbitTable, tup
     psi = tuple(map(_frac, psi or (0,) * n))
     if len(psi) != n:
         raise DimensionMismatch("expected %d psi coefficients, one per label" % n)
-    total, rows = {}, [[] for _ in range(n + 1)]
+    total, rows = [], [[] for _ in range(n + 1)]
     for idx, c in boundary.items():
         c = _frac(c)
         if c:
-            total[idx] = c
+            total.append((idx, c))
             if idx.i == 0 and len(idx.points) == 2:
                 for j in idx.points:
                     rows[j].append(c)
@@ -458,7 +489,7 @@ class _PicardVector:
     input adapter takes a dense {canonical BoundaryIndex: coefficient}
     (`boundary`) and per-label psi, and builds a table in the coarsest
     label grouping it can check (`_from_dense`).  The dense boundary and
-    the per-label psi are output views, built on first access.
+    the per-label psi are views built on first access.
     """
 
     __slots__ = ("g", "n", "lam", "group_psi", "delta0", "orbits", "_psi", "_dense")
@@ -546,10 +577,6 @@ class _PicardVector:
                 other.lam, other.group_psi, other.delta0, other.orbits.coeffs)
         return self._coeffs() == other._coeffs()
 
-    def sorted_boundary(self) -> list[tuple[BoundaryIndex, Fraction]]:
-        """Dense boundary entries in BoundaryIndex order."""
-        return sorted(self.boundary.items())
-
     def _same_space(self, other) -> None:
         if (self.g, self.n) != (other.g, other.n):
             raise DimensionMismatch(
@@ -596,10 +623,7 @@ class _PicardVector:
             "lambda": format_rational(self.lam),
             "psi": [format_rational(c) for c in self.psi],
             "delta0": format_rational(self.delta0),
-            "boundary": [
-                {"i": idx.i, "S": list(idx.points), "c": format_rational(c)}
-                for idx, c in self.sorted_boundary()
-            ],
+            "boundary": [{"i": i, "S": list(S), "c": c} for i, S, c in self.orbits._rendered()],
         }
         return d
 
@@ -612,9 +636,17 @@ class _PicardVector:
         # entries naming the same class under mirrored indices accumulate
         boundary = {}
         for e in d["boundary"]:
-            idx = canonicalize_index(g, n, _json_int(e["i"]), [_json_int(p) for p in e["S"]])
-            c, old = parse_rational(e["c"]), boundary.get(idx)
-            boundary[idx] = c if old is None else old + c
+            i, S = _json_int(e["i"]), e["S"]
+            try:
+                idx = canonicalize_index(g, n, i, S)
+            except (DomainError, TypeError):
+                for p in S:
+                    _json_int(p)  # a float, bool or str label is a TypeError, checked first
+                raise
+            c, size = parse_rational(e["c"]), len(boundary)
+            old = boundary.setdefault(idx, c)  # one hash of idx when it is new
+            if len(boundary) == size:
+                boundary[idx] = old + c
         return cls(g, n, parse_rational(d["lambda"]), tuple(map(parse_rational, d["psi"])),
                    parse_rational(d["delta0"]), boundary)
 

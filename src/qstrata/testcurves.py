@@ -101,15 +101,16 @@ def validate_spec(family: str, g: int, i: int, s: int) -> None:
             raise InvalidSpec("family C with i=g needs s <= 2g-5")
 
 
-def valid_specs(g: int) -> Iterator[TestCurveSpec]:
-    """All admissible (family, i, s) at genus g, in deterministic order."""
-    for family in FAMILIES:
-        for i in range(0, g + 1):
-            for s in range(0, 2 * g - 1):
-                try:
-                    yield TestCurveSpec(family, g, i, s)
-                except InvalidSpec:
-                    continue
+def valid_specs(g: int, families=FAMILIES) -> Iterator[TestCurveSpec]:
+    """Every admissible spec of these families at genus g, by family, then
+    i, then s: exactly the (i, s) ranges validate_spec accepts."""
+    for family in families if g >= 2 else ():
+        top = {"A": 2 * g - 2, "B": 2 * g - 3, "C": 2 * g - 4}[family]
+        for i in range(g + 1):
+            lo = (1 if family == "C" else 2) if i == 0 else int(family == "A")
+            hi = 2 * g - 5 if i == g and family != "B" else top
+            for s in range(lo, hi + 1):
+                yield TestCurveSpec(family, g, i, s)
 
 
 def _curve_terms(family: str, g: int, i: int, s: int):

@@ -125,7 +125,8 @@ def test_bad_input_files_are_usage_errors(tmp_path):
     code, _ = run_cli(["pair", "--curve", "A:1:1", "--class", str(float_coeff)])
     assert code == 1
     # class-file integers must be JSON integers: no float or bool truncation
-    for field, value in (("g", 3.0), ("g", 2.7), ("n", True), ("i", 0.5), ("S", 1.0)):
+    for field, value in (("g", 3.0), ("g", 2.7), ("n", True), ("i", 0.5), ("S", 1.0),
+                         ("S", True), ("S", "1")):
         data = qg_class(3).to_jsonable()
         if field in ("g", "n"):
             data[field] = value
@@ -361,6 +362,26 @@ def test_large_genus_answers_from_orbits(monkeypatch):
     assert forgot.boundary_coeff(0, (5, 23)) == -q.psi_coeff(5) == -forgot.psi_coeff(5)
     assert attached.psi_coeff(1) == -q.boundary_coeff(2, (1,))
     assert attached.psi_coeff(2) == q.psi_coeff(2)
+
+
+def test_one_parser_serves_every_call(capsys):
+    # a usage error, then two subcommands, in one process: each prints what
+    # it prints with a parser of its own
+    calls = (["class", "qg", "--g", "x"], ["class", "qg", "--g", "3"],
+             ["multidegree", "--g", "2", "--d", "1,-1", "--json"])
+
+    def run(argv):
+        code = main(list(argv))
+        return (code,) + capsys.readouterr()
+
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli._build_parser.cache_clear()
+    assert [run(argv) for argv in calls] == fresh
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [1, 0, 0]
 
 
 def test_pair_accepts_class_file(tmp_path):

@@ -1,14 +1,17 @@
 """The dense class path: boundary-index validation, key order and output.
 
-`boundary_term` is the one validator of boundary indices, and the dense
-{BoundaryIndex: coefficient} view feeds JSON, the table and the
-pullbacks.  These tests pin its rejections, the output order of the
-keys, and a digest of the dense output recorded before the keys became
-named tuples.
+`boundary_term` is the one validator of boundary indices, and
+`canonicalize_index` returns input that is already canonical as it is.
+JSON and the table are printed from one sorted walk of each orbit
+table's divisors, the same walk that builds the dense
+{BoundaryIndex: coefficient} view.  These tests pin the rejections, the
+output order of the keys, the walk against the dense view, and a digest
+of the dense output recorded before the keys became named tuples.
 """
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,13 +21,15 @@ from qstrata import (
     InvalidIndex,
     QdInput,
     canonical_boundary_indices,
+    canonicalize_index,
+    curve_c,
     forget_pullback,
     logan_class,
     pullback_attach,
     qd_class,
     qg_class,
 )
-from qstrata.picard import boundary_term
+from qstrata.picard import boundary_term, format_rational, self_mirror
 
 
 @pytest.mark.parametrize("label", [0, 5, 2.0, Fraction(2), True, "1"])
@@ -109,3 +114,75 @@ def test_dense_path_output_digest():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _DENSE_PATH_DIGEST
 
+
+
+def _walk_cases():
+    """Small tables of every shape: one group, several groups and one
+    label per group, at odd and even g, a pullback and a functional."""
+    return [
+        qg_class(4),
+        qg_class(5),
+        qd_class(QdInput(4, 6, (2, 2, 1, 1, 0, 0))),
+        qd_class(QdInput(4, 6, (4, 3, 2, -1, -2, 0))),
+        logan_class(4, 6, (2, 1, 1, 0, 0, 0)),
+        logan_class(5, 8, (1, 1, 1, 1, 1, 0, 0, 0)),
+        forget_pullback(qg_class(4)),
+        pullback_attach(qd_class(QdInput(5, 8, (2, 2, 1, 1, 1, 1, 0, 0))), 1, 8),
+        curve_c(4, 2, 1),
+    ]
+
+
+def test_rendered_walk_is_the_sorted_dense_view():
+    shapes, mirrored = set(), 0
+    for cls in _walk_cases():
+        table = cls.orbits
+        dense = table.dense()
+        want = [(idx.i, idx.points, format_rational(c)) for idx, c in sorted(dense.items())]
+        assert table._rendered() == want, cls
+        # each divisor once, read back by orbit lookup over every index
+        assert len(dense) == table.dense_size()
+        indices = canonical_boundary_indices(cls.g, cls.n)
+        assert dense == {idx: c for idx in indices if (c := table.get(idx))}, cls
+        groups = len(table.groups)
+        shapes.add("one" if groups == 1 else "per-label" if groups == cls.n else "several")
+        mirrored += sum(self_mirror(cls.g, table.sizes, *key) for key in table.coeffs)
+    assert shapes == {"one", "several", "per-label"} and mirrored >= 2
+
+
+class _Int(int):
+    """An int that canonicalize_index does not take for canonical input:
+    a genus part of this type sends the call the general route."""
+
+
+def _outcome(g, n, i, S):
+    try:
+        return canonicalize_index(g, n, i, S)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_canonical_input_route_matches_the_general_route():
+    rng = random.Random(2024)
+    kinds = ("sorted", "unsorted", "mirror", "tie", "repeat", "range", "bool", "float", "str")
+    seen = set()
+    for _ in range(3000):
+        g, n, kind = rng.randint(1, 6), rng.randint(0, 8), rng.choice(kinds)
+        i = g // 2 if kind == "tie" else rng.randint(0, g)
+        S = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        if kind == "unsorted":
+            rng.shuffle(S)
+        elif kind == "mirror":
+            i, S = g - i, [p for p in range(1, n + 1) if p not in S]
+        elif kind == "repeat" and S:
+            S.insert(rng.randrange(len(S)), rng.choice(S))
+        elif kind == "range":
+            S = sorted(S + [rng.choice((0, n + 1, -1))])
+        elif kind in ("bool", "float", "str") and S:
+            k = rng.randrange(len(S))
+            S[k] = {"bool": True, "float": float(S[k]), "str": str(S[k])}[kind]
+        got = _outcome(g, n, i, S)
+        assert got == _outcome(g, n, _Int(i), S), (g, n, i, S)
+        seen.add((kind, isinstance(got, BoundaryIndex)))
+    # every kind was seen; sorted input both names a divisor and does not
+    assert {kind for kind, _ in seen} == set(kinds)
+    assert {("sorted", True), ("sorted", False), ("tie", True), ("float", False)} <= seen

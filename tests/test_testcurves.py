@@ -15,6 +15,7 @@ from qstrata import (
     pair,
     valid_specs,
 )
+from qstrata.testcurves import validate_spec
 
 
 def test_curve_a_values():
@@ -131,3 +132,19 @@ def test_valid_specs_deterministic():
     first = list(valid_specs(3))
     assert first == list(valid_specs(3))
     assert len(first) == len(set(first))
+
+
+def test_valid_specs_is_the_filtered_grid():
+    # every (family, i, s) of the 3(g+1)(2g-1) grid that validate_spec
+    # accepts, in grid order
+    for g in range(0, 13):
+        grid = []
+        for family in ("A", "B", "C"):
+            for i in range(g + 1):
+                for s in range(2 * g - 1):
+                    try:
+                        validate_spec(family, g, i, s)
+                    except InvalidSpec:
+                        continue
+                    grid.append((family, g, i, s))
+        assert [(x.family, x.g, x.i, x.s) for x in valid_specs(g)] == grid, g
