@@ -358,9 +358,9 @@ def weierstrass_check(g: int) -> bool:
 
 
 # Most (i, s) slots, (g + 1)(2g - 1), the solver takes: g = 353 (249,570
-# slots) took 507 MB peak and 28.5 s in one session, 54.2-61.0 s in others,
-# on a 2-vCPU VM (Python 3.11) whose speed regimes are about twofold apart;
-# g = 300 took 21-33 s and 358 MB.
+# slots) took 507 MB peak and 28.5-61.0 s on a 2-vCPU VM (Python 3.11)
+# whose speed drifts about twofold between periods of measurement; g = 300
+# took 21-33 s and 358 MB.
 _MAX_SOLVE_SLOTS = 250_000
 
 
