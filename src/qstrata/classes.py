@@ -55,7 +55,6 @@ from .picard import (
     format_rational,
     orbit_key,
     orbit_size,
-    pair,
     self_mirror,
 )
 from .testcurves import (
@@ -63,7 +62,7 @@ from .testcurves import (
     TestCurveSpec,
     _curve_terms,
     a_dot_qg_formula,
-    curve_functional,
+    curve_functional,  # unused here; perfbench/tracing.py traces it by this name
     oracle,
     oracle_b_dot_qg,
     valid_specs,
@@ -394,6 +393,12 @@ def _curve_row(g: int, family: str, i: int, s: int) -> dict:
     return {key: x for key, x in row.items() if x}
 
 
+def _pair_row(row: dict, slots: Mapping) -> Fraction:
+    """A _curve_row paired with a symmetric class given as {unknown: value};
+    an unknown missing from slots is 0."""
+    return _dot((1, x, slots.get(key, 0)) for key, x in row.items())
+
+
 @dataclass(frozen=True)
 class QgSolution:
     """Exact solution of the test-curve coefficient system at genus g."""
@@ -548,10 +553,10 @@ def solve_qg_coefficients(g: int) -> QgSolution:
     coefficients = {key: values[k] for k, key in enumerate(keys) if k in pinned}
     free = tuple(key for k, key in enumerate(keys) if k not in pinned)
     residuals = {}
+    slots = dict(zip(col, values))  # col lists the keys in column order
     for spec in valid_specs(g, "BC"):
         name = (spec.family, spec.i, spec.s)
-        paired = _dot((1, x, values[col[key]]) for key, x in _curve_row(g, *name).items())
-        residuals[name] = paired - oracle(spec)
+        residuals[name] = _pair_row(_curve_row(g, *name), slots) - oracle(spec)
 
     return QgSolution(
         g=g,
@@ -655,9 +660,11 @@ def audit(g: int) -> AuditReport:
             % (g, _MAX_AUDIT_SPECS)
         )
     cls = qg_class(g)
+    slots = {(i, s): c for (i, (s,)), c in cls.orbits.coeffs.items()}
+    slots["psi"] = cls.group_psi[0]
     entries = []
     for spec in valid_specs(g):
-        value = pair(curve_functional(spec), cls)
+        value = _pair_row(_curve_row(g, spec.family, spec.i, spec.s), slots)
         orc = oracle(spec)
         entries.append(AuditEntry(spec, value, orc, value == orc))
     return AuditReport(g, tuple(entries))

@@ -322,7 +322,7 @@ class OrbitTable:
         """Every canonical orbit key that names a boundary divisor."""
         g, sizes = self.g, self.sizes
         _check_size(g, self.n, (g + 1) * prod(z + 1 for z in sizes), "orbit keys")
-        for i in range(g + 1):
+        for i in range(g // 2 + 1):  # a key names the side with i <= g - i
             for counts in product(*(range(z + 1) for z in sizes)):
                 key = (i, counts)
                 if _class_is_valid(g, self.n, i, sum(counts)) and orbit_key(g, sizes, *key) == key:

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from qstrata import (
 from qstrata.picard import (
     _MAX_DENSE_ENTRIES,
     OrbitTable,
+    _class_is_valid,
     boundary_term,
     format_rational,
     orbit_key,
@@ -171,6 +174,27 @@ def test_size_limits_refuse_before_allocating():
                   lambda: OrbitTable(2, n, unread()), lambda: boundary_term(2, n, 1, ())):
         with pytest.raises(BudgetExceeded):
             build()
+
+
+@pytest.mark.parametrize("g", range(2, 9))
+def test_orbit_keys_are_the_full_walk_filtered(g):
+    # keys() walks only i <= g // 2; the walk over every i in 0..g, kept
+    # to the canonical valid keys, gives the same keys in the same order
+    rng = random.Random(g)
+    for _ in range(5):
+        weights = [rng.randint(0, 3) for _ in range(rng.randint(1, 7))]
+        table = OrbitTable(g, len(weights), weights)
+        full = [(i, counts) for i in range(g + 1)
+                for counts in product(*(range(z + 1) for z in table.sizes))
+                if _class_is_valid(g, table.n, i, sum(counts))
+                and orbit_key(g, table.sizes, i, counts) == (i, counts)]
+        assert list(table.keys()) == full, weights
+
+
+def test_orbit_keys_refuse_the_full_walk_size():
+    # (g + 1) * 2^18 keys over the limit, though the walk visits half of them
+    with pytest.raises(BudgetExceeded):
+        next(OrbitTable(3, 18, range(18)).keys())
 
 
 def test_json_schema_shape():

@@ -8,7 +8,7 @@ import pytest
 
 from qstrata import DivisorClass, audit, pair, qg_class, solve_qg_coefficients, valid_specs
 from qstrata.classes import _curve_row
-from qstrata.picard import OrbitTable
+from qstrata.picard import CurveFunctional, OrbitTable
 from qstrata.testcurves import curve_functional, oracle
 
 
@@ -185,10 +185,33 @@ def test_audit_g4_mismatches_stay_on_the_2g_minus_3_column():
 
 
 def test_audit_pairing_matches_direct_computation():
-    cls = qg_class(3)
-    for e in audit(3).entries:
-        assert e.pairing == pair(curve_functional(e.spec), cls)
-        assert e.oracle == oracle(e.spec)
+    # the audit pairs through the solver's rows; the functional route agrees
+    for g in range(2, 9):
+        cls = qg_class(g)
+        for e in audit(g).entries:
+            assert e.pairing == pair(curve_functional(e.spec), cls), e.spec
+            assert e.oracle == oracle(e.spec)
+
+
+def test_audit_builds_no_functional(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the audit built a CurveFunctional")
+
+    monkeypatch.setattr(CurveFunctional, "from_terms", refuse)
+    for g in range(2, 7):
+        assert [e.spec for e in audit(g).entries] == list(valid_specs(g))
+
+
+# sha256 of audit(g).to_json(), one line per g = 2..24, recorded when the
+# audit still paired every test curve's CurveFunctional with qg_class
+AUDIT_DIGEST = "ba47e065f15a2a09e7984bb732fda318afd94fb8e871300c8cf168a116880c6e"
+
+
+def test_audit_output_digest():
+    digest = hashlib.sha256()
+    for g in range(2, 25):
+        digest.update(audit(g).to_json().encode() + b"\n")
+    assert digest.hexdigest() == AUDIT_DIGEST
 
 
 def test_audit_report_serialization():
