@@ -22,10 +22,10 @@ system pins it.  Its time and memory grow
 about like g^2, so a system of more than _MAX_SOLVE_SLOTS (i, s) slots
 (g > 353) is refused with BudgetExceeded before any row is built.
 
-audit compares the basis pairings of every admissible test curve against
-the enumerative oracles.  The printed coefficient data is not internally
-consistent on the whole parameter range (the audit shows pairing !=
-oracle exactly on the s = 2g-3 column); the audit reports those rows
+audit pairs every admissible test curve with qg_class through those rows
+and compares it with its oracle.  The printed coefficient data is not
+internally consistent on the whole parameter range (the audit shows pairing
+!= oracle exactly on the s = 2g-3 column); the audit reports those rows
 verbatim and the solver simply does not use them.
 """
 
@@ -646,14 +646,16 @@ class AuditReport:
 
 # Most (family, i, s) specs, 3(g + 1)(2g - 1), valid_specs may try for audit:
 # g = 330 (654,387).  In one session on a 2-vCPU VM (Python 3.11), audit took
-# 48.1 s at g = 300 and 68.4 s at g = 350, and solve 61.0 s at g = 353.
+# 0.43 s at g = 50, 21.6 s at g = 300 and 24.1 s (369 MB peak) at g = 330,
+# under the 61.0 s an earlier session measured for solve at g = 353.
 _MAX_AUDIT_SPECS = 655_000
 
 
 def audit(g: int) -> AuditReport:
-    """Pair every admissible test curve against qg_class(g) and compare
-    with its oracle.  Mismatches are data, never an error.  Past g = 330
-    (_MAX_AUDIT_SPECS) it raises BudgetExceeded before building any."""
+    """Pair every admissible test curve against qg_class(g), as its _curve_row
+    dotted with the symmetric class's c_psi and c_{i:s}, and compare with its
+    oracle.  Mismatches are data, never an error.  Past g = 330
+    (_MAX_AUDIT_SPECS) it raises BudgetExceeded before pairing any."""
     if g >= 2 and len(FAMILIES) * (g + 1) * (2 * g - 1) > _MAX_AUDIT_SPECS:
         raise BudgetExceeded(
             "the audit at g=%d would try more than the limit of %d test curves"
