@@ -24,17 +24,16 @@ grouping is kept only when every orbit it meets is checked to be full and
 constant; otherwise each label is a group of its own.  Terms given per
 orbit go through one router, from_terms.
 
-When each group of a functional lies inside one group of a class, pairing
-them is one lookup per orbit key and per group, summed over integer
-numerators; equal label groups likewise let equals compare table
-against table.  JSON and the CLI table print from one sorted walk of the
-table's divisors, which formats each orbit's coefficient once.  The
-dense view, built from the same walk on first access to `boundary` and
-cached, serves only add, sub and scale and the pairing of a functional
-whose groups straddle the class's.  Walking more than
-_MAX_DENSE_ENTRIES divisors is refused with BudgetExceeded before
-anything is allocated; so is filling a class table with more orbit keys
-than that, and so is any space Mbar_{g,n} with more labels than that.
+A functional pairs with a class by walking its own divisors and looking
+each one up in the class's table, summed over integer numerators; equal
+label groups let equals compare table against table.  JSON and the CLI
+table print from the same sorted walk of the table's divisors, which
+formats each orbit's coefficient once.  The dense view, built from that
+walk on first access to `boundary` and cached, serves only add, sub and
+scale and the comparison of vectors whose label groups differ.  Walking
+more than _MAX_DENSE_ENTRIES divisors is refused with BudgetExceeded
+before anything is allocated; so is filling a class table with more orbit
+keys than that, and so is any space Mbar_{g,n} with more labels than that.
 
 All coefficients are fractions.Fraction; there is no floating point in
 this module.  Values are immutable after construction and all operations
@@ -282,7 +281,7 @@ class OrbitTable:
     CurveFunctional, which never changes it afterwards.
     """
 
-    __slots__ = ("g", "n", "groups", "weights", "sizes", "coeffs", "_runs")
+    __slots__ = ("g", "n", "groups", "weights", "sizes", "coeffs", "_group")
 
     def __init__(self, g: int, n: int, weights: Iterable[int]):
         _check_gn(g, n)
@@ -316,7 +315,7 @@ class OrbitTable:
         self.groups = groups
         self.sizes = tuple(map(len, groups))
         self.coeffs: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-        self._runs = None
+        self._group = None
 
     def keys(self):
         """Every canonical orbit key that names a boundary divisor."""
@@ -333,38 +332,27 @@ class OrbitTable:
         if c:
             self.coeffs[key] = c
 
-    def _label_runs(self):
-        """(group of each label, last label of the run of labels in the
-        same group that starts at each label), both indexed by label and
-        built on first use."""
-        if self._runs is None:
-            n = self.n
-            group_of = [-1] * (n + 1)
+    def _group_of(self) -> list[int]:
+        """The group of each label, indexed by label and built on first use."""
+        if self._group is None:
+            group_of = [-1] * (self.n + 1)
             for k, labels in enumerate(self.groups):
                 for j in labels:
                     group_of[j] = k
-            run_end = list(range(n + 1))
-            for j in range(n - 1, 0, -1):
-                if group_of[j + 1] == group_of[j]:
-                    run_end[j] = run_end[j + 1]
-            self._runs = (group_of, run_end)
-        return self._runs
+            self._group = group_of
+        return self._group
 
-    def group_map(self, blocks) -> tuple[int, ...] | None:
-        """The group holding each block of sorted labels, or None when the
-        labels from some block's first to its last are not all in one
-        group (for a run of consecutive labels: when it straddles groups)."""
-        group_of, run_end = self._label_runs()
-        if any(run_end[blk[0]] < blk[-1] for blk in blocks):
-            return None
-        return tuple(group_of[blk[0]] for blk in blocks)
+    def _counts(self, points):
+        """How many of these labels lie in each group."""
+        if len(self.sizes) == 1:
+            return (len(points),)
+        group_of, counts = self._group_of(), [0] * len(self.sizes)
+        for p in points:
+            counts[group_of[p]] += 1
+        return counts
 
     def get(self, idx: BoundaryIndex) -> Fraction:
-        group_of = self._label_runs()[0]
-        counts = [0] * len(self.sizes)
-        for p in idx.points:
-            counts[group_of[p]] += 1
-        return self.coeffs.get(orbit_key(self.g, self.sizes, idx.i, counts), Fraction(0))
+        return self.coeffs.get(orbit_key(self.g, self.sizes, idx.i, self._counts(idx.points)), Fraction(0))
 
     def dense_size(self) -> int:
         """Number of entries of the dense view, counted without building it."""
@@ -433,15 +421,9 @@ def _grouped(g: int, n: int, groups, total) -> OrbitTable | None:
     None when some orbit it meets has two coefficients or misses a
     divisor."""
     table = OrbitTable.of_groups(g, n, groups)
-    group_of, sizes, coeffs = table._label_runs()[0], table.sizes, table.coeffs
+    counts, sizes, coeffs = table._counts, table.sizes, table.coeffs
     for (i, S), c in total:
-        if len(sizes) == 1:
-            counts = (len(S),)
-        else:
-            counts = [0] * len(sizes)
-            for p in S:
-                counts[group_of[p]] += 1
-        old = coeffs.setdefault(orbit_key(g, sizes, i, counts), c)
+        old = coeffs.setdefault(orbit_key(g, sizes, i, counts(S)), c)
         if old is not c and old != c:
             return None
     # no orbit holds more entries than divisors: equal totals mean that
@@ -451,8 +433,7 @@ def _grouped(g: int, n: int, groups, total) -> OrbitTable | None:
 
 def _from_dense(g: int, n: int, psi, boundary: Mapping) -> tuple[OrbitTable, tuple]:
     """The input adapter: a dense {canonical BoundaryIndex: coefficient}
-    and per-label psi as a table in the coarsest label grouping checked to
-    be exact, and its psi per group.
+    and per-label psi as a table, and its psi per group.
 
     A label permutation that fixes the class maps the psi and
     delta_{0:{j,k}} coefficients of label j onto those of its image, so
@@ -487,9 +468,9 @@ class _PicardVector:
     The boundary part is an OrbitTable (`orbits`) and the psi coefficients
     are given one per label group (`group_psi`).  Without a table, the
     input adapter takes a dense {canonical BoundaryIndex: coefficient}
-    (`boundary`) and per-label psi, and builds a table in the coarsest
-    label grouping it can check (`_from_dense`).  The dense boundary and
-    the per-label psi are views built on first access.
+    (`boundary`) and per-label psi, and builds a table in the one candidate
+    grouping `_from_dense` checks, else with one group per label.  The
+    dense boundary and the per-label psi are views built on first access.
     """
 
     __slots__ = ("g", "n", "lam", "group_psi", "delta0", "orbits", "_psi", "_dense")
@@ -691,32 +672,20 @@ class CurveFunctional(_PicardVector):
 
     Pairing a functional with a DivisorClass is the bilinear form
     sum over basis elements of (functional value) * (class coefficient).
-    When each label group of the functional lies inside one label group of
-    the class, the class is constant on every orbit of the functional, so
-    the sum runs over the functional's orbit keys and groups, each weighted
-    by its number of divisors or labels.  Any other pair is summed entry
-    by entry over the functional's dense view.
+    The sum walks the functional's own divisors and looks each one up in
+    the class's table, whatever the label groups of either side, so it
+    costs one lookup per divisor the functional lists and builds no dense
+    view.
     """
 
     def pair(self, d: DivisorClass) -> Fraction:
         self._same_space(d)
-        into = d.orbits.group_map(self.orbits.groups)
-        if into is None:
-            total = self.lam * d.lam + self.delta0 * d.delta0
-            total += sum(a * b for a, b in zip(self.psi, d.psi))
-            for idx, c in self.boundary.items():
-                total += c * d.orbits.get(idx)
-            return total
-        g, mine, theirs = self.g, self.orbits, d.orbits
-        terms = [(1, self.lam, d.lam), (1, self.delta0, d.delta0)]
-        terms += zip(mine.sizes, self.group_psi, (d.group_psi[k] for k in into))
-        for (i, counts), c in mine.coeffs.items():
-            merged = [0] * len(theirs.sizes)
-            for k, x in zip(into, counts):
-                merged[k] += x
-            b = theirs.coeffs.get(orbit_key(g, theirs.sizes, i, merged))
-            if b:
-                terms.append((orbit_size(g, mine.sizes, i, counts), c, b))
+        get = d.orbits.get
+        terms = chain(
+            [(1, self.lam, d.lam), (1, self.delta0, d.delta0)],
+            zip(repeat(1), self.psi, d.psi),
+            ((1, c, get(BoundaryIndex(i, S))) for i, sides, c in self.orbits._divisors() for S in sides),
+        )
         return _dot(terms)
 
     def __eq__(self, other):

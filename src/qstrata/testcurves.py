@@ -44,6 +44,7 @@ orbit, as orbit size times canonical-side length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import BudgetExceeded, InvalidSpec
@@ -71,44 +72,40 @@ class TestCurveSpec:
         return "%s_{%d:%d} (g=%d)" % (self.family, self.i, self.s, self.g)
 
 
-def validate_spec(family: str, g: int, i: int, s: int) -> None:
+_S_TOP = {"A": 2, "B": 3, "C": 4}  # s <= 2g - top; s <= 2g-5 for A and C at i = g
+
+
+# cached: audit and the solver validate the spec of every row they build
+@lru_cache(maxsize=4096)
+def _s_bounds(family: str, g: int, i: int) -> tuple[int, int]:
+    """The admissible s of the family at genus g and split i, lo <= s <= hi:
+    the one statement of the ranges validate_spec and valid_specs use.
+    Raises InvalidSpec for an unknown family, g < 2 or i outside [0, g]."""
     if family not in FAMILIES:
         raise InvalidSpec("unknown family %r" % (family,))
     if g < 2:
         raise InvalidSpec("test curves need g >= 2")
     if not 0 <= i <= g:
         raise InvalidSpec("i=%d outside [0, %d]" % (i, g))
-    if family == "A":
-        if not 1 <= s <= 2 * g - 2:
-            raise InvalidSpec("family A needs 1 <= s <= 2g-2")
-        if i == g and s > 2 * g - 5:
-            raise InvalidSpec("family A with i=g needs s <= 2g-5")
-        if i == 0 and s < 2:
-            # the genus-0 side would carry two special points and be
-            # contracted onto the moving attachment point
-            raise InvalidSpec("family A with i=0 needs s >= 2")
-    elif family == "B":
-        if not 0 <= s <= 2 * g - 3:
-            raise InvalidSpec("family B needs 0 <= s <= 2g-3")
-        if i == 0 and s < 2:
-            raise InvalidSpec("family B with i=0 needs s >= 2")
-    else:
-        if not 0 <= s <= 2 * g - 4:
-            raise InvalidSpec("family C needs 0 <= s <= 2g-4")
-        if i == 0 and s < 1:
-            raise InvalidSpec("family C with i=0 needs s >= 1")
-        if i == g and s > 2 * g - 5:
-            raise InvalidSpec("family C with i=g needs s <= 2g-5")
+    # at i = 0 family A needs s >= 2: else the genus-0 side would carry two
+    # special points and be contracted onto the moving attachment point
+    if i == 0:
+        return (1 if family == "C" else 2), 2 * g - _S_TOP[family]
+    return (1 if family == "A" else 0), 2 * g - (5 if i == g and family != "B" else _S_TOP[family])
+
+
+def validate_spec(family: str, g: int, i: int, s: int) -> None:
+    lo, hi = _s_bounds(family, g, i)
+    if not lo <= s <= hi:
+        raise InvalidSpec("family %s with g=%d, i=%d needs %d <= s <= %d" % (family, g, i, lo, hi))
 
 
 def valid_specs(g: int, families=FAMILIES) -> Iterator[TestCurveSpec]:
     """Every admissible spec of these families at genus g, by family, then
     i, then s: exactly the (i, s) ranges validate_spec accepts."""
     for family in families if g >= 2 else ():
-        top = {"A": 2 * g - 2, "B": 2 * g - 3, "C": 2 * g - 4}[family]
         for i in range(g + 1):
-            lo = (1 if family == "C" else 2) if i == 0 else int(family == "A")
-            hi = 2 * g - 5 if i == g and family != "B" else top
+            lo, hi = _s_bounds(family, g, i)
             for s in range(lo, hi + 1):
                 yield TestCurveSpec(family, g, i, s)
 

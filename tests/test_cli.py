@@ -479,8 +479,30 @@ _LARGE_CLASS = st.tuples(st.integers(10, 30), st.booleans()).map(
 )
 
 
+@st.composite
+def _middle_genus(draw):
+    """`pair` and `curve` at a genus between the small draws and the refused
+    ones, with i and s drawn a little past their admissible ranges."""
+    g = draw(st.integers(7, 40))
+    curve = "%s:%d:%d" % (draw(st.sampled_from("ABC")), draw(st.integers(-1, g + 1)),
+                          draw(st.integers(-1, 2 * g)))
+    if draw(st.booleans()):
+        argv = ["curve", "--curve", curve, "--g", str(g)]
+    else:
+        # classes with at most three label groups, so that each draw is cheap
+        n = 2 * g - 2
+        klass = draw(st.sampled_from([
+            "qg:%d" % g,
+            "qd:%d:%d:%d%s" % (g, n, n, ",0" * (n - 1)),
+            "qd:%d:%d:3,-1%s" % (g, n, ",1" * (n - 2)),
+            "logan:%d:%d:%d%s" % (g, n, g, ",0" * (n - 1)),
+        ]))
+        argv = ["pair", "--curve", curve, "--class", klass]
+    return argv + ["--json"] * draw(st.booleans())
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_argv(), _LARGE_CLASS))
+@given(st.one_of(_argv(), _LARGE_CLASS, _middle_genus()))
 def test_cli_fuzz_never_tracebacks(argv):
     err = io.StringIO()
     with redirect_stderr(err):

@@ -19,11 +19,13 @@ must give the same classes, functionals, pairings, pullbacks and solver
 output.
 """
 
+import hashlib
 import json
 import random
 from fractions import Fraction
 from itertools import chain, repeat
 from math import comb
+from operator import mul
 from typing import Iterable
 
 import pytest
@@ -736,23 +738,41 @@ def _paired_classes(g):
 @pytest.mark.parametrize("g", range(2, 8))
 def test_orbit_functionals_match_dense_reference(g):
     classes_g = list(_paired_classes(g))
-    per_orbit = per_entry = 0
     for spec in valid_specs(g):
         f = curve_functional(spec)
         ref = REFERENCE_CURVES[spec.family](spec.g, spec.i, spec.s)
         assert f._psi is None
         for name, cls in classes_g:
-            if cls.orbits.group_map(f.orbits.groups) is not None:
-                per_orbit += 1
-            else:
-                per_entry += 1
             assert f.pair(cls) == ref.pair(cls), (spec, name)
         # the dense view, built last, is the reference functional
         assert f.to_jsonable() == ref.to_jsonable(), spec
         assert f == ref
-    # both pairing routes ran: orbit classes whose groups hold every block,
-    # and the dense class or groups that cut a block
-    assert per_orbit and per_entry
+
+
+# sha256 of str(f.pair(cls)), in the order of test_pair_output_digest,
+# recorded when a functional whose blocks lay inside the class's label
+# groups still paired per orbit and any other pair entry by entry over the
+# functional's dense view
+PAIR_DIGEST = "e96aa785ac7fd87c87aafef1a7715714b98ebffbab1a2d0a142126924b1eff0f"
+
+
+def test_pair_output_digest():
+    # one class whose groups hold every block, two whose groups cut blocks,
+    # and a JSON copy read back in its own grouping
+    digest = hashlib.sha256()
+    for g in range(2, 8):
+        n = 2 * g - 2
+        paired = [
+            qg_class(g),
+            qd_class(QdInput(g, n, (2, 0) * (g - 1))),
+            logan_class(g, n, (1,) * g + (0,) * (g - 2)),
+            DivisorClass.from_json(qd_class(QdInput(g, n, (3, -1) + (1,) * (n - 2))).to_json()),
+        ]
+        for spec in valid_specs(g):
+            f = curve_functional(spec)
+            for cls in paired:
+                digest.update(str(f.pair(cls)).encode())
+    assert digest.hexdigest() == PAIR_DIGEST
 
 
 def test_self_mirror_functionals():
@@ -812,7 +832,7 @@ def _no_finer(groups, than) -> bool:
 def _entry_orbit_size(table, e) -> int:
     """Number of divisors in the orbit, under the table's label groups, of
     the class-file entry e."""
-    group_of, counts = table._label_runs()[0], [0] * len(table.sizes)
+    group_of, counts = table._group_of(), [0] * len(table.sizes)
     for p in e["S"]:
         counts[group_of[p]] += 1
     return orbit_size(table.g, table.sizes, e["i"], tuple(counts))
@@ -966,10 +986,21 @@ def test_json_copy_of_large_class_stays_in_orbits(monkeypatch):
     assert len(forgot.orbits.coeffs) <= 200 and len(attached.orbits.coeffs) <= 200
     assert forgot._same(forget_pullback(q)) and attached._same(pullback_attach(q, 1, 5))
 
+    # two label groups that cut every test-curve block, paired entry by
+    # entry over dense views built here, before they are refused
+    qd = qd_class(QdInput(8, 14, (2, 0) * 7))
+    qd_dense = qd.orbits.dense()
+    want = []
+    for spec in valid_specs(8):
+        f = curve_functional(spec)
+        total = sum(map(mul, f.psi, qd.psi)) + f.lam * qd.lam + f.delta0 * qd.delta0
+        want.append(total + sum(c * qd_dense.get(idx, 0) for idx, c in f.orbits.dense().items()))
+
     def no_dense(self):
         raise AssertionError("a dense view was built")
 
     monkeypatch.setattr(OrbitTable, "dense", no_dense)
-    for spec in valid_specs(8):
+    for spec, value in zip(valid_specs(8), want):
         f = curve_functional(spec)
         assert f.pair(copy) == f.pair(q), spec
+        assert f.pair(qd) == value, spec
