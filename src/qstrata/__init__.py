@@ -12,14 +12,12 @@ three-valued residue logic.
 from .classes import (
     AuditEntry,
     AuditReport,
-    CaseSplit,
     QdInput,
     QgSolution,
     audit,
     forget_pullback,
     logan_class,
     pullback_attach,
-    qd_case_classifier,
     qd_class,
     qg_class,
     solve_qg_coefficients,
@@ -72,19 +70,14 @@ from .picard import (
 )
 from .strata import (
     ComponentCount,
-    ExponentialForm,
     Signature,
     codim_p,
     dim_stratum,
-    exponential_form,
     multidegree,
     quad_components,
 )
 from .testcurves import (
     TestCurveSpec,
-    curve_a,
-    curve_b,
-    curve_c,
     curve_functional,
     oracle,
     oracle_a_dot_qg,

@@ -189,44 +189,6 @@ def qd_class(q: QdInput) -> DivisorClass:
     return DivisorClass(g, n, lam, psi, 4 ** (g - 2), orbits=table)
 
 
-@dataclass(frozen=True)
-class CaseSplit:
-    """Outcome of splitting a signature along a boundary divisor."""
-
-    case: Optional[str]  # "A" | "B" | "C" | None
-    d_prime: tuple[int, ...]
-    d_double_prime: tuple[Fraction, ...]
-
-
-def qd_case_classifier(q: QdInput, i: int, S: Iterable[int]) -> CaseSplit:
-    """Classify the gluing-pullback case for the splitting (i, S).
-
-    d'  keeps the glued side as one weight d_S - 2i plus the untouched
-    weights; d'' is the halved companion (1 - i + d_S/2, d_j/2 ...).
-    Case A: all weights even and nonnegative and d'' integral nonnegative;
-    Case B: an odd or negative weight exists and d'' is integral
-    nonnegative; Case C: some weight inside S is odd or negative, or
-    d_S >= 2i, when neither A nor B applies.
-    """
-    S = frozenset(S)
-    canonicalize_index(q.g, q.n, i, S)  # raises InvalidIndex when no divisor
-    d_S = sum(q.d[p - 1] for p in S)
-    rest = tuple(dj for j, dj in enumerate(q.d, start=1) if j not in S)
-    d_prime = (d_S - 2 * i,) + rest
-    d_pp = (Fraction(2 - 2 * i + d_S, 2),) + tuple(Fraction(dj, 2) for dj in rest)
-    pp_ok = all(x.denominator == 1 and x >= 0 for x in d_pp)
-    all_even_nonneg = all(dj >= 0 and dj % 2 == 0 for dj in q.d)
-    if all_even_nonneg and pp_ok:
-        case = "A"
-    elif not all_even_nonneg and pp_ok:
-        case = "B"
-    elif any(q.d[p - 1] % 2 or q.d[p - 1] < 0 for p in S) or d_S >= 2 * i:
-        case = "C"
-    else:
-        case = None
-    return CaseSplit(case, d_prime, d_pp)
-
-
 def weierstrass_class() -> DivisorClass:
     """3*psi - lambda - delta_{1:{1}} on Mbar_{2,1}."""
     return DivisorClass(

@@ -152,11 +152,16 @@ def _class_from_spec(text: str) -> DivisorClass:
         return build(*map(_class_field, names, fields))
     path = Path(text)
     if path.exists():
-        try:
-            return DivisorClass.from_json(path.read_text())
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise UsageError("cannot read class file %s: %s" % (path, exc))
+        return _read_json_file(path, "class file", DivisorClass.from_json)
     raise UsageError("cannot parse class spec %r" % text)
+
+
+def _read_json_file(path: str | Path, what: str, parse):
+    """parse(file text); unreadable, malformed or too deeply nested is exit 1."""
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise UsageError("cannot read %s %s: %s" % (what, path, exc))
 
 
 def _class_table(d) -> str:
@@ -172,9 +177,13 @@ def _class_table(d) -> str:
 
 
 def _emit(args, jsonable, table) -> None:
-    """Print json.dumps(jsonable()) with --json, else table(); only the
-    requested rendering is built."""
-    print(json.dumps(jsonable()) if args.json else table())
+    """Print json.dumps(jsonable()) with --json, else table(), building only
+    that rendering; an integer too long for str() is a domain error."""
+    try:
+        text = json.dumps(jsonable()) if args.json else table()
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        raise DomainError("the result has an integer of over %d digits" % sys.get_int_max_str_digits())
+    print(text)
 
 
 def _parse_curve(text: str):
@@ -240,11 +249,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "levelgraphs":
-        try:
-            text = Path(args.input).read_text()
-            graph, residues = DualGraph.from_json(text)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise UsageError("cannot read dual graph %s: %s" % (args.input, exc))
+        graph, residues = _read_json_file(args.input, "dual graph", DualGraph.from_json)
         rel = validate_twisted(graph)
         graphs = enumerate_level_graphs(rel)
         rows = []
@@ -275,6 +280,8 @@ def _run(args) -> int:
 
     if args.command == "pnk":
         value = eval_pnk(_complex_list(args.R), args.k, budget=args.budget)
+        if not cmath.isfinite(value):
+            raise DomainError("P_{n,k} at these residues is not a finite float: %r" % value)
         _emit(args, lambda: {"k": args.k, "value": {"re": value.real, "im": value.imag}},
               lambda: "%.12g%+.12gj" % (value.real, value.imag))
         return 0

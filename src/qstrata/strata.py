@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import BadInput, BadSignature, OutOfCatalog
 
@@ -76,30 +75,6 @@ def multidegree(g: int, d: Sequence[int]) -> int:
     for x in d:
         out *= x * x
     return out
-
-
-@dataclass(frozen=True)
-class ExponentialForm:
-    """A multiplicity block written as distinct values with exponents."""
-
-    distinct_values: tuple[tuple[int, int], ...]
-    multiplicity_factor: Fraction
-
-
-def exponential_form(tail: Iterable[int]) -> ExponentialForm:
-    """Group a forgotten multiplicity block, with the 1/(a_1!...a_r!)
-    normalization used when pushing a stratum forward."""
-    values: list[int] = []
-    counts: Counter = Counter()
-    for x in tail:
-        x = int(x)
-        if x not in counts:
-            values.append(x)
-        counts[x] += 1
-    factor = Fraction(1)
-    for x in values:
-        factor /= factorial(counts[x])
-    return ExponentialForm(tuple((x, counts[x]) for x in values), factor)
 
 
 @dataclass(frozen=True)

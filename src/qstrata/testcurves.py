@@ -10,7 +10,7 @@ down by a genus split i and a marked-point split s:
 * family C: two fixed curves joined through a three-pointed rational
   bridge, with p_{s+1} sweeping the bridge.
 
-curve_a/curve_b/curve_c return the intersection numbers of the family
+curve_functional returns the intersection numbers of the family
 against the whole divisor basis as a CurveFunctional in orbit form, read
 off _curve_terms (which the coefficient solver reads too).  Each family
 splits the labels into its own blocks of consecutive labels,
@@ -178,18 +178,6 @@ def curve_functional(spec: TestCurveSpec) -> CurveFunctional:
             )
         terms.append((i, counts, c))
     return CurveFunctional.from_terms(table, 0, [psi[k] for k in keep], 0, terms)
-
-
-def curve_a(g: int, i: int, s: int) -> CurveFunctional:
-    return curve_functional(TestCurveSpec("A", g, i, s))
-
-
-def curve_b(g: int, i: int, s: int) -> CurveFunctional:
-    return curve_functional(TestCurveSpec("B", g, i, s))
-
-
-def curve_c(g: int, i: int, s: int) -> CurveFunctional:
-    return curve_functional(TestCurveSpec("C", g, i, s))
 
 
 def a_dot_qg_formula(g: int, i: int, s: int) -> int:

@@ -1,10 +1,7 @@
-from fractions import Fraction
-
 import pytest
 
 from qstrata import (
     BadSignature,
-    InvalidIndex,
     QdInput,
     boundary_class,
     forget_pullback,
@@ -12,7 +9,6 @@ from qstrata import (
     logan_class,
     psi_class,
     pullback_attach,
-    qd_case_classifier,
     qd_class,
     qg_class,
     weierstrass_check,
@@ -89,28 +85,6 @@ def test_qd_forgetful_pullback_consistency():
         assert pulled.lam == appended.lam
         assert pulled.delta0 == appended.delta0
         assert pulled.psi[: len(d)] == appended.psi[: len(d)]
-
-
-def test_case_classifier_examples():
-    split = qd_case_classifier(QdInput(2, 2, (2, 0)), 1, {1})
-    assert split.case == "A"
-    assert split.d_prime == (0, 0)
-    assert split.d_double_prime == (Fraction(1), Fraction(0))
-
-    split = qd_case_classifier(QdInput(2, 2, (3, -1)), 1, {1})
-    assert split.case == "C"
-    assert split.d_double_prime[0] == Fraction(3, 2)
-
-    with pytest.raises(InvalidIndex):
-        qd_case_classifier(QdInput(2, 2, (3, -1)), 0, ())
-
-
-def test_case_classifier_case_b():
-    # odd entry present but the halved companion stays integral
-    q = QdInput(3, 2, (3, 1))
-    split = qd_case_classifier(q, 1, {1, 2})
-    assert split.d_double_prime == (Fraction(2),)
-    assert split.case == "B"
 
 
 def test_weierstrass_class_values():

@@ -392,6 +392,35 @@ def test_pair_accepts_class_file(tmp_path):
     assert json.loads(out)["pairing"] == "32/1"
 
 
+def test_unprintable_results_and_deep_files_end_in_one_line(tmp_path):
+    # a pairing with two coprime 3,000-digit denominators is over the
+    # interpreter's 4,300-digit int-to-str limit, like 2000! is
+    data = qg_class(3).to_jsonable()
+    data["boundary"][0]["c"] = "1/%d" % (10**2999 + 1)
+    data["boundary"][1]["c"] = "1/%d" % (10**2999 + 3)
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(data))
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000 + "]" * 200_000)
+    cases = [
+        (2, ["pnk", "--k", "2", "--R", "1e308,1e308"]),
+        (2, ["pnk", "--k", "2", "--R", "1e200,-1e200,1e200"]),
+        (2, ["multidegree", "--g", "2000", "--d", ",".join(["1"] * 2000)]),
+        (2, ["pair", "--curve", "A:0:2", "--class", str(big)]),
+        (1, ["pair", "--curve", "A:1:1", "--class", str(nested)]),
+        (1, ["levelgraphs", "--input", str(nested)]),
+    ]
+    for want, argv in cases:
+        for tail in ([], ["--json"]):
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code, out = run_cli(argv + tail)
+            assert (code, out) == (want, ""), argv[:3] + tail
+            prefix = "domain error:" if want == 2 else "usage error: cannot read "
+            assert err.getvalue().startswith(prefix) and err.getvalue().count("\n") == 1
+    assert run_cli(["multidegree", "--g", "1500", "--d", ",".join(["1"] * 1500)])[0] == 0
+
+
 def test_levelgraphs_admissible_filter():
     code, out = run_cli(
         ["levelgraphs", "--input", "tests/data/ex2.json", "--admissible", "--json"]
@@ -412,6 +441,9 @@ def test_levelgraphs_list_mode():
 
 # -- argv fuzzing ------------------------------------------------------------
 
+# stands for a file of 200,000 nested JSON arrays, which the test writes once
+_NESTED = "NESTED_JSON"
+
 _INT = st.integers(-2, 6).map(str)
 # small genera, and huge ones that every command refuses at once
 _G = st.one_of(st.integers(-2, 6), st.integers(10**6, 10**12)).map(str)
@@ -430,13 +462,16 @@ _FLAG_VALUES = {
         st.builds("qg:{}".format, _G),
         st.builds("{}:{}:{}:{}".format, st.sampled_from(["qd", "logan"]),
                   st.integers(1, 4), st.integers(0, 6), _INT_LIST),
-        st.sampled_from(["weierstrass", "qg:x", "qg:", "tests/data/ex1.json", "missing.json"]),
+        st.sampled_from(["weierstrass", "qg:x", "qg:", "tests/data/ex1.json", "missing.json",
+                         _NESTED]),
     ),
     "--R": st.lists(
-        st.sampled_from(["1", "-1", "0", "2j", "1+1j", "0.5", "nan", "inf", "1e400", "x"]),
+        st.sampled_from(["1", "-1", "0", "2j", "1+1j", "0.5", "nan", "inf", "1e400", "x",
+                         "1e200", "-1e200", "1e308"]),
         max_size=5,
     ).map(",".join),
-    "--input": st.sampled_from(["tests/data/ex1.json", "tests/data/ex2.json", "missing.json"]),
+    "--input": st.sampled_from(["tests/data/ex1.json", "tests/data/ex2.json", "missing.json",
+                                _NESTED]),
 }
 _SWITCHES = ("--json", "--list", "--admissible")
 _COMMANDS = {
@@ -501,11 +536,31 @@ def _middle_genus(draw):
     return argv + ["--json"] * draw(st.booleans())
 
 
+# g! passes the interpreter's 4,300-digit int-to-str limit near g = 1,550
+_HUGE_MULTIDEGREE = st.tuples(st.integers(1500, 2500), st.booleans()).map(
+    lambda t: ["multidegree", "--g", str(t[0]), "--d", ",".join(["1"] * t[0])] + ["--json"] * t[1]
+)
+
+
+@pytest.fixture(scope="module")
+def nested_json(tmp_path_factory):
+    path = tmp_path_factory.mktemp("nested") / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    return str(path)
+
+
+def _no_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_argv(), _LARGE_CLASS, _middle_genus()))
-def test_cli_fuzz_never_tracebacks(argv):
+@given(st.one_of(_argv(), _LARGE_CLASS, _middle_genus(), _HUGE_MULTIDEGREE))
+def test_cli_fuzz_never_tracebacks(nested_json, argv):
+    argv = [nested_json if a == _NESTED else a for a in argv]
     err = io.StringIO()
     with redirect_stderr(err):
-        code, _ = run_cli(argv)
+        code, out = run_cli(argv)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue()
+    if code == 0 and "--json" in argv:
+        json.loads(out, parse_constant=_no_constant)

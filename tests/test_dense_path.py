@@ -22,7 +22,7 @@ from qstrata import (
     QdInput,
     canonical_boundary_indices,
     canonicalize_index,
-    curve_c,
+    curve_functional,
     forget_pullback,
     logan_class,
     pullback_attach,
@@ -30,6 +30,7 @@ from qstrata import (
     qg_class,
 )
 from qstrata.picard import boundary_term, format_rational, self_mirror
+from qstrata.testcurves import TestCurveSpec as CurveSpec
 
 
 @pytest.mark.parametrize("label", [0, 5, 2.0, Fraction(2), True, "1"])
@@ -128,7 +129,7 @@ def _walk_cases():
         logan_class(5, 8, (1, 1, 1, 1, 1, 0, 0, 0)),
         forget_pullback(qg_class(4)),
         pullback_attach(qd_class(QdInput(5, 8, (2, 2, 1, 1, 1, 1, 0, 0))), 1, 8),
-        curve_c(4, 2, 1),
+        curve_functional(CurveSpec("C", 4, 2, 1)),
     ]
 
 

@@ -16,7 +16,7 @@ from qstrata import (
     boundary_class,
     canonical_boundary_indices,
     canonicalize_index,
-    curve_b,
+    curve_functional,
     delta0_class,
     g2_normal_form,
     lambda_class,
@@ -33,6 +33,7 @@ from qstrata.picard import (
     orbit_key,
     parse_rational,
 )
+from qstrata.testcurves import TestCurveSpec as CurveSpec
 
 
 def test_canonicalize_examples():
@@ -93,12 +94,10 @@ def test_dimension_mismatch():
 
 
 def test_pair_examples():
-    from qstrata import curve_a
-
     zero = CurveFunctional(3, 4)
     assert pair(zero, qg_class(3)) == 0
-    assert pair(curve_a(3, 1, 2), qg_class(3)) == 0
-    assert pair(curve_a(3, 2, 2), qg_class(3)) == 64
+    assert pair(curve_functional(CurveSpec("A", 3, 1, 2)), qg_class(3)) == 0
+    assert pair(curve_functional(CurveSpec("A", 3, 2, 2)), qg_class(3)) == 64
 
 
 def test_g2_normal_form_of_lambda():
@@ -118,7 +117,7 @@ def test_g2_normal_form_fixes_delta0():
 
 
 def test_g2_pairing_blind_to_representative():
-    f = curve_b(2, 1, 0)
+    f = curve_functional(CurveSpec("B", 2, 1, 0))
     d = qg_class(2)
     assert pair(f, d) == pair(f, g2_normal_form(d))
 
@@ -225,7 +224,7 @@ def test_json_boundary_entries_accumulate_across_mirrors():
 
 
 def test_functional_json_tag():
-    f = curve_b(3, 1, 0)
+    f = curve_functional(CurveSpec("B", 3, 1, 0))
     d = f.to_jsonable()
     assert d["functional"] is True
     again = CurveFunctional.from_jsonable(d)

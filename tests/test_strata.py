@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -10,7 +9,6 @@ from qstrata import (
     Signature,
     codim_p,
     dim_stratum,
-    exponential_form,
     multidegree,
     quad_components,
 )
@@ -74,17 +72,6 @@ def test_multidegree_validation():
         multidegree(2, (1,))
     with pytest.raises(BadInput):
         multidegree(2, (1, 0))
-
-
-def test_exponential_form():
-    ef = exponential_form((1, 1, 1))
-    assert ef.distinct_values == ((1, 3),)
-    assert ef.multiplicity_factor == Fraction(1, 6)
-    ef = exponential_form((2, 2, -1))
-    assert ef.distinct_values == ((2, 2), (-1, 1))
-    assert ef.multiplicity_factor == Fraction(1, 2)
-    ef = exponential_form(())
-    assert ef.distinct_values == () and ef.multiplicity_factor == 1
 
 
 def quad(m):

@@ -3,9 +3,6 @@ import pytest
 from qstrata import (
     CurveFunctional,
     InvalidSpec,
-    curve_a,
-    curve_b,
-    curve_c,
     curve_functional,
     delta0_class,
     lambda_class,
@@ -15,11 +12,12 @@ from qstrata import (
     pair,
     valid_specs,
 )
+from qstrata.testcurves import TestCurveSpec as CurveSpec
 from qstrata.testcurves import validate_spec
 
 
 def test_curve_a_values():
-    f = curve_a(3, 1, 3)
+    f = curve_functional(CurveSpec("A", 3, 1, 3))
     assert f.boundary_coeff(1, {1, 2, 3}) == -3
     assert f.psi_coeff(4) == 1
     assert f.boundary_coeff(1, {1, 2, 3, 4}) == 1
@@ -29,15 +27,15 @@ def test_curve_a_values():
 def test_curve_a_self_intersection_identity():
     # the node-class value equals (2 - 2(g-i)) - (2g-2-s), the blow-up count
     for g, i, s in ((3, 1, 1), (3, 0, 2), (4, 2, 3), (5, 3, 2)):
-        f = curve_a(g, i, s)
+        f = curve_functional(CurveSpec("A", g, i, s))
         assert f.boundary_coeff(i, range(1, s + 1)) == (2 - 2 * (g - i)) - (2 * g - 2 - s)
 
 
 def test_curve_b_values():
-    f = curve_b(3, 1, 0)
+    f = curve_functional(CurveSpec("B", 3, 1, 0))
     assert f.boundary_coeff(1, ()) == 1  # canonical form of the empty side
     assert f.psi_coeff(1) == 1
-    f = curve_b(3, 2, 2)
+    f = curve_functional(CurveSpec("B", 3, 2, 2))
     assert f.boundary_coeff(2, {1, 2}) == 1
     assert f.boundary_coeff(2, {1, 2, 3}) == -1
     assert f.psi_coeff(3) == 5
@@ -48,15 +46,15 @@ def test_curve_b_values():
 def test_curve_b_range_check():
     # at g=2 (n=2) family B stops at s = 1
     with pytest.raises(InvalidSpec):
-        curve_b(2, 0, 2)
+        curve_functional(CurveSpec("B", 2, 0, 2))
     with pytest.raises(InvalidSpec):
-        curve_b(2, 1, 2)
-    curve_b(2, 1, 1)
-    curve_b(2, 1, 0)
+        curve_functional(CurveSpec("B", 2, 1, 2))
+    curve_functional(CurveSpec("B", 2, 1, 1))
+    curve_functional(CurveSpec("B", 2, 1, 0))
 
 
 def test_curve_c_values():
-    f = curve_c(3, 1, 1)
+    f = curve_functional(CurveSpec("C", 3, 1, 1))
     assert f.boundary_coeff(0, {2, 3}) == 1
     assert f.boundary_coeff(1, {1}) == -1
     assert f.lam == 0 and f.delta0 == 0
@@ -76,24 +74,25 @@ def test_all_functionals_blind_to_lambda_and_delta0():
 def test_coincidence_c01_is_b02():
     # needs 1 <= 2g-4, so the smallest genus carrying both curves is 3
     for g in (3, 4, 5):
-        assert curve_c(g, 0, 1) == curve_b(g, 0, 2)
+        c01 = curve_functional(CurveSpec("C", g, 0, 1))
+        assert c01 == curve_functional(CurveSpec("B", g, 0, 2))
 
 
 def test_degenerate_a_rejected():
     with pytest.raises(InvalidSpec):
-        curve_a(3, 0, 1)
+        curve_functional(CurveSpec("A", 3, 0, 1))
     with pytest.raises(InvalidSpec):
-        curve_a(3, 3, 2)  # i = g needs s <= 2g-5
+        curve_functional(CurveSpec("A", 3, 3, 2))  # i = g needs s <= 2g-5
 
 
 def test_contracted_corner_constructible():
     # moving point on a one-component curve: psi value (2i-1+s) - 1
     g = 3
-    f = curve_b(g, g, 2 * g - 3)
+    f = curve_functional(CurveSpec("B", g, g, 2 * g - 3))
     assert f.psi_coeff(2 * g - 2) == 4 * g - 5
     # the formally-listed full-set class names no divisor and is dropped
     assert isinstance(f, CurveFunctional)
-    f = curve_c(g, g, 2 * g - 5)
+    f = curve_functional(CurveSpec("C", g, g, 2 * g - 5))
     assert f.lam == 0
 
 
