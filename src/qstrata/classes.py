@@ -16,17 +16,17 @@ qg_class coefficients as an exact linear system.  Its rows are the test
 curves, read off the terms table of qstrata.testcurves, paired with the
 unknown symmetric class.  Its columns are the sorted orbit keys, so each
 i-chain c_{i:0}, c_{i:1}, ... lies on adjacent columns, with c_psi last;
-one sparse forward elimination along the chains and a back-substitution
-solve it (_solve_sparse), and a value counts as solved only when the
-system pins it.  Its time and memory grow
-about like g^2, so a system of more than _MAX_SOLVE_SLOTS (i, s) slots
-(g > 353) is refused with BudgetExceeded before any row is built.
+one fraction-free sparse forward elimination along the chains, in integers,
+and a back-substitution solve it (_solve_sparse), and a value counts as
+solved only when the system pins it.  Its time and memory grow about like
+g^2, so a system of more than _MAX_SOLVE_SLOTS (i, s) slots (g > 353) is
+refused with BudgetExceeded before any row is built.
 
-audit pairs every admissible test curve with qg_class through those rows
-and compares it with its oracle.  The printed coefficient data is not
-internally consistent on the whole parameter range (the audit shows pairing
-!= oracle exactly on the s = 2g-3 column); the audit reports those rows
-verbatim and the solver simply does not use them.
+audit pairs every test curve with qg_class through those rows, one integer
+dot product each (_pairings), and compares it with its oracle.  The printed
+data is not internally consistent on the whole parameter range (the audit
+shows pairing != oracle exactly on the s = 2g-3 column); the audit reports
+those rows verbatim and the solver simply does not use them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm, prod
 from operator import mul, sub
 from typing import Iterable, Mapping, Optional
 
@@ -50,11 +50,9 @@ from .picard import (
     DivisorClass,
     OrbitTable,
     _class_is_valid,
-    _dot,
     canonicalize_index,
     format_rational,
     orbit_key,
-    orbit_size,
     self_mirror,
 )
 from .testcurves import (
@@ -319,9 +317,9 @@ def weierstrass_check(g: int) -> bool:
 
 
 # Most (i, s) slots, (g + 1)(2g - 1), the solver takes: g = 353 (249,570
-# slots) took 507 MB peak and 28.5-61.0 s on a 2-vCPU VM (Python 3.11)
-# whose speed drifts about twofold between periods of measurement; g = 300
-# took 21-33 s and 358 MB.
+# slots): 747,289 integer rows (249,215 equations) of 2,987,720 entries and
+# 618,807 row eliminations took 22.0 s and 341 MB peak on a 2-vCPU VM
+# (Python 3.11) whose speed drifts about twofold between sessions.
 _MAX_SOLVE_SLOTS = 250_000
 
 
@@ -341,24 +339,39 @@ def _slot(g: int, n: int, i: int, s: int):
 
 
 def _curve_row(g: int, family: str, i: int, s: int) -> dict:
-    """Test curve family_{i:s} paired with the unknown symmetric class, as
-    {unknown (see _slot): nonzero integer}: orbit size x c per boundary term
-    of _curve_terms, and block size x psi per block on c_psi."""
+    """Test curve family_{i:s}, 0 <= i <= g, paired with the unknown class,
+    as {unknown (see _slot): nonzero integer}: orbit size x c per boundary
+    term of _curve_terms on its _slot, and block size x psi on c_psi."""
     blocks, boundary, psi = _curve_terms(family, g, i, s)
     sizes = tuple(map(len, blocks))
+    n = 2 * g - 2
     row = {"psi": sum(map(mul, sizes, psi))}
     for j, counts, c in boundary:
-        size = orbit_size(g, sizes, j, counts)
-        if size:  # checked first: an empty orbit may name a slot past n
-            sign, key = _slot(g, 2 * g - 2, j, sum(counts))
-            row[key] = row.get(key, 0) + sign * size * c
+        size, t = prod(map(comb, sizes, counts)), sum(counts)
+        if not size:  # checked first: an empty orbit may name a slot past n
+            continue
+        if t > n:
+            raise InvalidIndex("slot (i=%d, s=%d) out of range" % (j, t))
+        if 2 * j == g and all(2 * x == z for z, x in zip(sizes, counts)):
+            size //= 2  # a self-mirror orbit names each divisor twice
+        if 2 * j > g or (2 * j == g and 2 * t > n):
+            j, t = g - j, n - t  # the orbit key names the mirror
+        if j or t > 1:
+            row[j, t] = row.get((j, t), 0) + size * c
+        else:  # delta_{0:{x}} = -psi_x, delta_{0:{}} = 0
+            row["psi"] -= t * size * c
     return {key: x for key, x in row.items() if x}
 
 
-def _pair_row(row: dict, slots: Mapping) -> Fraction:
-    """A _curve_row paired with a symmetric class given as {unknown: value};
-    an unknown missing from slots is 0."""
-    return _dot((1, x, slots.get(key, 0)) for key, x in row.items())
+def _pairings(g: int, slots: Mapping, families=FAMILIES):
+    """(spec, pairing) per admissible test curve of these families: its
+    _curve_row dotted, in integers, with the values {unknown: value} of a
+    symmetric class over their common denominator (a missing unknown is 0)."""
+    den = lcm(*(v.denominator for v in slots.values()))
+    num = {key: v.numerator * (den // v.denominator) for key, v in slots.items()}
+    for spec in valid_specs(g, families):
+        row = _curve_row(g, spec.family, spec.i, spec.s)
+        yield spec, Fraction(sum(x * num.get(key, 0) for key, x in row.items()), den)
 
 
 @dataclass(frozen=True)
@@ -419,8 +432,11 @@ class QgSolution:
         return "\n".join(lines)
 
 
-def _sub_scaled(row: dict, other: dict, f: Fraction) -> None:
-    """row -= f * other, dropping the entries that cancel."""
+def _sub_scaled(row: dict, other: dict, f, a: int = 1) -> None:
+    """row = a * row - f * other, dropping the entries that cancel."""
+    if a != 1:
+        for j in row:
+            row[j] *= a
     for j, x in other.items():
         y = row.get(j, 0) - f * x
         if y:
@@ -429,35 +445,50 @@ def _sub_scaled(row: dict, other: dict, f: Fraction) -> None:
             del row[j]
 
 
-def _solve_sparse(rows: list[dict[int, Fraction]], rhs: list[Fraction], n_cols: int):
-    """Solve the sparse rows {column: nonzero entry} = rhs exactly; the
+def _primitive(row: dict) -> dict:
+    """The integer row divided by the gcd of its entries, in place."""
+    k = gcd(*row.values())
+    if k > 1:
+        for j in row:
+            row[j] //= k
+    return row
+
+
+def _solve_sparse(rows: list[dict], rhs: list, n_cols: int):
+    """Solve the sparse rows {column: nonzero rational} = rhs exactly; the
     rows are consumed.  Returns (pivot columns, values, pinned columns).
 
     The right-hand side is stored, negated, in column n_cols, whose unknown
-    is 1.  Forward elimination: rows wait in a bucket per leading column.
-    Column by column, the sparsest row of the bucket becomes the pivot, and
-    every other row there is reduced by it and moves to the bucket of its
-    new leading column; a row left with only column n_cols reads
-    0 = nonzero and raises SingularSystem.  Back-substitution sets the free
-    (pivotless) columns to zero and writes each value in terms of them and
-    of the constant: a value is pinned, that is fixed by the system,
-    exactly when no free column is left in it.
+    is 1, and each row is scaled to integers with no common factor.
+    Fraction-free forward elimination: rows wait in a bucket per leading
+    column.  Column by column, the sparsest row p of the bucket becomes the
+    pivot, and every other row r there becomes p[c] r - r[c] p over its
+    content, a multiple of the rational reduction with the same support, and
+    moves to the bucket of its new leading column; a row left with only
+    column n_cols reads 0 = nonzero and raises SingularSystem.
+    Back-substitution, in Fractions, sets the free (pivotless) columns to
+    zero and writes each value in terms of them and of the constant: a
+    value is pinned, that is fixed by the system, exactly when no free
+    column is left in it.
     """
     buckets = [[] for _ in range(n_cols + 1)]
     for row, b in zip(rows, rhs):
         if b:
             row[n_cols] = -b
         if row:
-            buckets[min(row)].append(row)
+            den = lcm(*(x.denominator for x in row.values()))
+            for j, x in row.items():
+                row[j] = x.numerator * (den // x.denominator)
+            buckets[min(_primitive(row))].append(row)
     pivots = {}
     for c in range(n_cols):
         if buckets[c]:
             prow = pivots[c] = min(buckets[c], key=len)
             for row in buckets[c]:
                 if row is not prow:
-                    _sub_scaled(row, prow, row[c] / prow[c])
+                    _sub_scaled(row, prow, row[c], prow[c])
                     if row:
-                        buckets[min(row)].append(row)
+                        buckets[min(_primitive(row))].append(row)
     if buckets[n_cols]:
         raise SingularSystem("chosen equations are inconsistent")
 
@@ -467,7 +498,7 @@ def _solve_sparse(rows: list[dict[int, Fraction]], rhs: list[Fraction], n_cols: 
         expr = exprs[c] = {}
         for j, x in prow.items():
             if j != c:
-                _sub_scaled(expr, exprs.get(j, {j: 1}), x / prow[c])
+                _sub_scaled(expr, exprs.get(j, {j: 1}), Fraction(x, prow[c]))
     values = [exprs.get(c, {}).get(n_cols, Fraction(0)) for c in range(n_cols)]
     return list(pivots), values, {c for c, expr in exprs.items() if expr.keys() <= {n_cols}}
 
@@ -502,11 +533,10 @@ def solve_qg_coefficients(g: int) -> QgSolution:
     psi = col["psi"] = len(keys)  # c_psi is the last column
     n_cols = psi + 1
 
-    # integer rows, made exact once: _sub_scaled divides its entries
     specs = [("A", i, s) for i in range(g + 1) for s in range(1, n + 1) if s != 2 * g - 3]
     specs += [("B", i, 0) for i in range(1, g + 1)]
-    rows = [{col[key]: Fraction(x) for key, x in _curve_row(g, *spec).items()} for spec in specs]
-    rhs = [Fraction(a_dot_qg_formula(g, i, s) if fam == "A" else oracle_b_dot_qg(g, i, s))
+    rows = [{col[key]: x for key, x in _curve_row(g, *spec).items()} for spec in specs]
+    rhs = [a_dot_qg_formula(g, i, s) if fam == "A" else oracle_b_dot_qg(g, i, s)
            for fam, i, s in specs]
     pivots, values, pinned = _solve_sparse(rows, rhs, n_cols)
     if psi not in pinned:
@@ -514,11 +544,9 @@ def solve_qg_coefficients(g: int) -> QgSolution:
     c_psi = values[psi]
     coefficients = {key: values[k] for k, key in enumerate(keys) if k in pinned}
     free = tuple(key for k, key in enumerate(keys) if k not in pinned)
-    residuals = {}
     slots = dict(zip(col, values))  # col lists the keys in column order
-    for spec in valid_specs(g, "BC"):
-        name = (spec.family, spec.i, spec.s)
-        residuals[name] = _pair_row(_curve_row(g, *name), slots) - oracle(spec)
+    residuals = {(spec.family, spec.i, spec.s): value - oracle(spec)
+                 for spec, value in _pairings(g, slots, "BC")}
 
     return QgSolution(
         g=g,
@@ -607,9 +635,8 @@ class AuditReport:
 
 
 # Most (family, i, s) specs, 3(g + 1)(2g - 1), valid_specs may try for audit:
-# g = 330 (654,387).  In one session on a 2-vCPU VM (Python 3.11), audit took
-# 0.43 s at g = 50, 21.6 s at g = 300 and 24.1 s (369 MB peak) at g = 330,
-# under the 61.0 s an earlier session measured for solve at g = 353.
+# g = 330 (654,387): 653,055 rows of 2,610,885 entries took 13.2 s and
+# 383 MB peak in the session that timed the largest solve at 22.0 s.
 _MAX_AUDIT_SPECS = 655_000
 
 
@@ -627,8 +654,7 @@ def audit(g: int) -> AuditReport:
     slots = {(i, s): c for (i, (s,)), c in cls.orbits.coeffs.items()}
     slots["psi"] = cls.group_psi[0]
     entries = []
-    for spec in valid_specs(g):
-        value = _pair_row(_curve_row(g, spec.family, spec.i, spec.s), slots)
+    for spec, value in _pairings(g, slots):
         orc = oracle(spec)
         entries.append(AuditEntry(spec, value, orc, value == orc))
     return AuditReport(g, tuple(entries))

@@ -235,9 +235,11 @@ def _run(args) -> int:
         mu = _int_list(args.mu)
         expected = args.k * (2 * args.g - 2)
         if sum(mu) != expected:
-            raise UsageError(
-                "--mu sums to %d but k(2g-2) = %d for --g %d" % (sum(mu), expected, args.g)
-            )
+            try:
+                message = "--mu sums to %d but k(2g-2) = %d for --g %d" % (sum(mu), expected, args.g)
+            except ValueError:  # past the interpreter's int-to-str digit limit
+                message = "--mu does not sum to k(2g-2) for these --g and --k"
+            raise UsageError(message)
         out = quad_components(Signature(args.k, args.g, tuple(mu)))
         _emit(args, lambda: {"count": out.count, "kind": out.kind, "notes": out.notes},
               lambda: "count %d  kind %s\n%s" % (out.count, out.kind, out.notes))

@@ -84,6 +84,15 @@ def test_exit_codes():
     # usage: inconsistent mu total
     code, _ = run_cli(["classify-stratum", "--g", "2", "--k", "2", "--mu", "1,1"])
     assert code == 1
+    # usage, on one line: k(2g-2), or the sum of --mu, past the
+    # interpreter's int-to-str digit limit
+    huge, near_limit = str(10**4000), "9" * 4299
+    for g, k, mu in ((huge, huge, "1"), ("2", "1", ",".join([near_limit] * 20))):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["classify-stratum", "--g", g, "--k", k, "--mu", mu])
+        assert (code, out) == (1, "")
+        assert err.getvalue().startswith("usage error: --mu") and err.getvalue().count("\n") == 1
     # domain: genus below the catalogue
     code, _ = run_cli(["classify-stratum", "--g", "1", "--k", "2", "--mu", "1,-1"])
     assert code == 2
@@ -517,11 +526,15 @@ _LARGE_CLASS = st.tuples(st.integers(10, 30), st.booleans()).map(
 @st.composite
 def _middle_genus(draw):
     """`pair` and `curve` at a genus between the small draws and the refused
-    ones, with i and s drawn a little past their admissible ranges."""
+    ones, with i and s drawn a little past their admissible ranges, and
+    `solve` and `audit` at g = 7..25."""
+    command = draw(st.sampled_from(["curve", "pair", "solve", "audit"]))
+    if command in ("solve", "audit"):
+        return [command, "--g", str(draw(st.integers(7, 25)))] + ["--json"] * draw(st.booleans())
     g = draw(st.integers(7, 40))
     curve = "%s:%d:%d" % (draw(st.sampled_from("ABC")), draw(st.integers(-1, g + 1)),
                           draw(st.integers(-1, 2 * g)))
-    if draw(st.booleans()):
+    if command == "curve":
         argv = ["curve", "--curve", curve, "--g", str(g)]
     else:
         # classes with at most three label groups, so that each draw is cheap

@@ -57,6 +57,7 @@ from qstrata.picard import (
     OrbitTable,
     Rational,
     _check_gn,
+    _class_is_valid,
     _frac,
     _keeps_side,
     _labels,
@@ -68,7 +69,14 @@ from qstrata.picard import (
     self_mirror,
 )
 from qstrata.testcurves import TestCurveSpec as CurveSpec
-from qstrata.testcurves import a_dot_qg_formula, oracle, oracle_b_dot_qg, validate_spec
+from qstrata.testcurves import (
+    FAMILIES,
+    _curve_terms,
+    a_dot_qg_formula,
+    oracle,
+    oracle_b_dot_qg,
+    validate_spec,
+)
 
 
 class Accumulator:
@@ -647,12 +655,92 @@ def _check_planted(rows, n_cols, x):
     pivot columns."""
     ax = [sum(a * x[c] for c, a in row.items()) for row in rows]
     got = _solve(rows, ax, n_cols, classes._solve_sparse)
-    assert got == _solve(rows, ax, n_cols, reference_pinning)
+    # the reference divides by its pivots, so it is handed Fraction entries
+    exact = [{c: Fraction(a) for c, a in row.items()} for row in rows]
+    assert got == _solve(exact, ax, n_cols, reference_pinning)
     pivots, values, pinned = got
     assert all(values[c] == 0 for c in range(n_cols) if c not in pivots)
     assert all(values[c] == x[c] for c in pinned)
     assert [sum(a * values[c] for c, a in row.items()) for row in rows] == ax
     return pivots
+
+
+def frozen_slot(g, n, i, s):
+    """The solver's slot lookup as it stood before _curve_row resolved its
+    slots inline: (sign, orbit key flattened to (i, s) or "psi")."""
+    if not (0 <= i <= g and 0 <= s <= n):
+        raise InvalidIndex("slot (i=%d, s=%d) out of range" % (i, s))
+    if not _class_is_valid(g, n, i, s):
+        return (-1 if 1 in (s, n - s) else 0), "psi"
+    j, (t,) = orbit_key(g, (n,), i, (s,))
+    return 1, (j, t)
+
+
+def frozen_curve_row(g, family, i, s):
+    """_curve_row through frozen_slot and orbit_size, one call per term."""
+    blocks, boundary, psi = _curve_terms(family, g, i, s)
+    sizes = tuple(map(len, blocks))
+    row = {"psi": sum(map(mul, sizes, psi))}
+    for j, counts, c in boundary:
+        size = orbit_size(g, sizes, j, counts)
+        if size:
+            sign, key = frozen_slot(g, 2 * g - 2, j, sum(counts))
+            row[key] = row.get(key, 0) + sign * size * c
+    return {key: x for key, x in row.items() if x}
+
+
+def _row_or_error(row_of, g, family, i, s):
+    try:
+        return row_of(g, family, i, s)
+    except (InvalidIndex, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("g", range(2, 13))
+def test_curve_row_matches_frozen_slot_route(g):
+    # the whole (i, s) grid of each family, inadmissible s included: family
+    # B at s = n names a slot past n, family C at s >= n - 1 a negative count
+    n = 2 * g - 2
+    errors = set()
+    for family in FAMILIES:
+        for i in range(g + 1):
+            for s in range(n + 1):
+                want = _row_or_error(frozen_curve_row, g, family, i, s)
+                got = _row_or_error(classes._curve_row, g, family, i, s)
+                assert got == want, (family, i, s)
+                if isinstance(got, dict):
+                    assert all(type(x) is int for x in got.values())
+                else:
+                    errors.add((family, s - n, got))
+    assert errors == {("B", 0, InvalidIndex), ("C", -1, ValueError), ("C", 0, ValueError)}
+
+
+def test_integer_elimination_matches_reference():
+    # integer rows with entries up to 2^200, each row times a content > 1,
+    # so the fraction-free reduction meets long integers and common factors
+    rng = random.Random(21)
+    dropped = inconsistent = 0
+    for trial in range(300):
+        n_rows, n_cols = rng.randint(2, 7), rng.randint(1, 7)
+        big = 2 ** rng.choice((3, 64, 200))
+        rows = []
+        for _ in range(n_rows):
+            content = rng.choice((2, 6, 2**61 - 1, 10**30))
+            row = {c: content * rng.randint(-big, big) for c in range(n_cols) if rng.random() < 0.6}
+            rows.append({c: x for c, x in row.items() if x})
+        if trial % 3 == 0:  # rank drop: the last row combines the first two
+            p, q = rng.choice((1, -3, 7)), rng.choice((2, 5, -10**20))
+            rows[-1] = {c: p * rows[0].get(c, 0) + q * rows[1].get(c, 0) for c in range(n_cols)}
+            rows[-1] = {c: x for c, x in rows[-1].items() if x}
+        x = [rng.randint(-big, big) for _ in range(n_cols)]
+        dropped += len(_check_planted(rows, n_cols, x)) < n_rows
+
+        drawn = [rng.randint(-big, big) for _ in range(n_rows)]
+        exact = [{c: Fraction(a) for c, a in row.items()} for row in rows]
+        got = _solve(rows, drawn, n_cols, classes._solve_sparse)
+        assert got == _solve(exact, drawn, n_cols, reference_pinning)
+        inconsistent += got is None
+    assert dropped > 50 and inconsistent > 50
 
 
 def test_sparse_rref_matches_dense_on_random_systems():
