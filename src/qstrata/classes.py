@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 from typing import Iterable, Mapping, Optional
 
 from .errors import (
@@ -145,45 +145,36 @@ def qd_class(q: QdInput) -> DivisorClass:
     """Class of the stratum divisor with signature (d, 2^(g-1)) on Mbar_{g,n}."""
     g, n, d = q.g, q.n, q.d
     table = OrbitTable(g, n, d)
+    weights, sizes = table.weights, table.sizes
     # the groups of odd-or-negative labels
-    bad = [k for k, w in enumerate(table.weights) if w % 2 or w < 0]
+    bad = [k for k, w in enumerate(weights) if w % 2 or w < 0]
+    held = itemgetter(*bad) if bad else None
+    top = 4 ** (g - 1)  # 2^(2g-3) over the denominator 2
+    # each coefficient in integers over one denominator, one Fraction per key
     for key in table.keys():
-        i1, counts = key
-        d1 = sum(w * c for w, c in zip(table.weights, counts))
+        i, counts = key
+        d1 = sum(map(mul, weights, counts))
+        x = d1 - 2 * i
         if not bad:
-            i2, d2 = g - i1, 2 * g - 2 - d1
-            if d1 >= 2 * i1:
-                big_i, big_d = i1, d1
-            elif d2 >= 2 * i2:
-                big_i, big_d = i2, d2
-            else:  # impossible for even d: would force d_S = 2i - 1
-                raise AssertionError("even signature with no dominant side")
-            x = big_d - 2 * big_i
-            c = -Fraction(x + 2, 8) * (4 * (4**big_i - 1) + x * (4**g - 1))
+            if x < 0:  # for even d then x <= -2, and the other side has x' = -x - 2 >= 0
+                i, x = g - i, -x - 2
+            num, den = -(x + 2) * (4 * (4**i - 1) + x * (4**g - 1)), 8
         else:
-            if all(counts[k] == table.sizes[k] for k in bad):
-                side = (i1, d1)
-            elif not any(counts[k] for k in bad):
-                side = (g - i1, 2 * g - 2 - d1)
-            else:
-                side = None
-            if side is None:
-                x = d1 - 2 * i1  # invariant under swapping the representative
-                c = -_pow2(2 * g - 3) * x * (x + 2)
-            else:
-                ii, dd = side
-                x = dd - 2 * ii
-                if x >= 0:
-                    c = -(x + 2) * (_pow2(2 * g - 3) * x + _pow2(2 * ii - 1))
-                else:
-                    c = -_pow2(2 * g - 3) * x * (x + 2)
-        table.put(key, c)
+            # the side holding every odd-or-negative label, if one does
+            side = i if held(counts) == held(sizes) else None
+            if not any(map(counts.__getitem__, bad)):
+                side, x = g - i, -x - 2
+            # x(x + 2) is invariant under swapping the representative
+            num, den = -top * x * (x + 2), 2
+            if side is not None and x >= 0:
+                num = -(x + 2) * (top * x + 4**side)
+        table.put(key, Fraction(num, den))
     if not bad:
         lam = -(4**g - 1)
-        psi = [Fraction((4**g - 1) * w * (w + 2), 8) for w in table.weights]
+        psi = [Fraction((4**g - 1) * w * (w + 2), 8) for w in weights]
     else:
         lam = -(4**g)
-        psi = [_pow2(2 * g - 3) * w * (w + 2) for w in table.weights]
+        psi = [_pow2(2 * g - 3) * w * (w + 2) for w in weights]
     return DivisorClass(g, n, lam, psi, 4 ** (g - 2), orbits=table)
 
 

@@ -26,7 +26,7 @@ from .classes import (
 )
 from .errors import DomainError
 from .levelgraphs import DualGraph, enumerate_level_graphs, eval_pnk, grc_admissible, validate_twisted
-from .picard import DivisorClass, _index_name, format_rational, pair
+from .picard import DivisorClass, format_rational, pair
 from .strata import Signature, multidegree, quad_components
 from .testcurves import TestCurveSpec, curve_functional
 
@@ -171,8 +171,9 @@ def _class_table(d) -> str:
     for j, c in enumerate(d.psi, start=1):
         lines.append("  psi_%-3d %s" % (j, format_rational(c)))
     lines.append("  delta_0 %s" % format_rational(d.delta0))
-    for i, S, c in d.orbits._rendered():
-        lines.append("  %-20s %s" % (_index_name(i, S), c))
+    label = list(map(str, range(d.n + 1))).__getitem__
+    lines += ["  %-20s %s" % ("delta_{%d:{%s}}" % (i, ",".join(map(label, S))), c)
+              for i, S, c in d.orbits._rendered()]
     return "\n".join(lines)
 
 
@@ -180,7 +181,7 @@ def _emit(args, jsonable, table) -> None:
     """Print json.dumps(jsonable()) with --json, else table(), building only
     that rendering; an integer too long for str() is a domain error."""
     try:
-        text = json.dumps(jsonable()) if args.json else table()
+        text = json.dumps(jsonable(), check_circular=False) if args.json else table()
     except ValueError:  # past the interpreter's int-to-str digit limit
         raise DomainError("the result has an integer of over %d digits" % sys.get_int_max_str_digits())
     print(text)

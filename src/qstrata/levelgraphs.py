@@ -505,10 +505,14 @@ def eval_pnk(residues: Sequence[complex], k: int, budget: int = 4096) -> complex
     if k < 1:
         raise BadInput("need k >= 1")
     n = len(residues)
-    if k**n > budget:
-        raise BudgetExceeded(
-            "k^n = %d exceeds the configured budget %d" % (k**n, budget)
-        )
+    bits = n * (k.bit_length() - 1)  # k^n has more bits than this
+    if bits >= budget.bit_length() or k**n > budget:  # a huge k^n is refused unbuilt
+        message = "k^n, of over %d bits, exceeds the configured budget" % bits
+        try:  # k^n itself, where it is short enough to build and to print
+            message = "k^n = %d exceeds the configured budget %d" % (k**n, budget) if bits < 20_000 else message
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            pass
+        raise BudgetExceeded(message)
     root_sets = []
     for value in residues:
         value = complex(value)

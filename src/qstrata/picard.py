@@ -17,12 +17,15 @@ the groups, named by the genus part i and how many labels of each group S
 holds; psi is stored once per group too.  A closed-form class groups
 labels of equal weight, a test-curve functional groups them into its own
 blocks of consecutive labels, and a pullback adds or splits off one
-group.  A dense {BoundaryIndex: coefficient}, given as `boundary=` or
+group.  A dense {canonical (i, S): coefficient}, given as `boundary=` or
 read from JSON, takes one input route: its labels are grouped by what a
 label symmetry must preserve (psi_j and the delta_{0:{j,k}} row), and the
 grouping is kept only when every orbit it meets is checked to be full and
-constant; otherwise each label is a group of its own.  Terms given per
-orbit go through one router, from_terms.
+constant; otherwise each label is a group of its own.  Each entry finds
+its orbit by one integer code (OrbitTable._orbit_code), decoded once per
+orbit.  The JSON reader keys a canonical entry, as qstrata writes them,
+as the plain (i, S); any other goes through canonicalize_index.  Terms
+given per orbit go through one router, from_terms.
 
 A functional pairs with a class by walking its own divisors and looking
 each one up in the class's table, summed over integer numerators; equal
@@ -39,7 +42,7 @@ All coefficients are fractions.Fraction; there is no floating point in
 this module.  Values are immutable after construction and all operations
 are pure, so everything here is safe to share between threads.  The
 writes after construction are the cached views (the dense boundary, the
-per-label psi and a table's label index): threads that race to build one
+per-label psi and a table's orbit code): threads that race to build one
 build equal values, and each stores a complete one with a single
 assignment.
 """
@@ -113,11 +116,7 @@ class BoundaryIndex(NamedTuple):
         return frozenset(self.points)
 
     def __str__(self) -> str:
-        return _index_name(*self)
-
-
-def _index_name(i: int, points) -> str:
-    return "delta_{%d:{%s}}" % (i, ",".join(map(str, points)))
+        return "delta_{%d:{%s}}" % (self.i, ",".join(map(str, self.points)))
 
 
 # Most boundary entries a class may list densely, most orbit keys a table
@@ -168,20 +167,27 @@ def _keeps_side(g: int, i: int, S) -> bool:
     return i < g - i or (2 * i == g and 1 in S)
 
 
+def _is_canonical(g: int, n: int, i, S) -> bool:
+    """Is (i, S) on Mbar_{g,n}, g >= 2, a canonical side as it stands: i an
+    int, S a strictly increasing sequence of int labels in 1..n on the kept
+    side (see BoundaryIndex), with at least two labels at genus 0?"""
+    return (type(i) is int and _INT.issuperset(map(type, S)) and all(map(lt, S, S[1:]))
+            and (0 < S[0] and S[-1] <= n if S else 0 < 2 * i < g)
+            and (0 < 2 * i < g or i == 0 and len(S) > 1 or 2 * i == g and S[0] == 1))
+
+
 def canonicalize_index(g: int, n: int, i: int, S: Iterable[int]) -> BoundaryIndex:
     """Return the canonical representative of delta_{i:S} on Mbar_{g,n}.
 
     Raises InvalidIndex when neither (i, S) nor (g-i, S^c) names a
     boundary divisor, or when S repeats a label.  An (i, S) already in
-    canonical form, S a strictly increasing run of int labels in 1..n, is
-    its own index; anything else takes the route through boundary_term.
+    canonical form (_is_canonical) is its own index; anything else takes
+    the route through boundary_term.
     """
     points = tuple(S)
-    if type(i) is int and 0 <= i and set(map(type, points)) <= _INT and all(map(lt, points, points[1:])):
+    if _is_canonical(g, n, i, points):
         _check_gn(g, n)  # what boundary_term checks first
-        if ((not points or (0 < points[0] and points[-1] <= n))
-                and _class_is_valid(g, n, i, len(points)) and _keeps_side(g, i, points)):
-            return BoundaryIndex(i, points)
+        return BoundaryIndex(i, points)
     S = frozenset(points)
     if len(S) != len(points):
         raise InvalidIndex("marked points %s repeat a label" % (list(points),))
@@ -281,7 +287,7 @@ class OrbitTable:
     CurveFunctional, which never changes it afterwards.
     """
 
-    __slots__ = ("g", "n", "groups", "weights", "sizes", "coeffs", "_group")
+    __slots__ = ("g", "n", "groups", "weights", "sizes", "coeffs", "_code")
 
     def __init__(self, g: int, n: int, weights: Iterable[int]):
         _check_gn(g, n)
@@ -315,7 +321,7 @@ class OrbitTable:
         self.groups = groups
         self.sizes = tuple(map(len, groups))
         self.coeffs: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-        self._group = None
+        self._code = None
 
     def keys(self):
         """Every canonical orbit key that names a boundary divisor."""
@@ -332,27 +338,35 @@ class OrbitTable:
         if c:
             self.coeffs[key] = c
 
-    def _group_of(self) -> list[int]:
-        """The group of each label, indexed by label and built on first use."""
-        if self._group is None:
-            group_of = [-1] * (self.n + 1)
-            for k, labels in enumerate(self.groups):
+    def _orbit_code(self):
+        """(code, key), built on first use: code(i, S) names the orbit of
+        delta_{i:S}, (i, S) a canonical side, by one integer, and key(code)
+        is its orbit_key.  Each group has a digit wide enough for its size,
+        in group order, so the labels of S sum to its counts read as digits,
+        with i above them; on a tie (2i = g) the code keeps the smaller of S
+        and S^c, as orbit_key does, since digit order is tuple order."""
+        if self._code is None:
+            g, width, bits = self.g, len(self.groups), max(self.sizes).bit_length()
+            shifts = range(bits * (width - 1), -1, -bits)
+            weight = [0] * (self.n + 1)
+            for labels, shift in zip(self.groups, shifts):
                 for j in labels:
-                    group_of[j] = k
-            self._group = group_of
-        return self._group
+                    weight[j] = 1 << shift
+            full, top, mask, digit = sum(weight), bits * width, (1 << bits) - 1, weight.__getitem__
 
-    def _counts(self, points):
-        """How many of these labels lie in each group."""
-        if len(self.sizes) == 1:
-            return (len(points),)
-        group_of, counts = self._group_of(), [0] * len(self.sizes)
-        for p in points:
-            counts[group_of[p]] += 1
-        return counts
+            def code(i, S):
+                c = sum(map(digit, S)) if width > 1 else len(S)
+                return i << top | (min(c, full - c) if 2 * i == g else c)
+
+            def key(value):
+                return value >> top, tuple([value >> shift & mask for shift in shifts])
+
+            self._code = code, key
+        return self._code
 
     def get(self, idx: BoundaryIndex) -> Fraction:
-        return self.coeffs.get(orbit_key(self.g, self.sizes, idx.i, self._counts(idx.points)), Fraction(0))
+        code, key = self._orbit_code()
+        return self.coeffs.get(key(code(*idx)), Fraction(0))
 
     def dense_size(self) -> int:
         """Number of entries of the dense view, counted without building it."""
@@ -368,15 +382,21 @@ class OrbitTable:
         _check_size(self.g, self.n, self.dense_size(), "dense boundary entries")
         g, n, groups = self.g, self.n, self.groups
         labels, points = _labels(n), range(1, n + 1)
+
+        listed = {}
+
+        def subsets(j, k):  # this walk's k-subsets of group j, listed when first met
+            return listed.get((j, k)) or listed.setdefault((j, k), tuple(combinations(groups[j], k)))
+
         for (i, counts), c in self.coeffs.items():
             if len(groups) == n:
                 # one label per group: counts marks the labels of S
                 sides = (tuple(compress(points, counts)),)
             elif len(groups) == 1:
-                sides = combinations(groups[0], counts[0])  # sorted, as the group is
+                sides = subsets(0, counts[0])  # sorted, as the group is
             else:
-                sides = (tuple(sorted(chain.from_iterable(parts)))
-                         for parts in product(*map(combinations, groups, counts)))
+                parts = product(*map(subsets, range(len(groups)), counts))
+                sides = map(tuple, map(sorted, map(chain.from_iterable, parts)))
             if 2 * i == g:
                 if self_mirror(g, self.sizes, i, counts):
                     sides = [S for S in sides if S[0] == 1]
@@ -417,22 +437,24 @@ def _dot(terms) -> Fraction:
 
 def _grouped(g: int, n: int, groups, total) -> OrbitTable | None:
     """A table over these label groups holding the dense entries `total`
-    ((canonical BoundaryIndex, nonzero coefficient), each index once), or
-    None when some orbit it meets has two coefficients or misses a
-    divisor."""
+    ((canonical (i, S), nonzero coefficient), each index once), or None
+    when some orbit it meets has two coefficients or misses a divisor."""
     table = OrbitTable.of_groups(g, n, groups)
-    counts, sizes, coeffs = table._counts, table.sizes, table.coeffs
-    for (i, S), c in total:
-        old = coeffs.setdefault(orbit_key(g, sizes, i, counts(S)), c)
-        if old is not c and old != c:
-            return None
+    if total:
+        code, key = table._orbit_code()
+        coeffs = {}
+        for (i, S), c in total:
+            old = coeffs.setdefault(code(i, S), c)
+            if old is not c and old != c:
+                return None
+        table.coeffs = {key(k): c for k, c in coeffs.items()}
     # no orbit holds more entries than divisors: equal totals mean that
     # every orbit met is full
     return table if table.dense_size() == len(total) else None
 
 
 def _from_dense(g: int, n: int, psi, boundary: Mapping) -> tuple[OrbitTable, tuple]:
-    """The input adapter: a dense {canonical BoundaryIndex: coefficient}
+    """The input adapter: a dense {canonical (i, S) tuple: coefficient}
     and per-label psi as a table, and its psi per group.
 
     A label permutation that fixes the class maps the psi and
@@ -451,8 +473,9 @@ def _from_dense(g: int, n: int, psi, boundary: Mapping) -> tuple[OrbitTable, tup
         c = _frac(c)
         if c:
             total.append((idx, c))
-            if idx.i == 0 and len(idx.points) == 2:
-                for j in idx.points:
+            i, S = idx
+            if i == 0 and len(S) == 2:
+                for j in S:
                     rows[j].append(c)
     by_row = {}
     for j in range(1, n + 1):
@@ -609,21 +632,27 @@ class _PicardVector:
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_jsonable())
+        return json.dumps(self.to_jsonable(), check_circular=False)  # a tree of lists and dicts
 
     @classmethod
     def from_jsonable(cls, d: Mapping):
         g, n = _json_int(d["g"]), _json_int(d["n"])
         # entries naming the same class under mirrored indices accumulate
-        boundary = {}
+        boundary, checked = {}, False
         for e in d["boundary"]:
-            i, S = _json_int(e["i"]), e["S"]
-            try:
-                idx = canonicalize_index(g, n, i, S)
-            except (DomainError, TypeError):
-                for p in S:
-                    _json_int(p)  # a float, bool or str label is a TypeError, checked first
-                raise
+            # once an entry has checked (g, n), a canonical one is its own key
+            if (checked and type(i := e["i"]) is int and type(S := e["S"]) is list
+                    and _is_canonical(g, n, i, S)):
+                idx = (i, tuple(S))
+            else:
+                i, S = _json_int(e["i"]), e["S"]
+                try:
+                    idx = canonicalize_index(g, n, i, S)
+                except (DomainError, TypeError):
+                    for p in S:
+                        _json_int(p)  # a float, bool or str label is a TypeError, checked first
+                    raise
+                checked = True
             c, size = parse_rational(e["c"]), len(boundary)
             old = boundary.setdefault(idx, c)  # one hash of idx when it is new
             if len(boundary) == size:
@@ -745,7 +774,7 @@ def g2_normal_form(d: DivisorClass) -> DivisorClass:
         raise WrongGenus("normal form uses the genus-2 relation, got g=%d" % d.g)
     if not d.lam:
         return d
-    relation = delta0_class(2, d.n).scale(Fraction(1, 10)).add(
-        genus1_boundary_sum(2, d.n).scale(Fraction(1, 5))
-    )
-    return d.sub(lambda_class(2, d.n).scale(d.lam)).add(relation.scale(d.lam))
+    # the relation delta_0/10 + (genus-1 classes)/5 - lambda = 0, added lambda times
+    genus1 = genus1_boundary_sum(2, d.n).boundary
+    relation = DivisorClass(2, d.n, -1, None, Fraction(1, 10), dict.fromkeys(genus1, Fraction(1, 5)))
+    return d._combine(relation, d.lam)

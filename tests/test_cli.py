@@ -93,6 +93,13 @@ def test_exit_codes():
             code, out = run_cli(["classify-stratum", "--g", g, "--k", k, "--mu", mu])
         assert (code, out) == (1, "")
         assert err.getvalue().startswith("usage error: --mu") and err.getvalue().count("\n") == 1
+    # domain, on one line: a --k whose k^n is too long to print
+    for k in (str(10**3999), "9" * 4000):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["pnk", "--k", k, "--R", "1,2"])
+        assert (code, out) == (2, "")
+        assert err.getvalue().startswith("domain error: k^n") and err.getvalue().count("\n") == 1
     # domain: genus below the catalogue
     code, _ = run_cli(["classify-stratum", "--g", "1", "--k", "2", "--mu", "1,-1"])
     assert code == 2
@@ -460,7 +467,7 @@ _INT_LIST = st.lists(st.integers(-4, 6), max_size=6).map(lambda xs: ",".join(map
 _FLAG_VALUES = {
     "--g": _G,
     "--n": _INT,
-    "--k": _INT,
+    "--k": st.one_of(_INT, st.sampled_from([str(10**3999), "-" + "9" * 4000])),
     "--d": _INT_LIST,
     "--mu": _INT_LIST,
     "--budget": st.sampled_from(["-1", "0", "1", "64", "4096"]),

@@ -361,6 +361,28 @@ def test_pnk_budget():
         eval_pnk([1, 1, 1, 1, 1, 1, 1], 4)  # 4^7 > 4096
     eval_pnk([1, 1, 1], 4)
     eval_pnk([1, 1, 1, 1, 1, 1, 1], 4, budget=4**7)
+    # the bit-length bound refuses exactly when k^n > budget, with the
+    # message that prints k^n
+    for k in range(1, 10):
+        for n in range(6):
+            for budget in (-1, 0, 1, 2, 3, 7, 8, 9, 63, 64, 65, 511, 512, 600):
+                try:
+                    eval_pnk([0] * n, k, budget=budget)
+                except BudgetExceeded as exc:
+                    assert k**n > budget, (k, n, budget)
+                    assert str(exc) == "k^n = %d exceeds the configured budget %d" % (k**n, budget)
+                else:
+                    assert k**n <= budget, (k, n, budget)
+    # a power too large to print is refused by its bit count, unbuilt
+    class Unpowered(int):
+        def __pow__(self, other):
+            raise AssertionError("k^n was built")
+
+    for k, n in ((10**3999, 2), (10**3999, 100_000), (2**20_000, 1)):
+        with pytest.raises(BudgetExceeded, match=r"^k\^n, of over \d+ bits, exceeds"):
+            eval_pnk([1] * n, Unpowered(k))
+    with pytest.raises(BudgetExceeded, match=r"^k\^n = 1\d{3999} exceeds"):
+        eval_pnk([1], 10**3999)
 
 
 def exact_pnk(residues, k):

@@ -23,12 +23,13 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from math import comb
-from operator import mul
+from operator import lt, mul
 from typing import Iterable
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qstrata import (
     BoundaryIndex,
@@ -36,6 +37,7 @@ from qstrata import (
     CurveFunctional,
     DimensionMismatch,
     DivisorClass,
+    DomainError,
     InvalidIndex,
     QdInput,
     SingularSystem,
@@ -59,6 +61,7 @@ from qstrata.picard import (
     _check_gn,
     _class_is_valid,
     _frac,
+    _json_int,
     _keeps_side,
     _labels,
     boundary_term,
@@ -109,7 +112,10 @@ class Accumulator:
         self.psi[j - 1] += _frac(c)
 
     def add_boundary(self, i: int, S: Iterable[int], c: Rational) -> None:
-        kind, payload = boundary_term(self.g, self.n, i, S)
+        self.add_term(*boundary_term(self.g, self.n, i, S), c)
+
+    def add_term(self, kind: str, payload, c: Rational) -> None:
+        """Add c times the symbol boundary_term classified as (kind, payload)."""
         if kind == "delta":
             c = _frac(c)
             old = self.boundary.get(payload)
@@ -158,6 +164,35 @@ def reference_pullback_attach(d: DivisorClass, h: int, attach_label: int = 1) ->
             continue
         acc.add_boundary(side_i - h, side_S, c)
     return acc.divisor_class()
+
+
+def reference_pullbacks_attach(d: DivisorClass, h: int) -> list[DivisorClass]:
+    """reference_pullback_attach(d, h, j) for j = 1..n, from one walk of the
+    dense view: the term an entry maps to depends only on the side that
+    holds j, so each side is classified once and added to the pullback at
+    every label it holds."""
+    if h < 1:
+        raise DimensionMismatch("attached genus must be >= 1")
+    target_g = d.g - h
+    if target_g < 2:
+        raise DimensionMismatch(
+            "pullback target genus %d is below 2" % (target_g,)
+        )
+    accs = [Accumulator(target_g, d.n) for _ in range(d.n)]
+    for j, acc in enumerate(accs, start=1):
+        acc.add_lambda(d.lam)
+        acc.add_delta0(d.delta0)
+        for m in range(1, d.n + 1):
+            if m != j:
+                acc.add_psi(m, d.psi[m - 1])
+    labels = _labels(d.n)
+    for idx, c in d.boundary.items():
+        for side_i, side_S in ((idx.i, idx.points), (d.g - idx.i, labels.difference(idx.points))):
+            if side_i >= h:
+                term = boundary_term(target_g, d.n, side_i - h, side_S)
+                for j in side_S:
+                    accs[j - 1].add_term(*term, c)
+    return [acc.divisor_class() for acc in accs]
 
 
 def reference_forget_pullback(d: DivisorClass) -> DivisorClass:
@@ -920,7 +955,8 @@ def _no_finer(groups, than) -> bool:
 def _entry_orbit_size(table, e) -> int:
     """Number of divisors in the orbit, under the table's label groups, of
     the class-file entry e."""
-    group_of, counts = table._group_of(), [0] * len(table.sizes)
+    group_of = {j: k for k, labels in enumerate(table.groups) for j in labels}
+    counts = [0] * len(table.sizes)
     for p in e["S"]:
         counts[group_of[p]] += 1
     return orbit_size(table.g, table.sizes, e["i"], tuple(counts))
@@ -960,15 +996,25 @@ def test_pullbacks_match_dense_reference(name, build):
         assert _same_as(forget_pullback(d), ref)
     assert _same_as(forget_pullback(changed), reference_forget_pullback(changed))
     for h in range(1, cls.g - 1):
-        for j in range(1, cls.n + 1):
-            ref = reference_pullback_attach(cls, h, j)
+        refs, changed_refs = reference_pullbacks_attach(cls, h), reference_pullbacks_attach(changed, h)
+        for j, ref, changed_ref in zip(range(1, cls.n + 1), refs, changed_refs):
             assert _same_as(pullback_attach(cls, h, j), ref), (h, j)
             # the reference, built through the input adapter, reads in a
             # grouping no finer than the JSON copy's pullback
             got = pullback_attach(copy, h, j)
             assert _no_finer(ref.orbits.groups, got.orbits.groups) and _same_as(got, ref), (h, j)
-            ref = reference_pullback_attach(changed, h, j)
-            assert _same_as(pullback_attach(changed, h, j), ref), (h, j)
+            assert _same_as(pullback_attach(changed, h, j), changed_ref), (h, j)
+
+
+def test_attach_references_agree():
+    # the one walk per h gives the per-label reference's pullbacks
+    for cls in (qg_class(4), qd_class(QdInput(4, 6, (3, 3, 1, -1, -1, 1))),
+                _per_label_copy(logan_class(4, 6, (2, 1, 1, 0, 0, 0)))):
+        for h in range(1, cls.g - 1):
+            for j, got in enumerate(reference_pullbacks_attach(cls, h), start=1):
+                assert got._coeffs() == reference_pullback_attach(cls, h, j)._coeffs(), (h, j)
+    with pytest.raises(DimensionMismatch):
+        reference_pullbacks_attach(qg_class(3), 2)
 
 
 @pytest.mark.parametrize("g", [4, 6])
@@ -1092,3 +1138,268 @@ def test_json_copy_of_large_class_stays_in_orbits(monkeypatch):
         f = curve_functional(spec)
         assert f.pair(copy) == f.pair(q), spec
         assert f.pair(qd) == value, spec
+
+
+# -- the class-file reader, frozen -------------------------------------------
+#
+# The reader as it was before the integer orbit code: every entry through
+# canonicalize_index, then the input adapter's candidate grouping checked by
+# per-label counts and orbit_key.
+
+
+def frozen_canonicalize_index(g, n, i, S):
+    points = tuple(S)
+    if type(i) is int and 0 <= i and set(map(type, points)) <= {int} and all(map(lt, points, points[1:])):
+        _check_gn(g, n)  # what boundary_term checks first
+        if ((not points or (0 < points[0] and points[-1] <= n))
+                and _class_is_valid(g, n, i, len(points)) and _keeps_side(g, i, points)):
+            return BoundaryIndex(i, points)
+    S = frozenset(points)
+    if len(S) != len(points):
+        raise InvalidIndex("marked points %s repeat a label" % (list(points),))
+    kind, idx = boundary_term(g, n, i, S)
+    if kind != "delta":
+        raise InvalidIndex(
+            "(i=%d, S=%s) is not a boundary divisor on Mbar_{%d,%d}" % (i, sorted(S), g, n)
+        )
+    return idx
+
+
+def frozen_grouped(g, n, groups, total):
+    table = OrbitTable.of_groups(g, n, groups)
+    group_of = [-1] * (n + 1)
+    for k, labels in enumerate(table.groups):
+        for j in labels:
+            group_of[j] = k
+
+    def counts(points):
+        if len(table.sizes) == 1:
+            return (len(points),)
+        out = [0] * len(table.sizes)
+        for p in points:
+            out[group_of[p]] += 1
+        return out
+
+    for (i, S), c in total:
+        old = table.coeffs.setdefault(orbit_key(g, table.sizes, i, counts(S)), c)
+        if old is not c and old != c:
+            return None
+    return table if table.dense_size() == len(total) else None
+
+
+def frozen_from_dense(g, n, psi, boundary):
+    psi = tuple(map(_frac, psi or (0,) * n))
+    if len(psi) != n:
+        raise DimensionMismatch("expected %d psi coefficients, one per label" % n)
+    total, rows = [], [[] for _ in range(n + 1)]
+    for idx, c in boundary.items():
+        c = _frac(c)
+        if c:
+            total.append((idx, c))
+            if idx.i == 0 and len(idx.points) == 2:
+                for j in idx.points:
+                    rows[j].append(c)
+    by_row = {}
+    for j in range(1, n + 1):
+        by_row.setdefault((psi[j - 1], tuple(sorted(rows[j]))), []).append(j)
+    table = len(by_row) < n and frozen_grouped(g, n, map(tuple, by_row.values()), total)
+    table = table or frozen_grouped(g, n, [(j,) for j in range(1, n + 1)], total)
+    return table, tuple(psi[labels[0] - 1] for labels in table.groups)
+
+
+def frozen_from_jsonable(cls, d):
+    g, n = _json_int(d["g"]), _json_int(d["n"])
+    boundary = {}
+    for e in d["boundary"]:
+        i, S = _json_int(e["i"]), e["S"]
+        try:
+            idx = frozen_canonicalize_index(g, n, i, S)
+        except (DomainError, TypeError):
+            for p in S:
+                _json_int(p)
+            raise
+        c, size = parse_rational(e["c"]), len(boundary)
+        old = boundary.setdefault(idx, c)
+        if len(boundary) == size:
+            boundary[idx] = old + c
+    lam, psi, delta0 = (parse_rational(d["lambda"]), tuple(map(parse_rational, d["psi"])),
+                        parse_rational(d["delta0"]))
+    _check_gn(g, n)  # what the dense constructor checked first
+    orbits, group_psi = frozen_from_dense(g, n, psi, boundary or {})
+    return cls(g, n, lam, group_psi, delta0, orbits=orbits)
+
+
+def _read_both(cls, data):
+    """The library's reading of a class file and the frozen reader's, each
+    the vector read or the (type, message) of what it raised."""
+    out = []
+    for read in (cls.from_jsonable, lambda d: frozen_from_jsonable(cls, d)):
+        try:
+            out.append(read(json.loads(json.dumps(data))))
+        except Exception as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def _same_reading(got, ref):
+    return (got.orbits.groups, got.orbits.coeffs, got.group_psi, got.to_json()) == (
+        ref.orbits.groups, ref.orbits.coeffs, ref.group_psi, ref.to_json())
+
+
+_READER_POOL = []
+
+
+def _reader_pool():
+    """Small classes of every kind the library builds, with their vector
+    type: closed forms, pullbacks of them, per-label copies and test-curve
+    functionals."""
+    if not _READER_POOL:
+        qd = qd_class(QdInput(4, 6, (3, 3, 1, -1, -1, 1)))
+        classes_ = [qg_class(g) for g in (2, 3, 4, 5)]
+        classes_ += [qd_class(QdInput(g, len(d), d)) for g, d in QD_SIGNATURES if g <= 4]
+        classes_ += [logan_class(g, len(d), d) for g, d in LOGAN_SIGNATURES if g <= 4]
+        classes_ += [forget_pullback(qd), pullback_attach(qd, 1, 6), pullback_attach(qg_class(5), 2, 3),
+                     forget_pullback(qg_class(3)), _per_label_copy(qd)]
+        _READER_POOL.extend((DivisorClass, c) for c in classes_)
+        _READER_POOL.extend((CurveFunctional, curve_functional(CurveSpec(fam, 4, i, s)))
+                            for fam, i, s in (("A", 1, 2), ("A", 2, 3), ("B", 2, 0), ("C", 1, 1)))
+    return _READER_POOL
+
+
+def _mirror(g, n, i, S):
+    return g - i, [p for p in range(1, n + 1) if p not in S]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reader_matches_frozen_reader(data):
+    cls, vec = data.draw(st.sampled_from(_reader_pool()))
+    rng = data.draw(st.randoms(use_true_random=False))
+    doc = vec.to_jsonable()
+    g, n = doc["g"], doc["n"]
+    mirror, split, zeros = (rng.random() * rate for rate in (0.5, 0.3, 0.1))
+    entries = []
+    for e in doc["boundary"]:
+        i, S, c = e["i"], e["S"], parse_rational(e["c"])
+        if rng.random() < split:
+            # part of c on the canonical entry, the rest on its mirror
+            a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            entries += [{"i": i, "S": S, "c": format_rational(a)}]
+            i, S, c = *_mirror(g, n, i, S), c - a
+        elif rng.random() < mirror:
+            i, S = _mirror(g, n, i, S)
+        if rng.random() < 0.05:
+            S = rng.sample(S, len(S))  # the labels out of order
+        entries.append({"i": i, "S": S, "c": format_rational(c)})
+    indices = canonical_boundary_indices(g, n)
+    for _ in range(int(zeros * len(indices))):
+        idx = rng.choice(indices)
+        i, S = idx.i, list(idx.points)
+        if rng.random() < 0.5:
+            i, S = _mirror(g, n, i, S)
+        entries.append({"i": i, "S": S, "c": rng.choice(["0/1", "0", "0/3"])})
+    rng.shuffle(entries)
+    doc["boundary"] = entries
+    got, ref = _read_both(cls, doc)
+    assert isinstance(ref, cls), ref
+    assert _same_reading(got, ref)
+    # splits, mirrors and zeros leave the class as it was
+    assert got._coeffs() == vec._coeffs()
+
+
+_BAD_LABELS = (True, False, 1.0, 2.5, "1", None, [1], 0, -1, 99)
+_BAD_I = (None, 1.0, "1", True, -1, 99)
+
+
+def _malformed(doc, at):
+    """(what, copy of the class file) with entry `at` made malformed in each
+    way a hand-written file can be."""
+    n = doc["n"]
+    e = doc["boundary"][at]
+
+    def edited(**fields):
+        copy = json.loads(json.dumps(doc))
+        entry = copy["boundary"][at]
+        for key, value in fields.items():
+            if value is _DROP:
+                del entry[key]
+            else:
+                entry[key] = value
+        return copy
+
+    for label in _BAD_LABELS:
+        yield "label %r" % (label,), edited(S=sorted(e["S"][1:] + [label], key=str))
+        yield "label %r first" % (label,), edited(S=[label] + e["S"])
+    yield "repeated label", edited(S=e["S"] + e["S"][-1:])
+    yield "label past n", edited(S=e["S"] + [n + 1])
+    for i in _BAD_I:
+        yield "i %r" % (i,), edited(i=i)
+    for field in ("i", "S", "c"):
+        yield "no %s" % field, edited(**{field: _DROP})
+    for S in (5, "12", {"1": 1}, [[1, 2]]):
+        yield "S %r" % (S,), edited(S=S)
+    yield "S and i", edited(S=[2.0], i=1.5)
+    yield "float c", edited(c=0.5)
+    yield "zero denominator", edited(c="1/0")
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize("name, build", [
+    ("qg:4", lambda: qg_class(4)),
+    ("qd:4", lambda: qd_class(QdInput(4, 6, (3, 3, 1, -1, -1, 1)))),
+    ("functional", lambda: curve_functional(CurveSpec("B", 3, 1, 1))),
+])
+def test_malformed_files_read_as_before(name, build):
+    vec = build()
+    cls = type(vec)
+    doc = vec.to_jsonable()
+    seen = 0
+    for at in (0, len(doc["boundary"]) // 2, len(doc["boundary"]) - 1):
+        for what, bad in _malformed(doc, at):
+            got, ref = _read_both(cls, bad)
+            if isinstance(ref, tuple):
+                assert got == ref, (at, what)
+                seen += 1
+            else:
+                assert _same_reading(got, ref), (at, what)
+    assert seen > 60
+    # a bad (g, n) together with a bad first entry, and with an empty boundary
+    for g, n in ((1, doc["n"]), (doc["g"], 0), (-3, -1), (doc["g"], _MAX_DENSE_ENTRIES + 1)):
+        for what, bad in chain([("good", doc)], _malformed(doc, 0)):
+            bad = dict(bad, g=g, n=n)
+            got, ref = _read_both(cls, bad)
+            assert isinstance(ref, tuple) and got == ref, (g, n, what)
+        got, ref = _read_both(cls, dict(doc, g=g, n=n, boundary=[], psi=["1/1"]))
+        assert got == ref, (g, n)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 6])
+def test_orbit_code_names_the_orbit_key(g):
+    # every canonical (i, S) under random label groupings, every tie (2i = g)
+    # among them: the code decodes to orbit_key of the side's counts
+    rng = random.Random(g)
+    ties = 0
+    for n in range(1, 9):
+        for _ in range(4):
+            labels = list(range(1, n + 1))
+            rng.shuffle(labels)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+            groups = sorted(tuple(sorted(labels[a:b])) for a, b in zip([0] + cuts, cuts + [n]))
+            table = OrbitTable.of_groups(g, n, groups)
+            code, key = table._orbit_code()
+            where = {j: k for k, part in enumerate(groups) for j in part}
+            for i in range(g // 2 + 1):
+                for size in range(n + 1):
+                    for S in combinations(range(1, n + 1), size):
+                        if not (_class_is_valid(g, n, i, size) and _keeps_side(g, i, S)):
+                            continue
+                        counts = [0] * len(groups)
+                        for p in S:
+                            counts[where[p]] += 1
+                        want = orbit_key(g, table.sizes, i, counts)
+                        assert key(code(i, S)) == want, (groups, i, S)
+                        ties += 2 * i == g
+    assert ties > 100 or g % 2
+
