@@ -23,6 +23,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations, repeat
 from math import comb
 from operator import lt, mul
@@ -1246,24 +1247,20 @@ def _same_reading(got, ref):
         ref.orbits.groups, ref.orbits.coeffs, ref.group_psi, ref.to_json())
 
 
-_READER_POOL = []
-
-
+@cache
 def _reader_pool():
     """Small classes of every kind the library builds, with their vector
     type: closed forms, pullbacks of them, per-label copies and test-curve
     functionals."""
-    if not _READER_POOL:
-        qd = qd_class(QdInput(4, 6, (3, 3, 1, -1, -1, 1)))
-        classes_ = [qg_class(g) for g in (2, 3, 4, 5)]
-        classes_ += [qd_class(QdInput(g, len(d), d)) for g, d in QD_SIGNATURES if g <= 4]
-        classes_ += [logan_class(g, len(d), d) for g, d in LOGAN_SIGNATURES if g <= 4]
-        classes_ += [forget_pullback(qd), pullback_attach(qd, 1, 6), pullback_attach(qg_class(5), 2, 3),
-                     forget_pullback(qg_class(3)), _per_label_copy(qd)]
-        _READER_POOL.extend((DivisorClass, c) for c in classes_)
-        _READER_POOL.extend((CurveFunctional, curve_functional(CurveSpec(fam, 4, i, s)))
-                            for fam, i, s in (("A", 1, 2), ("A", 2, 3), ("B", 2, 0), ("C", 1, 1)))
-    return _READER_POOL
+    qd = qd_class(QdInput(4, 6, (3, 3, 1, -1, -1, 1)))
+    classes_ = [qg_class(g) for g in (2, 3, 4, 5)]
+    classes_ += [qd_class(QdInput(g, len(d), d)) for g, d in QD_SIGNATURES if g <= 4]
+    classes_ += [logan_class(g, len(d), d) for g, d in LOGAN_SIGNATURES if g <= 4]
+    classes_ += [forget_pullback(qd), pullback_attach(qd, 1, 6), pullback_attach(qg_class(5), 2, 3),
+                 forget_pullback(qg_class(3)), _per_label_copy(qd)]
+    functionals = [curve_functional(CurveSpec(fam, 4, i, s))
+                   for fam, i, s in (("A", 1, 2), ("A", 2, 3), ("B", 2, 0), ("C", 1, 1))]
+    return [(DivisorClass, c) for c in classes_] + [(CurveFunctional, f) for f in functionals]
 
 
 def _mirror(g, n, i, S):
@@ -1309,6 +1306,7 @@ def test_reader_matches_frozen_reader(data):
 
 _BAD_LABELS = (True, False, 1.0, 2.5, "1", None, [1], 0, -1, 99)
 _BAD_I = (None, 1.0, "1", True, -1, 99)
+_DROP = object()  # a field _malformed deletes
 
 
 def _malformed(doc, at):
@@ -1341,9 +1339,6 @@ def _malformed(doc, at):
     yield "S and i", edited(S=[2.0], i=1.5)
     yield "float c", edited(c=0.5)
     yield "zero denominator", edited(c="1/0")
-
-
-_DROP = object()
 
 
 @pytest.mark.parametrize("name, build", [
