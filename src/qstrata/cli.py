@@ -267,18 +267,17 @@ def _run(args) -> int:
             rows.append(row)
         if args.admissible:
             rows = [r for r in rows if r["status"] == "admissible"]
-        if args.json:
-            print(json.dumps({"k": graph.k, "count": len(rows), "graphs": rows}))
-        else:
+
+        def table():
             lines = ["%d level graph(s)" % len(rows)]
             for row in rows:
                 desc = "levels " + ",".join(map(str, row["levels"]))
                 if "status" in row:
-                    desc += "  " + row["status"]
-                    for cond in row["conditions"]:
-                        desc += "\n    " + cond
+                    desc += "  " + row["status"] + "".join("\n    " + c for c in row["conditions"])
                 lines.append(desc)
-            print("\n".join(lines))
+            return "\n".join(lines)
+
+        _emit(args, lambda: {"k": graph.k, "count": len(rows), "graphs": rows}, table)
         return 0
 
     if args.command == "pnk":

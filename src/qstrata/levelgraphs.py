@@ -43,6 +43,7 @@ from .errors import (
     MissingResidueState,
     MixedEdgeOrders,
 )
+from .picard import _json_list
 
 ZERO, NONZERO, UNKNOWN = "zero", "nonzero", "unknown"
 _STATES = (ZERO, NONZERO, UNKNOWN)
@@ -109,19 +110,20 @@ class DualGraph:
         vertices = [
             Vertex(
                 genus=_json_value(v["genus"], "genus"),
-                marked=frozenset(_json_value(p, "marked label") for p in v.get("marked", ())),
+                marked=frozenset(_json_value(p, "marked label")
+                                 for p in _json_list(v.get("marked", []))),
                 has_marked_pole=_json_value(v.get("pole", False), "pole", bool),
                 is_kth_power=str(v.get("kth_power", "unknown")).lower(),
             )
-            for v in data["vertices"]
+            for v in _json_list(data["vertices"])
         ]
         edges = [
             Edge(*(_json_value(e[f], f) for f in ("a", "b", "ord_a", "ord_b")))
-            for e in data["edges"]
+            for e in _json_list(data["edges"])
         ]
         graph = cls(_json_value(data["k"], "k"), vertices, edges)
         states = {}
-        for r in data.get("residues", ()):
+        for r in _json_list(data.get("residues", [])):
             side = str(r["side"]).lower()
             state = str(r["state"]).lower()
             if side not in ("a", "b"):

@@ -28,15 +28,15 @@ as the plain (i, S); any other goes through canonicalize_index.  Terms
 given per orbit go through one router, from_terms.
 
 A functional pairs with a class by walking its own divisors and looking
-each one up in the class's table, summed over integer numerators; equal
-label groups let equals compare table against table.  JSON and the CLI
-table print from the same sorted walk of the table's divisors, which
-formats each orbit's coefficient once.  The dense view, built from that
-walk on first access to `boundary` and cached, serves only add, sub and
-scale and the comparison of vectors whose label groups differ.  Walking
-more than _MAX_DENSE_ENTRIES divisors is refused with BudgetExceeded
-before anything is allocated; so is filling a class table with more orbit
-keys than that, and so is any space Mbar_{g,n} with more labels than that.
+each one up in the class's table; equal label groups let equals compare
+table against table.  JSON and the CLI table print from the same sorted
+walk of the table's divisors, which formats each orbit's coefficient
+once.  The dense view, built from that walk on first access to `boundary`
+and cached, serves only add, sub and scale and the comparison of vectors
+whose label groups differ.  Walking more than _MAX_DENSE_ENTRIES divisors
+is refused with BudgetExceeded before anything is allocated; so is filling
+a class table with more orbit keys than that, and so is any space
+Mbar_{g,n} with more labels than that.
 
 All coefficients are fractions.Fraction; there is no floating point in
 this module.  Values are immutable after construction and all operations
@@ -53,8 +53,8 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, compress, product, repeat
-from math import comb, lcm, prod
-from operator import lt, sub
+from math import comb, prod
+from operator import lt, mul, sub
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BudgetExceeded, DimensionMismatch, DomainError, InvalidIndex, WrongGenus
@@ -76,6 +76,12 @@ def _frac(x: Rational) -> Fraction:
 def _json_int(x) -> int:
     if type(x) is not int:  # bool is an int subclass, float a silent truncation
         raise TypeError("expected an integer, got %r" % (x,))
+    return x
+
+
+def _json_list(x) -> list:
+    if type(x) is not list:  # an object or a string would read as its keys or characters
+        raise TypeError("expected an array, got %s" % type(x).__name__)
     return x
 
 
@@ -180,14 +186,9 @@ def canonicalize_index(g: int, n: int, i: int, S: Iterable[int]) -> BoundaryInde
     """Return the canonical representative of delta_{i:S} on Mbar_{g,n}.
 
     Raises InvalidIndex when neither (i, S) nor (g-i, S^c) names a
-    boundary divisor, or when S repeats a label.  An (i, S) already in
-    canonical form (_is_canonical) is its own index; anything else takes
-    the route through boundary_term.
+    boundary divisor, or when S repeats a label.
     """
     points = tuple(S)
-    if _is_canonical(g, n, i, points):
-        _check_gn(g, n)  # what boundary_term checks first
-        return BoundaryIndex(i, points)
     S = frozenset(points)
     if len(S) != len(points):
         raise InvalidIndex("marked points %s repeat a label" % (list(points),))
@@ -205,8 +206,9 @@ def boundary_term(g: int, n: int, i: int, S: Iterable[int]):
 
     Returns ("delta", BoundaryIndex) for an actual boundary divisor,
     ("psi", j) for the degenerate singleton case delta_{0:{j}} = -psi_j,
-    and ("zero", None) for delta_{0:{}} which is no divisor at all.
-    Anything else raises InvalidIndex.
+    and ("zero", None) for delta_{0:{}} (or its mirror), which is no
+    divisor at all.  An i outside 0..g or a label outside 1..n raises
+    InvalidIndex.
     """
     _check_gn(g, n)
     S = frozenset(S)
@@ -222,16 +224,13 @@ def boundary_term(g: int, n: int, i: int, S: Iterable[int]):
         if _keeps_side(g, i, S):
             return ("delta", BoundaryIndex(i, tuple(sorted(S))))
         return ("delta", BoundaryIndex(g - i, tuple(sorted(labels - S))))
-    rest = n - len(S)
     if i == 0 and len(S) == 1:
         return ("psi", next(iter(S)))
-    if i == g and rest == 1:
+    if i == g and n - len(S) == 1:
         return ("psi", next(iter(labels - S)))
-    if (i == 0 and not S) or (i == g and not rest):
-        return ("zero", None)
-    raise InvalidIndex(
-        "(i=%d, S=%s) names no boundary divisor on Mbar_{%d,%d}" % (i, sorted(S), g, n)
-    )
+    # an invalid side has i = 0 and |S| < 2 or i = g and n - |S| < 2; the
+    # one-label cases are psi above, so S is empty at i = 0 or full at i = g
+    return ("zero", None)
 
 
 def canonical_boundary_indices(g: int, n: int) -> list[BoundaryIndex]:
@@ -414,25 +413,6 @@ class OrbitTable:
             rows += zip(repeat(i), sides, repeat(format_rational(c)))
         rows.sort()
         return rows
-
-
-def _dot(terms) -> Fraction:
-    """Exact sum of m * a * b over (m, a, b), m an int and a, b rationals:
-    an integer numerator over the common denominator, made into one
-    Fraction at the end."""
-    num, den = 0, 1
-    for m, a, b in terms:
-        if a and b:
-            p, q = a.as_integer_ratio()
-            r, t = b.as_integer_ratio()
-            q *= t
-            if q == den:
-                num += m * p * r
-            else:
-                common = lcm(den, q)
-                num = num * (common // den) + m * p * r * (common // q)
-                den = common
-    return Fraction(num, den)
 
 
 def _grouped(g: int, n: int, groups, total) -> OrbitTable | None:
@@ -637,9 +617,11 @@ class _PicardVector:
     @classmethod
     def from_jsonable(cls, d: Mapping):
         g, n = _json_int(d["g"]), _json_int(d["n"])
+        if cls is DivisorClass and d.get("functional"):  # d had "g": a JSON object
+            raise TypeError("the file holds a curve functional, not a divisor class")
         # entries naming the same class under mirrored indices accumulate
         boundary, checked = {}, False
-        for e in d["boundary"]:
+        for e in _json_list(d["boundary"]):
             # once an entry has checked (g, n), a canonical one is its own key
             if (checked and type(i := e["i"]) is int and type(S := e["S"]) is list
                     and _is_canonical(g, n, i, S)):
@@ -652,13 +634,14 @@ class _PicardVector:
                     for p in S:
                         _json_int(p)  # a float, bool or str label is a TypeError, checked first
                     raise
+                _json_list(S)  # "" or {} would name the empty set
                 checked = True
             c, size = parse_rational(e["c"]), len(boundary)
             old = boundary.setdefault(idx, c)  # one hash of idx when it is new
             if len(boundary) == size:
                 boundary[idx] = old + c
-        return cls(g, n, parse_rational(d["lambda"]), tuple(map(parse_rational, d["psi"])),
-                   parse_rational(d["delta0"]), boundary)
+        return cls(g, n, parse_rational(d["lambda"]),
+                   tuple(map(parse_rational, _json_list(d["psi"]))), parse_rational(d["delta0"]), boundary)
 
     def __repr__(self):
         # no dense view: a large class must still print
@@ -710,12 +693,10 @@ class CurveFunctional(_PicardVector):
     def pair(self, d: DivisorClass) -> Fraction:
         self._same_space(d)
         get = d.orbits.get
-        terms = chain(
-            [(1, self.lam, d.lam), (1, self.delta0, d.delta0)],
-            zip(repeat(1), self.psi, d.psi),
-            ((1, c, get(BoundaryIndex(i, S))) for i, sides, c in self.orbits._divisors() for S in sides),
-        )
-        return _dot(terms)
+        total = self.lam * d.lam + self.delta0 * d.delta0 + sum(map(mul, self.psi, d.psi))
+        for i, sides, c in self.orbits._divisors():
+            total += c * sum(get(BoundaryIndex(i, S)) for S in sides)
+        return total
 
     def __eq__(self, other):
         if not isinstance(other, CurveFunctional):

@@ -2,6 +2,9 @@ import pytest
 
 from qstrata import (
     BadSignature,
+    DimensionMismatch,
+    InvalidIndex,
+    WrongGenus,
     QdInput,
     boundary_class,
     forget_pullback,
@@ -11,6 +14,7 @@ from qstrata import (
     pullback_attach,
     qd_class,
     qg_class,
+    solve_qg_coefficients,
     weierstrass_check,
     weierstrass_class,
     weierstrass_pullback,
@@ -136,3 +140,18 @@ def test_qd_random_signatures_construct():
             assert cls.lam == -(4**g - 1)
         else:
             assert cls.lam == -(4**g)
+
+
+def test_classes_refusals():
+    with pytest.raises(BadSignature):
+        QdInput(1, 1, (0,))  # below genus 2
+    d = qg_class(4)
+    for h in (0, 3):  # no genus attached; a target below genus 2
+        with pytest.raises(DimensionMismatch):
+            pullback_attach(d, h)
+    with pytest.raises(InvalidIndex):
+        pullback_attach(d, 1, d.n + 1)
+    with pytest.raises(WrongGenus):
+        weierstrass_pullback(2)
+    with pytest.raises(InvalidIndex):
+        solve_qg_coefficients(3).get(0, 99)

@@ -221,6 +221,104 @@ def test_bad_input_files_are_usage_errors(tmp_path):
     assert "edge 1 side b" in err.getvalue()
 
 
+def refused(argv, code):
+    """Run the CLI and check that it ends in exit `code`, one stderr line and
+    no stdout; return that line."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        got, out = run_cli(argv)
+    assert (got, out) == (code, ""), argv
+    assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+    return err.getvalue()
+
+
+def test_refusals_end_in_one_line():
+    # usage errors: a bad --d entry, a missing class file, a two-part
+    # --curve, a class that is not on Mbar_{g,2g-2}
+    for argv in (["class", "qd", "--g", "3", "--n", "4", "--d", "1,x,1,1"],
+                 ["pair", "--curve", "A:1:1", "--class", "nosuchfile"],
+                 ["pair", "--curve", "A:1", "--class", "qg:3"],
+                 ["pair", "--curve", "A:1:1", "--class", "weierstrass"]):
+        assert refused(argv, 1).startswith("usage error:")
+    # domain errors: an unknown family, the solver below genus 2, and a k^n
+    # whose bit bound refuses it with no k^n built or printed
+    for argv in (["curve", "--curve", "D:1:1", "--g", "3"], ["solve", "--g", "1"]):
+        assert refused(argv, 2).startswith("domain error:")
+    line = refused(["pnk", "--k", "1" + "0" * 2500, "--R", "1,2"], 2)
+    assert line.startswith("domain error: k^n, of over ")
+
+
+def _graph(**fields):
+    """A one-vertex dual graph with `fields` replaced."""
+    graph = {"k": 2, "vertices": [{"genus": 1, "marked": [1]}], "edges": []}
+    graph.update(fields)
+    return graph
+
+
+_V = {"genus": 1, "marked": []}
+
+
+@pytest.mark.parametrize("graph", [
+    _graph(vertices=[{"genus": -1}]),
+    _graph(vertices=[{"genus": 1, "kth_power": "perhaps"}]),
+    _graph(k=0),
+    _graph(vertices=[]),
+    _graph(vertices=[_V, _V], edges=[{"a": 0, "b": 2, "ord_a": -2, "ord_b": -2}]),
+    _graph(vertices=[_V, _V], edges=[{"a": 0, "b": 1, "ord_a": -2, "ord_b": -2}],
+                residues=[{"edge": 0, "side": "c", "state": "zero"}]),
+    _graph(vertices=[_V, _V], edges=[{"a": 0, "b": 1, "ord_a": -2, "ord_b": -2}],
+                residues=[{"edge": 0, "side": "a", "state": "maybe"}]),
+    # 0 and 1, 1 and 2 on one level, so 0 and 2 cannot be ordered
+    _graph(vertices=[_V, _V, _V], edges=[
+        {"a": 0, "b": 1, "ord_a": -2, "ord_b": -2}, {"a": 1, "b": 2, "ord_a": -2, "ord_b": -2},
+        {"a": 0, "b": 2, "ord_a": 0, "ord_b": -4}]),
+], ids=["genus", "kth_power", "k", "no vertex", "endpoint", "side", "state", "equal and ordered"])
+def test_level_graph_refusals_end_in_one_line(tmp_path, graph):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    assert refused(["levelgraphs", "--input", str(path)], 2).startswith("domain error:")
+
+
+def test_array_fields_must_be_arrays(tmp_path):
+    path = tmp_path / "file.json"
+
+    def run(doc, argv):
+        path.write_text(json.dumps(doc))
+        return run_cli(argv + [str(path)])
+
+    # a JSON object or string where a class file has an array used to read
+    # as its keys or characters: psi as (1, 2, 3, 4), a boundary or an S as
+    # empty; a functional file used to pair as a class
+    pair_argv = ["pair", "--curve", "A:1:2", "--class"]
+    psi_only = {"g": 3, "n": 4, "lambda": "0", "psi": ["1"] * 4, "delta0": "0", "boundary": []}
+    assert run(psi_only, pair_argv) == (0, "A_{1:2} (g=3) . class = 2/1\n")
+    bad = [dict(psi_only, psi=dict.fromkeys("1234", "1")), dict(psi_only, psi="1234")]
+    qg = qg_class(3).to_jsonable()
+    assert run(qg, pair_argv)[0] == 0
+    bad += [dict(qg, boundary=""), dict(qg, boundary={})]
+    for at in (0, 5):  # the first entry, which checks (g, n), and a later one
+        for S in ("", {}):
+            doc = json.loads(json.dumps(qg))
+            doc["boundary"][at].update(i=1, S=S)  # (1, {}) names a divisor at g = 3
+            bad.append(doc)
+    code, out = run_cli(["curve", "--curve", "A:1:2", "--g", "3", "--json"])
+    bad.append(json.loads(out))
+    for doc in bad:
+        path.write_text(json.dumps(doc))
+        assert refused(pair_argv + [str(path)], 1).startswith("usage error: cannot read class file")
+    # a dual graph likewise: these read as no vertices, edges, residues or
+    # marked points, and "marked": "12" as the labels "1" and "2" (exit 2)
+    ex2 = json.loads((ROOT / "tests/data/ex2.json").read_text())
+    assert run(ex2, ["levelgraphs", "--list", "--input"])[0] == 0
+    for value in ("", {}, "12", {"1": 1}):
+        for field in ("vertices", "edges", "residues", "marked"):
+            graph = json.loads(json.dumps(ex2))
+            (graph["vertices"][0] if field == "marked" else graph)[field] = value
+            path.write_text(json.dumps(graph))
+            line = refused(["levelgraphs", "--list", "--input", str(path)], 1)
+            assert line.startswith("usage error: cannot read dual graph"), (field, value)
+
+
 def test_levelgraphs_budget(tmp_path):
     # a centre below nine leaves: 7,087,261 level graphs, refused at once
     star = tmp_path / "star9.json"

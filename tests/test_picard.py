@@ -30,6 +30,7 @@ from qstrata.picard import (
     _class_is_valid,
     boundary_term,
     format_rational,
+    genus1_boundary_sum,
     orbit_key,
     parse_rational,
 )
@@ -328,3 +329,48 @@ def test_json_round_trip(d):
     again = DivisorClass.from_json(d.to_json())
     assert again._coeffs() == d._coeffs()
     assert again.equals(d)
+
+
+def test_picard_refusals():
+    with pytest.raises(DimensionMismatch):
+        OrbitTable(3, 4, (1, 1, 1))  # three weights for four labels
+    with pytest.raises(DimensionMismatch):
+        DivisorClass(3, 4, psi=[1, 1])  # a dense psi has one entry per label
+    with pytest.raises(DimensionMismatch):
+        DivisorClass(3, 4, psi=[1, 1], orbits=OrbitTable(3, 4, (1, 1, 1, 1)))  # one per group
+    d = qg_class(3)
+    for j in (0, d.n + 1):
+        with pytest.raises(InvalidIndex):
+            d.psi_coeff(j)
+    with pytest.raises(WrongGenus):
+        genus1_boundary_sum(3, 4)
+
+
+def test_divisor_class_eq_operator():
+    d = qg_class(3)
+    assert d == DivisorClass.from_json(d.to_json())
+    assert not d != DivisorClass.from_json(d.to_json())
+    assert d != d.add(lambda_class(3, 4)) and not d == d.add(lambda_class(3, 4))
+    # another type is never equal, a functional on the same space included
+    f = curve_functional(CurveSpec("A", 3, 1, 2))
+    assert d != 5 and d != f and f != d and not d == f
+    # genus 2: lambda = delta_0/10 + (genus-1 classes)/5, so classes are equal
+    # exactly when their normal forms are
+    for n in (1, 3):
+        relation = delta0_class(2, n).scale(Fraction(1, 10)).add(
+            genus1_boundary_sum(2, n).scale(Fraction(1, 5)))
+        assert lambda_class(2, n) == relation and lambda_class(2, n) == g2_normal_form(lambda_class(2, n))
+        assert lambda_class(2, n) != delta0_class(2, n)
+        assert lambda_class(2, n) != relation.add(boundary_class(2, n, 1, [1]))
+
+
+def test_functional_files_read_only_as_functionals():
+    # the CLI tests cover the other refused array fields
+    f = curve_functional(CurveSpec("A", 3, 1, 2))
+    with pytest.raises(TypeError):
+        DivisorClass.from_jsonable(f.to_jsonable())
+    assert CurveFunctional.from_jsonable(f.to_jsonable()) == f
+    # a top level that is no JSON object fails at d["g"], before any .get
+    for top in ([1, 2], "functional", 5, None):
+        with pytest.raises(TypeError):
+            DivisorClass.from_jsonable(top)

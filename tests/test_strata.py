@@ -173,3 +173,9 @@ def test_classifier_errors():
         quad_components(Signature(2, 2, (4, 0)))
     with pytest.raises(BadSignature):
         quad_components(Signature(1, 2, (1, 1)))
+
+
+def test_negative_genus_refused():
+    # the orders sum to k(2g-2) = -8, so only the genus check refuses it
+    with pytest.raises(BadSignature):
+        Signature(2, -1, (-8,))
