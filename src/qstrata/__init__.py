@@ -80,9 +80,6 @@ from .testcurves import (
     TestCurveSpec,
     curve_functional,
     oracle,
-    oracle_a_dot_qg,
-    oracle_b_dot_qg,
-    oracle_c_dot_qg,
     valid_specs,
 )
 

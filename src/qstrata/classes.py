@@ -54,6 +54,7 @@ from .picard import (
     format_rational,
     orbit_key,
     self_mirror,
+    weight_table,
 )
 from .testcurves import (
     FAMILIES,
@@ -62,7 +63,6 @@ from .testcurves import (
     a_dot_qg_formula,
     curve_functional,  # unused here; perfbench/tracing.py traces it by this name
     oracle,
-    oracle_b_dot_qg,
     valid_specs,
 )
 
@@ -89,11 +89,11 @@ def logan_class(g: int, n: int, d: Iterable[int]) -> DivisorClass:
         raise BadSignature("weights must be nonnegative")
     if sum(d) != g:
         raise BadSignature("weights must sum to g=%d, got %d" % (g, sum(d)))
-    table = OrbitTable(g, n, d)
+    table, weights = weight_table(g, n, d)
     for i, counts in table.keys():
-        d_S = sum(w * c for w, c in zip(table.weights, counts))
+        d_S = sum(w * c for w, c in zip(weights, counts))
         table.put((i, counts), -comb(abs(d_S - i) + 1, 2))
-    return DivisorClass(g, n, -1, [comb(w + 1, 2) for w in table.weights], 0, orbits=table)
+    return DivisorClass(g, n, -1, [comb(w + 1, 2) for w in weights], 0, orbits=table)
 
 
 def qg_class(g: int) -> DivisorClass:
@@ -109,7 +109,7 @@ def qg_class(g: int) -> DivisorClass:
     n = 2 * g - 2
     # lazy weights: the table refuses a huge n before reading them, and
     # itertools.repeat(1, n) would overflow first
-    table = OrbitTable(g, n, (1 for _ in range(n)))
+    table = weight_table(g, n, (1 for _ in range(n)))[0]
     for i, (s,) in table.keys():
         if s in (0, n):
             i0 = i if s == 0 else g - i  # genus of the unmarked side
@@ -144,8 +144,8 @@ class QdInput:
 def qd_class(q: QdInput) -> DivisorClass:
     """Class of the stratum divisor with signature (d, 2^(g-1)) on Mbar_{g,n}."""
     g, n, d = q.g, q.n, q.d
-    table = OrbitTable(g, n, d)
-    weights, sizes = table.weights, table.sizes
+    table, weights = weight_table(g, n, d)
+    sizes = table.sizes
     # the groups of odd-or-negative labels
     bad = [k for k, w in enumerate(weights) if w % 2 or w < 0]
     held = itemgetter(*bad) if bad else None
@@ -225,7 +225,7 @@ def pullback_attach(d: DivisorClass, h: int, attach_label: int = 1) -> DivisorCl
     parts = list(src.groups) + [(j,)]
     parts[home] = tuple(p for p in parts[home] if p != j)
     order = sorted((k for k, labels in enumerate(parts) if labels), key=lambda k: parts[k][0])
-    table = OrbitTable.of_groups(target_g, d.n, [parts[k] for k in order])
+    table = OrbitTable(target_g, d.n, [parts[k] for k in order])
     sizes = [len(labels) for labels in parts]
 
     def terms():
@@ -255,7 +255,7 @@ def forget_pullback(d: DivisorClass) -> DivisorClass:
     (i, counts) is self-mirror.
     """
     g, src = d.g, d.orbits
-    table = OrbitTable.of_groups(g, d.n + 1, src.groups + ((d.n + 1,),))
+    table = OrbitTable(g, d.n + 1, src.groups + ((d.n + 1,),))
 
     def terms():
         for k, p in enumerate(d.group_psi):
@@ -527,7 +527,7 @@ def solve_qg_coefficients(g: int) -> QgSolution:
     specs = [("A", i, s) for i in range(g + 1) for s in range(1, n + 1) if s != 2 * g - 3]
     specs += [("B", i, 0) for i in range(1, g + 1)]
     rows = [{col[key]: x for key, x in _curve_row(g, *spec).items()} for spec in specs]
-    rhs = [a_dot_qg_formula(g, i, s) if fam == "A" else oracle_b_dot_qg(g, i, s)
+    rhs = [a_dot_qg_formula(g, i, s) if fam == "A" else oracle(TestCurveSpec("B", g, i, 0))
            for fam, i, s in specs]
     pivots, values, pinned = _solve_sparse(rows, rhs, n_cols)
     if psi not in pinned:

@@ -167,12 +167,6 @@ def _class_is_valid(g: int, n: int, i: int, size: int) -> bool:
     return True
 
 
-def _keeps_side(g: int, i: int, S) -> bool:
-    """Is (i, S) the canonical side of delta_{i:S}: the smaller genus part,
-    on a tie the side carrying label 1?"""
-    return i < g - i or (2 * i == g and 1 in S)
-
-
 def _is_canonical(g: int, n: int, i, S) -> bool:
     """Is (i, S) on Mbar_{g,n}, g >= 2, a canonical side as it stands: i an
     int, S a strictly increasing sequence of int labels in 1..n on the kept
@@ -221,7 +215,8 @@ def boundary_term(g: int, n: int, i: int, S: Iterable[int]):
         bad = next(p for p in S if type(p) is not int or not 1 <= p <= n)
         raise InvalidIndex("marked point %r is not one of the labels 1..%s" % (bad, n))
     if _class_is_valid(g, n, i, len(S)):
-        if _keeps_side(g, i, S):
+        # the kept side has the smaller genus part, on a tie label 1
+        if i < g - i or (2 * i == g and 1 in S):
             return ("delta", BoundaryIndex(i, tuple(sorted(S))))
         return ("delta", BoundaryIndex(g - i, tuple(sorted(labels - S))))
     if i == 0 and len(S) == 1:
@@ -276,49 +271,25 @@ def orbit_size(g: int, sizes: tuple[int, ...], i: int, counts: tuple[int, ...]) 
 class OrbitTable:
     """Separating boundary coefficients that are constant on label orbits.
 
-    The labels 1..n are split into groups, ordered by their smallest
-    label.  A closed-form class table (the constructor) groups labels of
-    equal weight, and `weights[k]` is the weight of group k; every other
-    table (`of_groups`) takes its groups as given and has no weights.  A
-    coefficient is stored per canonical orbit key (see orbit_key) that
-    names a boundary divisor; zero coefficients are not stored.  Fill the
-    table with `put` before handing it to a DivisorClass or
-    CurveFunctional, which never changes it afterwards.
+    `OrbitTable(g, n, groups)` splits the labels 1..n into the given
+    groups: nonempty sorted label sequences, ordered by their smallest
+    label and covering 1..n.  A closed-form class groups labels of equal
+    weight (weight_table), a test-curve functional its blocks, and a
+    pullback or a dense input its own grouping.  A coefficient is stored
+    per canonical orbit key (see orbit_key) that names a boundary divisor;
+    zero coefficients are not stored.  Fill the table with `put` before
+    handing it to a DivisorClass or CurveFunctional, which never changes
+    it afterwards.
     """
 
-    __slots__ = ("g", "n", "groups", "weights", "sizes", "coeffs", "_code")
+    __slots__ = ("g", "n", "groups", "sizes", "coeffs", "_code")
 
-    def __init__(self, g: int, n: int, weights: Iterable[int]):
+    def __init__(self, g: int, n: int, groups: Iterable):
         _check_gn(g, n)
-        # every grouping has at least (g + 1)(n + 1) orbit keys, and a class
-        # table walks them all: refuse before reading the n weights
-        _check_size(g, n, (g + 1) * (n + 1), "orbit keys")
-        weights = tuple(weights)
-        if len(weights) != n:
-            raise DimensionMismatch("expected %d label weights" % n)
-        first = {}
-        for j, w in enumerate(weights, start=1):
-            first.setdefault(w, []).append(j)
-        self._setup(g, n, tuple(tuple(labels) for labels in first.values()))
-        self.weights = tuple(first)
-
-    @classmethod
-    def of_groups(cls, g: int, n: int, groups: Iterable) -> "OrbitTable":
-        """A table whose groups are the given nonempty sorted label
-        sequences, ordered by smallest label and covering 1..n.  Its keys
-        are put by hand, so it is not refused for the (g + 1)(n + 1) keys a
-        class table walks."""
-        _check_gn(g, n)
-        self = cls.__new__(cls)
-        self._setup(g, n, tuple(groups))
-        self.weights = None
-        return self
-
-    def _setup(self, g, n, groups) -> None:
         self.g = g
         self.n = n
-        self.groups = groups
-        self.sizes = tuple(map(len, groups))
+        self.groups = tuple(groups)
+        self.sizes = tuple(map(len, self.groups))
         self.coeffs: dict[tuple[int, tuple[int, ...]], Fraction] = {}
         self._code = None
 
@@ -415,11 +386,27 @@ class OrbitTable:
         return rows
 
 
+def weight_table(g: int, n: int, weights: Iterable[int]) -> tuple[OrbitTable, tuple]:
+    """An empty closed-form class table over the groups of labels of equal
+    weight, and the weight of each group."""
+    _check_gn(g, n)
+    # every grouping has at least (g + 1)(n + 1) orbit keys, and a class
+    # table walks them all: refuse before reading the n weights
+    _check_size(g, n, (g + 1) * (n + 1), "orbit keys")
+    weights = tuple(weights)
+    if len(weights) != n:
+        raise DimensionMismatch("expected %d label weights" % n)
+    first = {}
+    for j, w in enumerate(weights, start=1):
+        first.setdefault(w, []).append(j)
+    return OrbitTable(g, n, map(tuple, first.values())), tuple(first)
+
+
 def _grouped(g: int, n: int, groups, total) -> OrbitTable | None:
     """A table over these label groups holding the dense entries `total`
     ((canonical (i, S), nonzero coefficient), each index once), or None
     when some orbit it meets has two coefficients or misses a divisor."""
-    table = OrbitTable.of_groups(g, n, groups)
+    table = OrbitTable(g, n, groups)
     if total:
         code, key = table._orbit_code()
         coeffs = {}

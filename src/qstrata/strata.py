@@ -131,8 +131,6 @@ def _primitive_count(mu: Counter) -> tuple[int, str]:
         and neg[0] % 2 == 0
     ):
         two = "(n, n, -2l) shape with n odd"
-    elif len(pos) == 2 and pos[0] == pos[1] and pos[0] % 2 == 0 and neg == [-2]:
-        two = "(2n, 2n, -2) shape"
     elif (
         len(pos) == 2
         and pos[0] == pos[1]

@@ -21,12 +21,11 @@ splits the labels into its own blocks of consecutive labels,
 
 and each of its at most five boundary terms is one whole orbit of those
 blocks, so a functional stores one coefficient per orbit key and one psi
-coefficient per block.  The oracle_* functions return independently
-derived intersection numbers of the same families against the divisor
-class of the quadratic-differential stratum with signature
-(1^{2g-2}, 2^{g-1}); the two routes are compared by the audit in
-qstrata.classes, and the known disagreements are reported there rather
-than patched here.
+coefficient per block.  oracle returns the independently derived
+intersection numbers of the same families against the divisor class of
+the quadratic-differential stratum with signature (1^{2g-2}, 2^{g-1});
+the two routes are compared by the audit in qstrata.classes, and the
+known disagreements are reported there rather than patched here.
 
 Degenerate parameter corners whose unstable component would be
 contracted keep their functional meaning through the delta_{0:{j}} =
@@ -157,7 +156,7 @@ def curve_functional(spec: TestCurveSpec) -> CurveFunctional:
     keep = [k for k, blk in enumerate(blocks) if blk]
     # the table refuses a space with too many labels, before len() of a
     # block could overflow
-    table = OrbitTable.of_groups(g, n, [blocks[k] for k in keep])
+    table = OrbitTable(g, n, [blocks[k] for k in keep])
     full = tuple(map(len, blocks))
     terms, labels = [], 0
     for i, counts, c in boundary:
@@ -195,28 +194,19 @@ def a_dot_qg_formula(g: int, i: int, s: int) -> int:
     ) * (g - i + 1) * (g - i - 1)
 
 
-def oracle_a_dot_qg(g: int, i: int, s: int) -> int:
-    validate_spec("A", g, i, s)
-    return a_dot_qg_formula(g, i, s)
-
-
-def oracle_b_dot_qg(g: int, i: int, s: int) -> int:
-    validate_spec("B", g, i, s)
-    if s == 0:
-        # the collision of the moving point with the node is excluded
-        return 4 ** (g - 1) * i - 4 ** (g - i) * i
-    return 4 ** (g - 1) * i
-
-
-def oracle_c_dot_qg(g: int, i: int, s: int) -> int:
-    validate_spec("C", g, i, s)
-    if s == 0:
+def oracle(spec: TestCurveSpec) -> int:
+    """The independently derived intersection of the test curve with the
+    signature-(1^{2g-2}, 2^{g-1}) class; the spec was validated when built."""
+    g, i, s = spec.g, spec.i, spec.s
+    if spec.family == "A":
+        return a_dot_qg_formula(g, i, s)
+    if spec.family == "B":
+        if s == 0:
+            # the collision of the moving point with the node is excluded
+            return 4 ** (g - 1) * i - 4 ** (g - i) * i
+        return 4 ** (g - 1) * i
+    if s == 0:  # family C
         return 4 ** (g - i) * i
     if s == 2 * g - 4:
         return 4**i * (g - i)
     return 0
-
-
-def oracle(spec: TestCurveSpec) -> int:
-    fn = {"A": oracle_a_dot_qg, "B": oracle_b_dot_qg, "C": oracle_c_dot_qg}[spec.family]
-    return fn(spec.g, spec.i, spec.s)

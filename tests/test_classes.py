@@ -155,3 +155,10 @@ def test_classes_refusals():
         weierstrass_pullback(2)
     with pytest.raises(InvalidIndex):
         solve_qg_coefficients(3).get(0, 99)
+
+
+def test_closed_form_refusals():
+    with pytest.raises(BadSignature):
+        logan_class(3, 4, (1, 1, 1))  # three weights for four labels
+    with pytest.raises(WrongGenus):
+        qg_class(1)

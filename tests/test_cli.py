@@ -15,13 +15,14 @@ from qstrata import (
     DivisorClass,
     cli,
     forget_pullback,
-    oracle_a_dot_qg,
+    oracle,
     pullback_attach,
     qg_class,
 )
 from qstrata.classes import _MAX_AUDIT_SPECS, QgSolution
 from qstrata.cli import main
 from qstrata.picard import _MAX_DENSE_ENTRIES, OrbitTable, _PicardVector
+from qstrata.testcurves import TestCurveSpec as CurveSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -443,7 +444,7 @@ def test_large_genus_answers_from_orbits(monkeypatch):
     assert {e["s"] for e in report["entries"] if not e["match"]} == {57}
     code, out = run_cli(["pair", "--curve", "A:1:2", "--class", "qg:12", "--json"])
     assert code == 0
-    assert json.loads(out)["pairing"] == "%d/1" % oracle_a_dot_qg(12, 1, 2)
+    assert json.loads(out)["pairing"] == "%d/1" % oracle(CurveSpec("A", 12, 1, 2))
 
     # the pullbacks map table to table; checked against the closed form of
     # qg on sampled indices

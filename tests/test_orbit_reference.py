@@ -63,7 +63,6 @@ from qstrata.picard import (
     _class_is_valid,
     _frac,
     _json_int,
-    _keeps_side,
     _labels,
     boundary_term,
     format_rational,
@@ -71,6 +70,7 @@ from qstrata.picard import (
     orbit_size,
     parse_rational,
     self_mirror,
+    weight_table,
 )
 from qstrata.testcurves import TestCurveSpec as CurveSpec
 from qstrata.testcurves import (
@@ -78,9 +78,15 @@ from qstrata.testcurves import (
     _curve_terms,
     a_dot_qg_formula,
     oracle,
-    oracle_b_dot_qg,
     validate_spec,
 )
+
+
+def _keeps_side(g: int, i: int, S) -> bool:
+    """Is (i, S) the canonical side of delta_{i:S}: the smaller genus part,
+    on a tie the side carrying label 1?  (The earlier picard helper, kept as
+    it was.)"""
+    return i < g - i or (2 * i == g and 1 in S)
 
 
 class Accumulator:
@@ -508,7 +514,7 @@ def reference_solve_qg(g, rref=reference_sparse_rref):
         row = {0: Fraction(2 * i - 1)}
         put(row, i, 0, Fraction(1))
         put(row, i, 1, Fraction(-1))
-        add_row(row, oracle_b_dot_qg(g, i, 0))
+        add_row(row, oracle(CurveSpec("B", g, i, 0)))
 
     n_equations = len(rows)
     pivots, values, determined = reference_pinning(rows, rhs, n_cols, rref)
@@ -834,7 +840,7 @@ QD_SIGNATURES_G7 = [(1,) * 12, (3, -1) * 6, (2,) * 6 + (0,) * 6]
 def _random_orbit_class(g, weights, rng):
     """An orbit-form class with random non-integer coefficients, so that
     the pairing's common denominator is exercised."""
-    table = OrbitTable(g, len(weights), weights)
+    table = weight_table(g, len(weights), weights)[0]
     draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
     for key in table.keys():
         table.put(key, draw())
@@ -1167,7 +1173,7 @@ def frozen_canonicalize_index(g, n, i, S):
 
 
 def frozen_grouped(g, n, groups, total):
-    table = OrbitTable.of_groups(g, n, groups)
+    table = OrbitTable(g, n, groups)
     group_of = [-1] * (n + 1)
     for k, labels in enumerate(table.groups):
         for j in labels:
@@ -1382,7 +1388,7 @@ def test_orbit_code_names_the_orbit_key(g):
             rng.shuffle(labels)
             cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
             groups = sorted(tuple(sorted(labels[a:b])) for a, b in zip([0] + cuts, cuts + [n]))
-            table = OrbitTable.of_groups(g, n, groups)
+            table = OrbitTable(g, n, groups)
             code, key = table._orbit_code()
             where = {j: k for k, part in enumerate(groups) for j in part}
             for i in range(g // 2 + 1):

@@ -26,13 +26,13 @@ from qstrata import (
 )
 from qstrata.picard import (
     _MAX_DENSE_ENTRIES,
-    OrbitTable,
     _class_is_valid,
     boundary_term,
     format_rational,
     genus1_boundary_sum,
     orbit_key,
     parse_rational,
+    weight_table,
 )
 from qstrata.testcurves import TestCurveSpec as CurveSpec
 
@@ -152,6 +152,15 @@ def test_repr_builds_no_dense_view():
     assert q._dense is None
 
 
+def test_fraction_subclass_kept():
+    class Half(Fraction):
+        pass
+
+    x = Half(1, 2)
+    d = DivisorClass(2, 1, lam=x)
+    assert d.lam is x and d.lam == Fraction(1, 2)
+
+
 def test_coefficients_must_be_exact():
     with pytest.raises(TypeError):
         DivisorClass(2, 1, lam=0.1)
@@ -167,11 +176,11 @@ def test_size_limits_refuse_before_allocating():
     # n labels within the limit, but at least (g + 1)(n + 1) orbit keys
     g = 500_000
     with pytest.raises(BudgetExceeded):
-        OrbitTable(g, 2 * g - 2, unread())
+        weight_table(g, 2 * g - 2, unread())[0]
     # more labels than the limit: no space, class or functional
     n = _MAX_DENSE_ENTRIES + 1
     for build in (lambda: DivisorClass(2, n),
-                  lambda: OrbitTable(2, n, unread()), lambda: boundary_term(2, n, 1, ())):
+                  lambda: weight_table(2, n, unread())[0], lambda: boundary_term(2, n, 1, ())):
         with pytest.raises(BudgetExceeded):
             build()
 
@@ -183,7 +192,7 @@ def test_orbit_keys_are_the_full_walk_filtered(g):
     rng = random.Random(g)
     for _ in range(5):
         weights = [rng.randint(0, 3) for _ in range(rng.randint(1, 7))]
-        table = OrbitTable(g, len(weights), weights)
+        table = weight_table(g, len(weights), weights)[0]
         full = [(i, counts) for i in range(g + 1)
                 for counts in product(*(range(z + 1) for z in table.sizes))
                 if _class_is_valid(g, table.n, i, sum(counts))
@@ -194,7 +203,7 @@ def test_orbit_keys_are_the_full_walk_filtered(g):
 def test_orbit_keys_refuse_the_full_walk_size():
     # (g + 1) * 2^18 keys over the limit, though the walk visits half of them
     with pytest.raises(BudgetExceeded):
-        next(OrbitTable(3, 18, range(18)).keys())
+        next(weight_table(3, 18, range(18))[0].keys())
 
 
 def test_json_schema_shape():
@@ -333,11 +342,11 @@ def test_json_round_trip(d):
 
 def test_picard_refusals():
     with pytest.raises(DimensionMismatch):
-        OrbitTable(3, 4, (1, 1, 1))  # three weights for four labels
+        weight_table(3, 4, (1, 1, 1))[0]  # three weights for four labels
     with pytest.raises(DimensionMismatch):
         DivisorClass(3, 4, psi=[1, 1])  # a dense psi has one entry per label
     with pytest.raises(DimensionMismatch):
-        DivisorClass(3, 4, psi=[1, 1], orbits=OrbitTable(3, 4, (1, 1, 1, 1)))  # one per group
+        DivisorClass(3, 4, psi=[1, 1], orbits=weight_table(3, 4, (1, 1, 1, 1))[0])  # one per group
     d = qg_class(3)
     for j in (0, d.n + 1):
         with pytest.raises(InvalidIndex):

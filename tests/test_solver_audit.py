@@ -8,7 +8,7 @@ import pytest
 
 from qstrata import DivisorClass, audit, pair, qg_class, solve_qg_coefficients, valid_specs
 from qstrata.classes import _curve_row
-from qstrata.picard import CurveFunctional, OrbitTable
+from qstrata.picard import CurveFunctional, weight_table
 from qstrata.testcurves import curve_functional, oracle
 
 
@@ -114,7 +114,7 @@ def _random_symmetric_class(g, rng):
     """A class on Mbar_{g,2g-2} with all labels in one group and random
     non-integer coefficients."""
     n = 2 * g - 2
-    table = OrbitTable(g, n, (0,) * n)
+    table = weight_table(g, n, (0,) * n)[0]
     draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
     for key in table.keys():
         table.put(key, draw())

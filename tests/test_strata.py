@@ -179,3 +179,16 @@ def test_negative_genus_refused():
     # the orders sum to k(2g-2) = -8, so only the genus check refuses it
     with pytest.raises(BadSignature):
         Signature(2, -1, (-8,))
+
+
+def test_no_even_2n_2n_minus_2_signature():
+    # at k = 2 the orders sum to 4g - 4, 0 mod 4, while (p, p, -2) with p
+    # even sums to 2p - 2, 2 mod 4: no such signature exists
+    for g in range(2, 41):
+        for p in range(0, 8 * g, 2):
+            with pytest.raises(BadSignature):
+                Signature(2, g, (p, p, -2))
+    # with p odd the (n, n, -2l) shape answers
+    out = quad_components(Signature(2, 5, (9, 9, -2)))
+    assert out.count == 2
+    assert out.notes == "two primitive components: (n, n, -2l) shape with n odd"

@@ -6,9 +6,7 @@ from qstrata import (
     curve_functional,
     delta0_class,
     lambda_class,
-    oracle_a_dot_qg,
-    oracle_b_dot_qg,
-    oracle_c_dot_qg,
+    oracle,
     pair,
     valid_specs,
 )
@@ -97,10 +95,10 @@ def test_contracted_corner_constructible():
 
 
 def test_oracle_a_values():
-    assert oracle_a_dot_qg(3, 1, 1) == 32
-    assert oracle_a_dot_qg(3, 1, 4) == 144
-    assert oracle_a_dot_qg(3, 2, 4) == 0
-    assert oracle_a_dot_qg(3, 0, 2) == 192
+    assert oracle(CurveSpec("A", 3, 1, 1)) == 32
+    assert oracle(CurveSpec("A", 3, 1, 4)) == 144
+    assert oracle(CurveSpec("A", 3, 2, 4)) == 0
+    assert oracle(CurveSpec("A", 3, 0, 2)) == 192
 
 
 def test_oracle_a_even_in_s_minus_2i():
@@ -109,22 +107,22 @@ def test_oracle_a_even_in_s_minus_2i():
         for i in range(0, g):
             for s in range(1, 2 * g - 2):
                 try:
-                    left = oracle_a_dot_qg(g, i, s)
+                    left = oracle(CurveSpec("A", g, i, s))
                 except InvalidSpec:
                     continue
                 assert left == 4 ** (g - 1) * (s - 2 * i) ** 2 * (g - i)
 
 
 def test_oracle_b_values():
-    assert oracle_b_dot_qg(3, 1, 0) == 0
-    assert oracle_b_dot_qg(3, 2, 1) == 32
-    assert oracle_b_dot_qg(2, 1, 1) == 4
+    assert oracle(CurveSpec("B", 3, 1, 0)) == 0
+    assert oracle(CurveSpec("B", 3, 2, 1)) == 32
+    assert oracle(CurveSpec("B", 2, 1, 1)) == 4
 
 
 def test_oracle_c_values():
-    assert oracle_c_dot_qg(3, 1, 1) == 0
-    assert oracle_c_dot_qg(3, 1, 0) == 16
-    assert oracle_c_dot_qg(3, 1, 2) == 8
+    assert oracle(CurveSpec("C", 3, 1, 1)) == 0
+    assert oracle(CurveSpec("C", 3, 1, 0)) == 16
+    assert oracle(CurveSpec("C", 3, 1, 2)) == 8
 
 
 def test_valid_specs_deterministic():
