@@ -32,11 +32,10 @@ those rows verbatim and the solver simply does not use them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from operator import itemgetter, mul, sub
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import (
     BadSignature,
@@ -121,24 +120,20 @@ def qg_class(g: int) -> DivisorClass:
     return DivisorClass(g, n, -(4**g), [3 * _pow2(2 * g - 3)], 4 ** (g - 2), orbits=table)
 
 
-@dataclass(frozen=True)
-class QdInput:
+class QdInput(NamedTuple("_QdInput", [("g", int), ("n", int), ("d", tuple[int, ...])])):
     """Signature data (d_1,...,d_n, 2^(g-1)) with sum(d) = 2g-2."""
 
-    g: int
-    n: int
-    d: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
-        if self.g < 2:
+    def __new__(cls, g: int, n: int, d: Iterable[int]):
+        d = tuple(int(x) for x in d)
+        if g < 2:
             raise BadSignature("need g >= 2")
-        if self.n < 1 or len(self.d) != self.n:
-            raise BadSignature("expected %d entries, got %d" % (self.n, len(self.d)))
-        if sum(self.d) != 2 * self.g - 2:
-            raise BadSignature(
-                "entries must sum to 2g-2=%d, got %d" % (2 * self.g - 2, sum(self.d))
-            )
+        if n < 1 or len(d) != n:
+            raise BadSignature("expected %d entries, got %d" % (n, len(d)))
+        if sum(d) != 2 * g - 2:
+            raise BadSignature("entries must sum to 2g-2=%d, got %d" % (2 * g - 2, sum(d)))
+        return super().__new__(cls, g, n, d)
 
 
 def qd_class(q: QdInput) -> DivisorClass:
@@ -365,8 +360,7 @@ def _pairings(g: int, slots: Mapping, families=FAMILIES):
         yield spec, Fraction(sum(x * num.get(key, 0) for key, x in row.items()), den)
 
 
-@dataclass(frozen=True)
-class QgSolution:
+class QgSolution(NamedTuple):
     """Exact solution of the test-curve coefficient system at genus g."""
 
     g: int
@@ -557,16 +551,14 @@ def solve_qg_coefficients(g: int) -> QgSolution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(NamedTuple):
     spec: TestCurveSpec
     pairing: Fraction
     oracle: int
     match: bool
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     g: int
     entries: tuple[AuditEntry, ...]
 

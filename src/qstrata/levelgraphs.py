@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import cmath
 import json
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     BadInput,
@@ -50,22 +49,19 @@ _STATES = (ZERO, NONZERO, UNKNOWN)
 _POWER = ("yes", "no", "unknown")
 
 
-@dataclass(frozen=True)
-class Vertex:
-    genus: int
-    marked: frozenset[int]
-    has_marked_pole: bool
-    is_kth_power: str  # "yes" | "no" | "unknown"
+class Vertex(NamedTuple("_Vertex", [("genus", int), ("marked", frozenset[int]),
+                                    ("has_marked_pole", bool), ("is_kth_power", str)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.genus < 0:
+    def __new__(cls, genus: int, marked: frozenset[int], has_marked_pole: bool, is_kth_power: str):
+        if genus < 0:
             raise BadInput("vertex genus must be >= 0")
-        if self.is_kth_power not in _POWER:
+        if is_kth_power not in _POWER:
             raise BadInput("is_kth_power must be one of %s" % (_POWER,))
+        return super().__new__(cls, genus, marked, has_marked_pole, is_kth_power)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     a: int
     b: int
     ord_a: int
@@ -146,8 +142,7 @@ class DualGraph:
         return cls.from_jsonable(json.loads(text))
 
 
-@dataclass(frozen=True)
-class ResidueState:
+class ResidueState(NamedTuple):
     """Three-valued residue knowledge keyed by (edge index, side)."""
 
     states: Mapping[tuple[int, str], str]
@@ -156,8 +151,7 @@ class ResidueState:
         return self.states.get((edge, side))
 
 
-@dataclass(frozen=True)
-class TwistedOrderRelation:
+class TwistedOrderRelation(NamedTuple):
     """Derived component relations of a twisted k-differential."""
 
     graph: DualGraph
@@ -214,18 +208,17 @@ def validate_twisted(dg: DualGraph) -> TwistedOrderRelation:
     return TwistedOrderRelation(dg, same, above)
 
 
-@dataclass(frozen=True)
-class LevelGraph:
+class LevelGraph(NamedTuple("_LevelGraph", [("graph", DualGraph), ("levels", tuple[int, ...])])):
     """A dual graph with one level per component (enumerated ones have top
     level 0, descending, contiguous)."""
 
-    graph: DualGraph
-    levels: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.graph.vertices)
-        if len(self.levels) != n:
-            raise BadInput("%d levels given for %d components" % (len(self.levels), n))
+    def __new__(cls, graph: DualGraph, levels: tuple[int, ...]):
+        n = len(graph.vertices)
+        if len(levels) != n:
+            raise BadInput("%d levels given for %d components" % (len(levels), n))
+        return super().__new__(cls, graph, levels)
 
 
 def _union_find(n: int, pairs: Sequence[tuple[int, int]]):
@@ -369,8 +362,7 @@ def enumerate_level_graphs(rel: TwistedOrderRelation) -> list[LevelGraph]:
     return [LevelGraph(rel.graph, levels) for levels in vectors]
 
 
-@dataclass(frozen=True)
-class GrcResult:
+class GrcResult(NamedTuple):
     status: str  # "admissible" | "inadmissible" | "indeterminate"
     conditions: tuple[str, ...]
     reason: Optional[str] = None

@@ -10,32 +10,26 @@ differentials are out of catalogue and only flagged in the notes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BadInput, BadSignature, OutOfCatalog
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple("_Signature", [("k", int), ("g", int), ("m", tuple[int, ...])])):
     """A k-differential signature: orders m with sum(m) = k(2g-2)."""
 
-    k: int
-    g: int
-    m: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", tuple(int(x) for x in self.m))
-        if self.k < 1:
+    def __new__(cls, k: int, g: int, m: Sequence[int]):
+        m = tuple(int(x) for x in m)
+        if k < 1:
             raise BadSignature("need k >= 1")
-        if self.g < 0:
+        if g < 0:
             raise BadSignature("need g >= 0")
-        if sum(self.m) != self.k * (2 * self.g - 2):
-            raise BadSignature(
-                "orders must sum to k(2g-2) = %d, got %d"
-                % (self.k * (2 * self.g - 2), sum(self.m))
-            )
+        if sum(m) != k * (2 * g - 2):
+            raise BadSignature("orders must sum to k(2g-2) = %d, got %d" % (k * (2 * g - 2), sum(m)))
+        return super().__new__(cls, k, g, m)
 
     @property
     def n(self) -> int:
@@ -77,8 +71,7 @@ def multidegree(g: int, d: Sequence[int]) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class ComponentCount:
+class ComponentCount(NamedTuple):
     count: int
     kind: str  # "FiniteArea" | "PrimitiveOnly"
     notes: str

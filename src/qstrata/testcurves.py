@@ -42,9 +42,8 @@ orbit, as orbit size times canonical-side length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceeded, InvalidSpec
 from .picard import (
@@ -57,15 +56,12 @@ from .picard import (
 FAMILIES = ("A", "B", "C")
 
 
-@dataclass(frozen=True, order=True)
-class TestCurveSpec:
-    family: str
-    g: int
-    i: int
-    s: int
+class TestCurveSpec(NamedTuple("_TestCurveSpec", [("family", str), ("g", int), ("i", int), ("s", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        validate_spec(self.family, self.g, self.i, self.s)
+    def __new__(cls, family: str, g: int, i: int, s: int):
+        validate_spec(family, g, i, s)
+        return super().__new__(cls, family, g, i, s)
 
     def __str__(self):
         return "%s_{%d:%d} (g=%d)" % (self.family, self.i, self.s, self.g)

@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import random
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -497,6 +499,17 @@ def test_one_parser_serves_every_call(capsys):
     assert [run(argv) for argv in calls] == fresh
     assert cli._build_parser.cache_info().misses == 1
     assert [code for code, _, _ in fresh] == [1, 0, 0]
+
+
+def test_cold_start_loads_no_dataclasses():
+    # the records are NamedTuples: importing the CLI loads neither
+    # dataclasses nor what it pulls in; -S keeps a site hook from loading
+    # them first
+    code = ("import sys; sys.path.insert(0, %r); import qstrata.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+            % str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_pair_accepts_class_file(tmp_path):
