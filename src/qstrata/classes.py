@@ -9,24 +9,26 @@ Brill-Noether classes (logan_class) and the genus-2 Weierstrass divisor.
 Every closed form depends on delta_{i:S} only through i and the weights
 in S, so the classes are built in orbit form (picard.OrbitTable): one
 coefficient per orbit of the labels of equal weight, and one psi
-coefficient per weight.  The pullbacks map orbit table to orbit table.
+coefficient per weight, each computed in integers (qg_class, qd_class) and
+made a Fraction once.  The pullbacks map orbit table to orbit table.
 
-solve_qg_coefficients replays the test-curve computation of the
-qg_class coefficients as an exact linear system.  Its rows are the test
-curves, read off the terms table of qstrata.testcurves, paired with the
-unknown symmetric class.  Its columns are the sorted orbit keys, so each
-i-chain c_{i:0}, c_{i:1}, ... lies on adjacent columns, with c_psi last;
-one fraction-free sparse forward elimination along the chains, in integers,
-and a back-substitution solve it (_solve_sparse), and a value counts as
-solved only when the system pins it.  Its time and memory grow about like
-g^2, so a system of more than _MAX_SOLVE_SLOTS (i, s) slots (g > 353) is
-refused with BudgetExceeded before any row is built.
+solve_qg_coefficients replays the test-curve computation of the qg_class
+coefficients as an exact linear system.  Its rows are the test curves paired
+with the unknown symmetric class, integer terms read off the terms table of
+qstrata.testcurves by one term router (_row_terms).  Its columns are the
+sorted orbit keys, so each i-chain c_{i:0}, c_{i:1}, ... lies on adjacent
+columns, with c_psi last; one fraction-free sparse forward elimination along
+the chains, in integers, and a back-substitution solve it (_solve_sparse),
+and a value counts as solved only when the system pins it.  Its time and
+memory grow about like g^2, so a system of more than _MAX_SOLVE_SLOTS (i, s)
+slots (g > 353) is refused with BudgetExceeded before any row is built.
 
-audit pairs every test curve with qg_class through those rows, one integer
-dot product each (_pairings), and compares it with its oracle.  The printed
-data is not internally consistent on the whole parameter range (the audit
-shows pairing != oracle exactly on the s = 2g-3 column); the audit reports
-those rows verbatim and the solver simply does not use them.
+audit pairs every test curve with qg_class through the same router, one
+integer numerator over a common denominator each (_pairings, as the
+solver's residuals), and compares it with its oracle.  The printed data is
+not internally consistent on the whole parameter range (the audit shows
+pairing != oracle exactly on the s = 2g-3 column); the audit reports those
+rows verbatim and the solver simply does not use them.
 """
 
 from __future__ import annotations
@@ -64,10 +66,6 @@ from .testcurves import (
     oracle,
     valid_specs,
 )
-
-
-def _pow2(e: int) -> Fraction:
-    return Fraction(2) ** e
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +107,16 @@ def qg_class(g: int) -> DivisorClass:
     # lazy weights: the table refuses a huge n before reading them, and
     # itertools.repeat(1, n) would overflow first
     table = weight_table(g, n, (1 for _ in range(n)))[0]
+    # in integers, one Fraction per key (in put); the corner's product is even
     for i, (s,) in table.keys():
         if s in (0, n):
             i0 = i if s == 0 else g - i  # genus of the unmarked side
-            c = -_pow2(2 * (g - i0) - 1) * (4**i0 * (i0 - 1) + 2) * i0
+            c = -((4**i0 * (i0 - 1) + 2) * i0 << 2 * (g - i0)) // 2
         else:
             x = s - 2 * i
-            c = -_pow2(2 * g - 3) * x * (x + 2)
+            c = -(x * (x + 2)) << 2 * g - 3
         table.put((i, (s,)), c)
-    return DivisorClass(g, n, -(4**g), [3 * _pow2(2 * g - 3)], 4 ** (g - 2), orbits=table)
+    return DivisorClass(g, n, -(4**g), [3 << 2 * g - 3], 4 ** (g - 2), orbits=table)
 
 
 class QdInput(NamedTuple("_QdInput", [("g", int), ("n", int), ("d", tuple[int, ...])])):
@@ -169,7 +168,7 @@ def qd_class(q: QdInput) -> DivisorClass:
         psi = [Fraction((4**g - 1) * w * (w + 2), 8) for w in weights]
     else:
         lam = -(4**g)
-        psi = [_pow2(2 * g - 3) * w * (w + 2) for w in weights]
+        psi = [w * (w + 2) << 2 * g - 3 for w in weights]
     return DivisorClass(g, n, lam, psi, 4 ** (g - 2), orbits=table)
 
 
@@ -304,7 +303,7 @@ def weierstrass_check(g: int) -> bool:
 
 # Most (i, s) slots, (g + 1)(2g - 1), the solver takes: g = 353 (249,570
 # slots): 747,289 integer rows (249,215 equations) of 2,987,720 entries and
-# 618,807 row eliminations took 22.0 s and 341 MB peak on a 2-vCPU VM
+# 618,807 row eliminations took 17.7-19.2 s and 340 MB peak on a 2-vCPU VM
 # (Python 3.11) whose speed drifts about twofold between sessions.
 _MAX_SOLVE_SLOTS = 250_000
 
@@ -324,14 +323,14 @@ def _slot(g: int, n: int, i: int, s: int):
     return 1, (j, t)
 
 
-def _curve_row(g: int, family: str, i: int, s: int) -> dict:
+def _row_terms(g: int, family: str, i: int, s: int):
     """Test curve family_{i:s}, 0 <= i <= g, paired with the unknown class,
-    as {unknown (see _slot): nonzero integer}: orbit size x c per boundary
-    term of _curve_terms on its _slot, and block size x psi on c_psi."""
+    as (unknown (see _slot), integer) terms: block size x psi on c_psi, then
+    orbit size x c per boundary term of _curve_terms on its _slot."""
     blocks, boundary, psi = _curve_terms(family, g, i, s)
     sizes = tuple(map(len, blocks))
     n = 2 * g - 2
-    row = {"psi": sum(map(mul, sizes, psi))}
+    yield "psi", sum(map(mul, sizes, psi))
     for j, counts, c in boundary:
         size, t = prod(map(comb, sizes, counts)), sum(counts)
         if not size:  # checked first: an empty orbit may name a slot past n
@@ -343,21 +342,27 @@ def _curve_row(g: int, family: str, i: int, s: int) -> dict:
         if 2 * j > g or (2 * j == g and 2 * t > n):
             j, t = g - j, n - t  # the orbit key names the mirror
         if j or t > 1:
-            row[j, t] = row.get((j, t), 0) + size * c
+            yield (j, t), size * c
         else:  # delta_{0:{x}} = -psi_x, delta_{0:{}} = 0
-            row["psi"] -= t * size * c
+            yield "psi", -t * size * c
+
+
+def _curve_row(g: int, family: str, i: int, s: int) -> dict:
+    """_row_terms summed per unknown, as {unknown: nonzero integer}."""
+    row = {}
+    for key, x in _row_terms(g, family, i, s):
+        row[key] = row.get(key, 0) + x
     return {key: x for key, x in row.items() if x}
 
 
 def _pairings(g: int, slots: Mapping, families=FAMILIES):
-    """(spec, pairing) per admissible test curve of these families: its
-    _curve_row dotted, in integers, with the values {unknown: value} of a
-    symmetric class over their common denominator (a missing unknown is 0)."""
+    """(spec, numerator, den) per admissible test curve of these families:
+    its _row_terms dotted, in integers, with the values {unknown: value} of a
+    symmetric class over their common denominator den (a missing unknown is 0)."""
     den = lcm(*(v.denominator for v in slots.values()))
-    num = {key: v.numerator * (den // v.denominator) for key, v in slots.items()}
+    get = {key: v.numerator * (den // v.denominator) for key, v in slots.items()}.get
     for spec in valid_specs(g, families):
-        row = _curve_row(g, spec.family, spec.i, spec.s)
-        yield spec, Fraction(sum(x * num.get(key, 0) for key, x in row.items()), den)
+        yield spec, sum(x * get(key, 0) for key, x in _row_terms(g, spec.family, spec.i, spec.s)), den
 
 
 class QgSolution(NamedTuple):
@@ -530,8 +535,8 @@ def solve_qg_coefficients(g: int) -> QgSolution:
     coefficients = {key: values[k] for k, key in enumerate(keys) if k in pinned}
     free = tuple(key for k, key in enumerate(keys) if k not in pinned)
     slots = dict(zip(col, values))  # col lists the keys in column order
-    residuals = {(spec.family, spec.i, spec.s): value - oracle(spec)
-                 for spec, value in _pairings(g, slots, "BC")}
+    residuals = {(spec.family, spec.i, spec.s): Fraction(x - oracle(spec) * den, den)
+                 for spec, x, den in _pairings(g, slots, "BC")}
 
     return QgSolution(
         g=g,
@@ -618,13 +623,13 @@ class AuditReport(NamedTuple):
 
 
 # Most (family, i, s) specs, 3(g + 1)(2g - 1), valid_specs may try for audit:
-# g = 330 (654,387): 653,055 rows of 2,610,885 entries took 13.2 s and
-# 383 MB peak in the session that timed the largest solve at 22.0 s.
+# g = 330 (654,387): 653,055 curves of 2,610,885 row entries took 10.2-11.1 s
+# and 342 MB peak in the session that timed the largest solve at 17.7-19.2 s.
 _MAX_AUDIT_SPECS = 655_000
 
 
 def audit(g: int) -> AuditReport:
-    """Pair every admissible test curve against qg_class(g), as its _curve_row
+    """Pair every admissible test curve against qg_class(g), as its _row_terms
     dotted with the symmetric class's c_psi and c_{i:s}, and compare with its
     oracle.  Mismatches are data, never an error.  Past g = 330
     (_MAX_AUDIT_SPECS) it raises BudgetExceeded before pairing any."""
@@ -637,7 +642,7 @@ def audit(g: int) -> AuditReport:
     slots = {(i, s): c for (i, (s,)), c in cls.orbits.coeffs.items()}
     slots["psi"] = cls.group_psi[0]
     entries = []
-    for spec, value in _pairings(g, slots):
+    for spec, x, den in _pairings(g, slots):
         orc = oracle(spec)
-        entries.append(AuditEntry(spec, value, orc, value == orc))
+        entries.append(AuditEntry(spec, Fraction(x, den), orc, x == orc * den))
     return AuditReport(g, tuple(entries))

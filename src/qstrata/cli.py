@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import os
 import sys
 from functools import cache
-from pathlib import Path
 
 from .classes import (
     QdInput,
@@ -150,16 +150,24 @@ def _class_from_spec(text: str) -> DivisorClass:
     if kind in _CLASS_KINDS and len(fields) == len(_CLASS_KINDS[kind][0]):
         names, build = _CLASS_KINDS[kind]
         return build(*map(_class_field, names, fields))
-    path = Path(text)
-    if path.exists():
+    path = _path(text)
+    if os.path.exists(path):
         return _read_json_file(path, "class file", DivisorClass.from_json)
     raise UsageError("cannot parse class spec %r" % text)
 
 
-def _read_json_file(path: str | Path, what: str, parse):
+def _path(text: str) -> str:
+    """The path as pathlib prints it on POSIX: "" and "." parts dropped, a
+    root of exactly two slashes kept, "." when nothing is left."""
+    root = "//" if text[:2] == "//" and text[2:3] != "/" else "/" * text.startswith("/")
+    return root + "/".join(p for p in text.split("/") if p not in ("", ".")) or "."
+
+
+def _read_json_file(path: str, what: str, parse):
     """parse(file text); unreadable, malformed or too deeply nested is exit 1."""
     try:
-        return parse(Path(path).read_text())
+        with open(_path(path)) as f:
+            return parse(f.read())
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise UsageError("cannot read %s %s: %s" % (what, path, exc))
 

@@ -70,7 +70,7 @@ class TestCurveSpec(NamedTuple("_TestCurveSpec", [("family", str), ("g", int), (
 _S_TOP = {"A": 2, "B": 3, "C": 4}  # s <= 2g - top; s <= 2g-5 for A and C at i = g
 
 
-# cached: audit and the solver validate the spec of every row they build
+# cached: valid_specs reads it per (family, i), and every validated spec once
 @lru_cache(maxsize=4096)
 def _s_bounds(family: str, g: int, i: int) -> tuple[int, int]:
     """The admissible s of the family at genus g and split i, lo <= s <= hi:
@@ -97,12 +97,13 @@ def validate_spec(family: str, g: int, i: int, s: int) -> None:
 
 def valid_specs(g: int, families=FAMILIES) -> Iterator[TestCurveSpec]:
     """Every admissible spec of these families at genus g, by family, then
-    i, then s: exactly the (i, s) ranges validate_spec accepts."""
+    i, then s: the (i, s) ranges validate_spec accepts, so _make skips it."""
+    make = TestCurveSpec._make
     for family in families if g >= 2 else ():
         for i in range(g + 1):
             lo, hi = _s_bounds(family, g, i)
             for s in range(lo, hi + 1):
-                yield TestCurveSpec(family, g, i, s)
+                yield make((family, g, i, s))
 
 
 def _curve_terms(family: str, g: int, i: int, s: int):

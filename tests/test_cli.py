@@ -7,7 +7,8 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from pathlib import Path
+from itertools import product
+from pathlib import Path, PurePosixPath
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -502,14 +503,41 @@ def test_one_parser_serves_every_call(capsys):
 
 
 def test_cold_start_loads_no_dataclasses():
-    # the records are NamedTuples: importing the CLI loads neither
-    # dataclasses nor what it pulls in; -S keeps a site hook from loading
-    # them first
+    # the records are NamedTuples and files are read through os.path:
+    # importing the CLI loads neither dataclasses nor pathlib, nor what they
+    # pull in; -S keeps a site hook from loading them first
+    loaded = "{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'pathlib', 'urllib.parse', 'ipaddress'}"
     code = ("import sys; sys.path.insert(0, %r); import qstrata.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
-            % str(ROOT / "src"))
+            "print(sorted(%s & set(sys.modules)))" % (str(ROOT / "src"), loaded))
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_file_errors_read_as_before(tmp_path):
+    # the lines the CLI printed when it read files through pathlib.Path: ""
+    # is ".", and a path prints with its empty and "." parts dropped
+    missing, folder = "no/such/dir/x.json", str(tmp_path)
+    is_dir = "[Errno 21] Is a directory: %r"
+    for arg, line in [
+        ("", "cannot read class file .: " + is_dir % "."),
+        (".", "cannot read class file .: " + is_dir % "."),
+        (missing, "cannot parse class spec %r" % missing),
+        ("./" + missing, "cannot parse class spec %r" % ("./" + missing)),
+        (folder + "//./", "cannot read class file %s: %s" % (folder, is_dir % folder)),
+    ]:
+        assert refused(["pair", "--curve", "A:1:1", "--class", arg], 1) == "usage error: %s\n" % line
+    for arg, line in [
+        ("", " : " + is_dir % "."),
+        ("./" + missing, " ./%s: [Errno 2] No such file or directory: %r" % (missing, missing)),
+        (folder + "/.", " %s/.: %s" % (folder, is_dir % folder)),
+    ]:
+        assert refused(["levelgraphs", "--input", arg], 1) == "usage error: cannot read dual graph%s\n" % line
+
+
+def test_paths_print_as_pathlib_prints_them():
+    for parts in product(["/", ".", "a", "..", "b/"], repeat=5):
+        text = "".join(parts)
+        assert cli._path(text) == str(PurePosixPath(text)), text
 
 
 def test_pair_accepts_class_file(tmp_path):

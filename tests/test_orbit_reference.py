@@ -13,10 +13,12 @@ eliminates dense rows; the library stores one coefficient per label
 orbit.  reference_solve_qg is the earlier solver, kept as it was: c_psi
 in column 0, a sparse reduced row echelon form checked against
 reference_rref, and a pass that pins a pivot value only when its row
-touches no free column.  The library's orbit tables, orbit functionals,
-table-to-table pullbacks and forward elimination with back-substitution
-must give the same classes, functionals, pairings, pullbacks and solver
-output.
+touches no free column.  frozen_qg_class and frozen_pairings are qg_class
+and the audit's pairings as they were before they worked in integers
+(Fraction(2) ** e per coefficient, a dict row per curve).  The library's
+orbit tables, orbit functionals, table-to-table pullbacks and forward
+elimination with back-substitution must give the same classes,
+functionals, pairings, pullbacks and solver output.
 """
 
 import hashlib
@@ -25,7 +27,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, repeat
-from math import comb
+from math import comb, lcm
 from operator import lt, mul
 from typing import Iterable
 
@@ -755,6 +757,70 @@ def test_curve_row_matches_frozen_slot_route(g):
                 else:
                     errors.add((family, s - n, got))
     assert errors == {("B", 0, InvalidIndex), ("C", -1, ValueError), ("C", 0, ValueError)}
+
+
+
+# -- the Fraction routes, frozen ----------------------------------------------
+#
+# qg_class and the test-curve pairings as they were before they worked in
+# integers: every qg coefficient through Fraction(2) ** e, and every pairing
+# a dict row dotted with the slot numerators, made a Fraction.
+
+
+def frozen_qg_class(g):
+    n = 2 * g - 2
+    table = weight_table(g, n, [1] * n)[0]
+    for i, (s,) in table.keys():
+        if s in (0, n):
+            i0 = i if s == 0 else g - i  # genus of the unmarked side
+            c = -_pow2(2 * (g - i0) - 1) * (4**i0 * (i0 - 1) + 2) * i0
+        else:
+            x = s - 2 * i
+            c = -_pow2(2 * g - 3) * x * (x + 2)
+        table.put((i, (s,)), c)
+    return DivisorClass(g, n, -(4**g), [3 * _pow2(2 * g - 3)], 4 ** (g - 2), orbits=table)
+
+
+def frozen_pairings(g, slots, families=FAMILIES):
+    """(spec, pairing): frozen_curve_row dotted with the numerators of the
+    slot values over their common denominator, one Fraction per spec."""
+    den = lcm(*(v.denominator for v in slots.values()))
+    num = {key: v.numerator * (den // v.denominator) for key, v in slots.items()}
+    for spec in valid_specs(g, families):
+        row = frozen_curve_row(g, spec.family, spec.i, spec.s)
+        yield spec, Fraction(sum(x * num.get(key, 0) for key, x in row.items()), den)
+
+
+def test_qg_class_matches_frozen_fraction_rule():
+    for g in range(2, 41):
+        got, want = qg_class(g), frozen_qg_class(g)
+        assert got.orbits.groups == want.orbits.groups, g
+        assert list(got.orbits.coeffs.items()) == list(want.orbits.coeffs.items()), g
+        assert (got.lam, got.group_psi, got.delta0) == (want.lam, want.group_psi, want.delta0), g
+        stored = chain(got.orbits.coeffs.values(), got.group_psi, (got.lam, got.delta0))
+        assert all(type(c) is Fraction for c in stored), g
+
+
+def _qg_slots(g):
+    cls = qg_class(g)
+    slots = {(i, s): c for (i, (s,)), c in cls.orbits.coeffs.items()}
+    slots["psi"] = cls.group_psi[0]
+    return slots
+
+
+@pytest.mark.parametrize("g", range(2, 13))
+def test_pairings_match_frozen_dict_row_dot(g):
+    # qg_class's slots (all integers), and a class with denominators whose
+    # other slots are missing, so read as 0
+    qg = _qg_slots(g)
+    rng = random.Random(g)
+    mixed = {key: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+             for key in rng.sample(sorted(qg, key=str), len(qg) // 2)}
+    for slots in (qg, mixed):
+        den = lcm(*(v.denominator for v in slots.values()))
+        got = list(classes._pairings(g, slots))
+        assert all(d == den and type(x) is int for _, x, d in got)
+        assert [(spec, Fraction(x, d)) for spec, x, d in got] == list(frozen_pairings(g, slots))
 
 
 def test_integer_elimination_matches_reference():

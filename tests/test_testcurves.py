@@ -145,3 +145,11 @@ def test_valid_specs_is_the_filtered_grid():
                         continue
                     grid.append((family, g, i, s))
         assert [(x.family, x.g, x.i, x.s) for x in valid_specs(g)] == grid, g
+
+
+def test_valid_specs_are_the_validated_specs():
+    # valid_specs builds its specs with _make, past TestCurveSpec's check
+    for g in range(2, 41):
+        got = list(valid_specs(g))
+        assert got == [CurveSpec(*spec) for spec in got], g
+        assert all(isinstance(spec, CurveSpec) for spec in got), g
