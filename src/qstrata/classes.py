@@ -50,10 +50,8 @@ from .errors import (
 from .picard import (
     DivisorClass,
     OrbitTable,
-    _class_is_valid,
     canonicalize_index,
     format_rational,
-    orbit_key,
     self_mirror,
     weight_table,
 )
@@ -316,11 +314,10 @@ def _slot(g: int, n: int, i: int, s: int):
     """
     if not (0 <= i <= g and 0 <= s <= n):
         raise InvalidIndex("slot (i=%d, s=%d) out of range" % (i, s))
-    if not _class_is_valid(g, n, i, s):
-        # delta_{0:{j}} and its mirror are -psi_j, delta_{0:{}} and its mirror 0
-        return (-1 if 1 in (s, n - s) else 0), "psi"
-    j, (t,) = orbit_key(g, (n,), i, (s,))
-    return 1, (j, t)
+    if 2 * i > g or (2 * i == g and 2 * s > n):
+        i, s = g - i, n - s  # the orbit key names the mirror, as in _row_terms
+    # delta_{0:{j}} = -psi_j, delta_{0:{}} = 0
+    return (1, (i, s)) if i or s > 1 else (-s, "psi")
 
 
 def _row_terms(g: int, family: str, i: int, s: int):

@@ -150,9 +150,8 @@ def _class_from_spec(text: str) -> DivisorClass:
     if kind in _CLASS_KINDS and len(fields) == len(_CLASS_KINDS[kind][0]):
         names, build = _CLASS_KINDS[kind]
         return build(*map(_class_field, names, fields))
-    path = _path(text)
-    if os.path.exists(path):
-        return _read_json_file(path, "class file", DivisorClass.from_json)
+    if os.path.exists(_path(text)):
+        return _read_json_file(text, "class file", DivisorClass.from_json)
     raise UsageError("cannot parse class spec %r" % text)
 
 
@@ -163,10 +162,11 @@ def _path(text: str) -> str:
     return root + "/".join(p for p in text.split("/") if p not in ("", ".")) or "."
 
 
-def _read_json_file(path: str, what: str, parse):
-    """parse(file text); unreadable, malformed or too deeply nested is exit 1."""
+def _read_json_file(text: str, what: str, parse):
+    """parse(the text of the file at _path(text)); unreadable, malformed or too deeply nested is exit 1."""
+    path = _path(text)
     try:
-        with open(_path(path)) as f:
+        with open(path) as f:
             return parse(f.read())
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise UsageError("cannot read %s %s: %s" % (what, path, exc))

@@ -41,10 +41,9 @@ Mbar_{g,n} with more labels than that.
 All coefficients are fractions.Fraction; there is no floating point in
 this module.  Values are immutable after construction and all operations
 are pure, so everything here is safe to share between threads.  The
-writes after construction are the cached views (the dense boundary, the
-per-label psi and a table's orbit code): threads that race to build one
-build equal values, and each stores a complete one with a single
-assignment.
+only writes after construction are a vector's dense boundary and a table's
+orbit code: threads that race to build one build equal values, and each
+stores a complete one with a single assignment.
 """
 
 from __future__ import annotations
@@ -148,9 +147,8 @@ def _check_gn(g: int, n: int) -> None:
     _check_size(g, n, n, "psi coefficients")
 
 
-@lru_cache(maxsize=64)
 def _labels(n: int) -> frozenset[int]:
-    """The marked-point labels {1..n}."""
+    """The marked-point labels {1..n}, built per call so that none is kept."""
     return frozenset(range(1, n + 1))
 
 
@@ -202,27 +200,26 @@ def boundary_term(g: int, n: int, i: int, S: Iterable[int]):
     ("psi", j) for the degenerate singleton case delta_{0:{j}} = -psi_j,
     and ("zero", None) for delta_{0:{}} (or its mirror), which is no
     divisor at all.  An i outside 0..g or a label outside 1..n raises
-    InvalidIndex.
+    InvalidIndex; {1..n} is built only to name a side or label by S^c.
     """
     _check_gn(g, n)
     S = frozenset(S)
     if not 0 <= i <= g:
         raise InvalidIndex("genus part i=%s outside [0, %s]" % (i, g))
-    labels = _labels(n)
     # a label is an int in 1..n; 2.0, Fraction(2) and True are equal to
-    # one, so the types are checked besides the values
-    if not (S <= labels and set(map(type, S)) <= _INT):
+    # one, so the types are checked before the values
+    if not (_INT.issuperset(map(type, S)) and all(0 < p <= n for p in S)):
         bad = next(p for p in S if type(p) is not int or not 1 <= p <= n)
         raise InvalidIndex("marked point %r is not one of the labels 1..%s" % (bad, n))
     if _class_is_valid(g, n, i, len(S)):
         # the kept side has the smaller genus part, on a tie label 1
         if i < g - i or (2 * i == g and 1 in S):
             return ("delta", BoundaryIndex(i, tuple(sorted(S))))
-        return ("delta", BoundaryIndex(g - i, tuple(sorted(labels - S))))
+        return ("delta", BoundaryIndex(g - i, tuple(sorted(_labels(n) - S))))
     if i == 0 and len(S) == 1:
         return ("psi", next(iter(S)))
     if i == g and n - len(S) == 1:
-        return ("psi", next(iter(labels - S)))
+        return ("psi", next(iter(_labels(n) - S)))
     # an invalid side has i = 0 and |S| < 2 or i = g and n - |S| < 2; the
     # one-label cases are psi above, so S is empty at i = 0 or full at i = g
     return ("zero", None)
@@ -447,7 +444,8 @@ def _from_dense(g: int, n: int, psi, boundary: Mapping) -> tuple[OrbitTable, tup
     by_row = {}
     for j in range(1, n + 1):
         by_row.setdefault((psi[j - 1], tuple(sorted(rows[j]))), []).append(j)
-    table = len(by_row) < n and _grouped(g, n, map(tuple, by_row.values()), total)
+    # a candidate of one label per group is the fallback, which always fits
+    table = _grouped(g, n, map(tuple, by_row.values()), total)
     table = table or _grouped(g, n, [(j,) for j in range(1, n + 1)], total)
     return table, tuple(psi[labels[0] - 1] for labels in table.groups)
 
@@ -460,10 +458,11 @@ class _PicardVector:
     input adapter takes a dense {canonical BoundaryIndex: coefficient}
     (`boundary`) and per-label psi, and builds a table in the one candidate
     grouping `_from_dense` checks, else with one group per label.  The
-    dense boundary and the per-label psi are views built on first access.
+    per-label psi is filled in at construction; the dense boundary is a
+    view built on first access.
     """
 
-    __slots__ = ("g", "n", "lam", "group_psi", "delta0", "orbits", "_psi", "_dense")
+    __slots__ = ("g", "n", "lam", "group_psi", "delta0", "orbits", "psi", "_dense")
 
     def __init__(self, g, n, lam=0, psi=None, delta0=0, boundary=None, orbits=None):
         _check_gn(g, n)
@@ -471,7 +470,7 @@ class _PicardVector:
         self.n = n
         self.lam = _frac(lam)
         self.delta0 = _frac(delta0)
-        self._psi = self._dense = None
+        self._dense = None
         if orbits is None:
             orbits, psi = _from_dense(g, n, psi, boundary or {})
         self._same_space(orbits)
@@ -480,6 +479,11 @@ class _PicardVector:
         self.group_psi = tuple(_frac(c) for c in (psi or (0,) * width))
         if len(self.group_psi) != width:
             raise DimensionMismatch("expected %d psi coefficients, one per label group" % width)
+        psi = [None] * n
+        for labels, c in zip(orbits.groups, self.group_psi):
+            for j in labels:
+                psi[j - 1] = c
+        self.psi = tuple(psi)  # one per label
 
     @classmethod
     def from_terms(cls, table: OrbitTable, lam, group_psi, delta0, terms):
@@ -508,17 +512,6 @@ class _PicardVector:
         for key, c in coeffs.items():
             table.put(key, c)
         return cls(g, n, lam, group_psi, delta0, orbits=table)
-
-    @property
-    def psi(self) -> tuple[Fraction, ...]:
-        """psi coefficients, one per label."""
-        if self._psi is None:
-            psi = [None] * self.n
-            for labels, c in zip(self.orbits.groups, self.group_psi):
-                for j in labels:
-                    psi[j - 1] = c
-            self._psi = tuple(psi)
-        return self._psi
 
     @property
     def boundary(self) -> dict[BoundaryIndex, Fraction]:

@@ -42,7 +42,6 @@ orbit, as orbit size times canonical-side length.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceeded, InvalidSpec
@@ -70,8 +69,6 @@ class TestCurveSpec(NamedTuple("_TestCurveSpec", [("family", str), ("g", int), (
 _S_TOP = {"A": 2, "B": 3, "C": 4}  # s <= 2g - top; s <= 2g-5 for A and C at i = g
 
 
-# cached: valid_specs reads it per (family, i), and every validated spec once
-@lru_cache(maxsize=4096)
 def _s_bounds(family: str, g: int, i: int) -> tuple[int, int]:
     """The admissible s of the family at genus g and split i, lo <= s <= hi:
     the one statement of the ranges validate_spec and valid_specs use.

@@ -514,8 +514,9 @@ def test_cold_start_loads_no_dataclasses():
 
 
 def test_file_errors_read_as_before(tmp_path):
-    # the lines the CLI printed when it read files through pathlib.Path: ""
-    # is ".", and a path prints with its empty and "." parts dropped
+    # the lines the CLI printed for a class file when it read files through
+    # pathlib.Path, and a dual graph named the same way: "" is ".", and a
+    # path prints with its empty and "." parts dropped
     missing, folder = "no/such/dir/x.json", str(tmp_path)
     is_dir = "[Errno 21] Is a directory: %r"
     for arg, line in [
@@ -527,9 +528,9 @@ def test_file_errors_read_as_before(tmp_path):
     ]:
         assert refused(["pair", "--curve", "A:1:1", "--class", arg], 1) == "usage error: %s\n" % line
     for arg, line in [
-        ("", " : " + is_dir % "."),
-        ("./" + missing, " ./%s: [Errno 2] No such file or directory: %r" % (missing, missing)),
-        (folder + "/.", " %s/.: %s" % (folder, is_dir % folder)),
+        ("", " .: " + is_dir % "."),
+        ("./" + missing, " %s: [Errno 2] No such file or directory: %r" % (missing, missing)),
+        (folder + "/.", " %s: %s" % (folder, is_dir % folder)),
     ]:
         assert refused(["levelgraphs", "--input", arg], 1) == "usage error: cannot read dual graph%s\n" % line
 

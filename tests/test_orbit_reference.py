@@ -760,6 +760,23 @@ def test_curve_row_matches_frozen_slot_route(g):
 
 
 
+def _slot_or_error(slot, g, n, i, s):
+    try:
+        return slot(g, n, i, s)
+    except InvalidIndex as exc:
+        return InvalidIndex, str(exc)
+
+
+def test_slot_matches_frozen_slot():
+    # i and s run one past each end, so the out-of-range refusal is compared too
+    for g in range(2, 25):
+        for n in range(2, 30):
+            for i in range(-1, g + 2):
+                for s in range(-1, n + 2):
+                    want = _slot_or_error(frozen_slot, g, n, i, s)
+                    assert _slot_or_error(classes._slot, g, n, i, s) == want, (g, n, i, s)
+
+
 # -- the Fraction routes, frozen ----------------------------------------------
 #
 # qg_class and the test-curve pairings as they were before they worked in
@@ -937,7 +954,7 @@ def test_orbit_functionals_match_dense_reference(g):
     for spec in valid_specs(g):
         f = curve_functional(spec)
         ref = REFERENCE_CURVES[spec.family](spec.g, spec.i, spec.s)
-        assert f._psi is None
+        assert f._dense is None
         for name, cls in classes_g:
             assert f.pair(cls) == ref.pair(cls), (spec, name)
         # the dense view, built last, is the reference functional

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -35,6 +37,23 @@ from qstrata.picard import (
     weight_table,
 )
 from qstrata.testcurves import TestCurveSpec as CurveSpec
+
+
+def test_canonical_indices_keep_no_label_set():
+    # a plain and a mirrored index on spaces with about 200,000 labels: once
+    # the results are dropped, no set of the n labels stays alive
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(200_001, 200_004):
+            assert canonicalize_index(3, n, 1, (1, 2)) == (1, (1, 2))
+            assert len(canonicalize_index(3, n, 2, (1, 2)).points) == n - 2
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20, kept
 
 
 def test_canonicalize_examples():
