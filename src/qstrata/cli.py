@@ -179,8 +179,13 @@ def _class_table(d) -> str:
     for j, c in enumerate(d.psi, start=1):
         lines.append("  psi_%-3d %s" % (j, format_rational(c)))
     lines.append("  delta_0 %s" % format_rational(d.delta0))
+    # "  delta_{i:{" per genus part and "S}}" once per label list S, the
+    # rows' shared S tuples as its keys
     label = list(map(str, range(d.n + 1))).__getitem__
-    lines += ["  %-20s %s" % ("delta_{%d:{%s}}" % (i, ",".join(map(label, S))), c)
+    heads = ["  delta_{%d:{" % i for i in range(d.g // 2 + 1)]
+    tails = {}
+    tail = tails.get
+    lines += ["%-22s %s" % (heads[i] + (tail(S) or tails.setdefault(S, ",".join(map(label, S)) + "}}")), c)
               for i, S, c in d.orbits._rendered()]
     return "\n".join(lines)
 

@@ -22,21 +22,29 @@ read from JSON, takes one input route: its labels are grouped by what a
 label symmetry must preserve (psi_j and the delta_{0:{j,k}} row), and the
 grouping is kept only when every orbit it meets is checked to be full and
 constant; otherwise each label is a group of its own.  Each entry finds
-its orbit by one integer code (OrbitTable._orbit_code), decoded once per
-orbit.  The JSON reader keys a canonical entry, as qstrata writes them,
-as the plain (i, S); any other goes through canonicalize_index.  Terms
-given per orbit go through one router, from_terms.
+its orbit by one integer code (OrbitTable._orbit_code), its digit sum
+computed once per distinct S and the code decoded once per orbit.  The
+JSON reader keys a canonical entry, as qstrata writes them, as the plain
+(i, S): the label types of the whole file are checked in one pass, and
+the order and range of each distinct label list once, so the genus parts
+of S share one tuple; any other entry goes through canonicalize_index.
+Terms given per orbit go through one router, from_terms.
 
 A functional pairs with a class by walking its own divisors and looking
 each one up in the class's table; equal label groups let equals compare
 table against table.  JSON and the CLI table print from the same sorted
-walk of the table's divisors, which formats each orbit's coefficient
-once.  The dense view, built from that walk on first access to `boundary`
-and cached, serves only add, sub and scale and the comparison of vectors
-whose label groups differ.  Walking more than _MAX_DENSE_ENTRIES divisors
-is refused with BudgetExceeded before anything is allocated; so is filling
-a class table with more orbit keys than that, and so is any space
-Mbar_{g,n} with more labels than that.
+rows, each orbit's coefficient formatted once (OrbitTable._rendered).  A
+table that fills at least half of the (g // 2 + 1) * 2^n pairs (i, S)
+with i <= g - i, as a closed-form class does, walks every subset S of
+1..n once in sorted order and looks each pair's orbit up by its code, so
+the rows come out sorted; a sparser one, as a test-curve functional is,
+walks its orbits and sorts their sides.  The dense view, built from the
+orbit walk on first access to `boundary` and cached, serves only add,
+sub and scale and the comparison of vectors whose label groups differ.
+Walking more than _MAX_DENSE_ENTRIES divisors is refused with
+BudgetExceeded before anything is allocated; so is filling a class table
+with more orbit keys than that, and so is any space Mbar_{g,n} with more
+labels than that.
 
 All coefficients are fractions.Fraction; there is no floating point in
 this module.  Values are immutable after construction and all operations
@@ -53,7 +61,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, compress, product, repeat
 from math import comb, prod
-from operator import lt, mul, sub
+from operator import itemgetter, lshift, lt, mul, sub
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BudgetExceeded, DimensionMismatch, DomainError, InvalidIndex, WrongGenus
@@ -89,12 +97,17 @@ def format_rational(x: Rational) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+def parse_rational(s: str) -> Fraction:
+    # the type first: the cache would fail on hashing a list or a dict
+    if not isinstance(s, str):
+        raise TypeError("expected a rational as a string such as \"3/2\", got %r" % (s,))
+    return _parse_rational(s)
+
+
 # a class file repeats few coefficients many times: parsing each string once
 # also makes equal coefficients one object, which _grouped compares first
 @lru_cache(maxsize=1024)
-def parse_rational(s: str) -> Fraction:
-    if not isinstance(s, str):
-        raise TypeError("expected a rational as a string such as \"3/2\", got %r" % (s,))
+def _parse_rational(s: str) -> Fraction:
     s = s.strip()
     if "/" in s:
         p, q = s.split("/", 1)
@@ -165,13 +178,9 @@ def _class_is_valid(g: int, n: int, i: int, size: int) -> bool:
     return True
 
 
-def _is_canonical(g: int, n: int, i, S) -> bool:
-    """Is (i, S) on Mbar_{g,n}, g >= 2, a canonical side as it stands: i an
-    int, S a strictly increasing sequence of int labels in 1..n on the kept
-    side (see BoundaryIndex), with at least two labels at genus 0?"""
-    return (type(i) is int and _INT.issuperset(map(type, S)) and all(map(lt, S, S[1:]))
-            and (0 < S[0] and S[-1] <= n if S else 0 < 2 * i < g)
-            and (0 < 2 * i < g or i == 0 and len(S) > 1 or 2 * i == g and S[0] == 1))
+def _in_order(n: int, S: tuple) -> bool:
+    """Are the int labels of S strictly increasing in 1..n?"""
+    return all(map(lt, S, S[1:])) and (not S or 0 < S[0] and S[-1] <= n)
 
 
 def canonicalize_index(g: int, n: int, i: int, S: Iterable[int]) -> BoundaryIndex:
@@ -305,21 +314,29 @@ class OrbitTable:
         if c:
             self.coeffs[key] = c
 
+    def _digits(self):
+        """(weight, shifts, top), the layout of the orbit code: each group
+        has a digit wide enough for its size, in group order (shifts), label
+        j adds weight[j] to its group's digit, and i sits above bit top."""
+        width, bits = len(self.groups), max(self.sizes).bit_length()
+        shifts = range(bits * (width - 1), -1, -bits)
+        weight = [0] * (self.n + 1)
+        for labels, shift in zip(self.groups, shifts):
+            for j in labels:
+                weight[j] = 1 << shift
+        return weight, shifts, bits * width
+
     def _orbit_code(self):
         """(code, key), built on first use: code(i, S) names the orbit of
         delta_{i:S}, (i, S) a canonical side, by one integer, and key(code)
-        is its orbit_key.  Each group has a digit wide enough for its size,
-        in group order, so the labels of S sum to its counts read as digits,
-        with i above them; on a tie (2i = g) the code keeps the smaller of S
-        and S^c, as orbit_key does, since digit order is tuple order."""
+        is its orbit_key.  The labels of S sum to its counts read as digits
+        (see _digits), with i above them; on a tie (2i = g) the code keeps
+        the smaller of S and S^c, as orbit_key does, since digit order is
+        tuple order."""
         if self._code is None:
-            g, width, bits = self.g, len(self.groups), max(self.sizes).bit_length()
-            shifts = range(bits * (width - 1), -1, -bits)
-            weight = [0] * (self.n + 1)
-            for labels, shift in zip(self.groups, shifts):
-                for j in labels:
-                    weight[j] = 1 << shift
-            full, top, mask, digit = sum(weight), bits * width, (1 << bits) - 1, weight.__getitem__
+            g, width = self.g, len(self.groups)
+            weight, shifts, top = self._digits()
+            full, mask, digit = sum(weight), (1 << top // width) - 1, weight.__getitem__
 
             def code(i, S):
                 c = sum(map(digit, S)) if width > 1 else len(S)
@@ -375,11 +392,51 @@ class OrbitTable:
         return {BoundaryIndex(i, S): c for i, sides, c in self._divisors() for S in sides}
 
     def _rendered(self) -> list[tuple[int, tuple[int, ...], str]]:
-        """Every divisor as sorted (i, S, "p/q"), formatted once per orbit."""
+        """Every divisor as sorted (i, S, "p/q"), formatted once per orbit:
+        by _subset_rows when the divisors fill at least half of the
+        (g // 2 + 1) * 2^n pairs (i, S) it walks, else by _orbit_rows, for
+        2^n can be far past the size of a sparse table."""
+        size = self.dense_size()
+        _check_size(self.g, self.n, size, "dense boundary entries")
+        if (self.g // 2 + 1) << self.n <= 2 * size:  # O(1), no binomial sums
+            return self._subset_rows()
+        return self._orbit_rows()
+
+    def _orbit_rows(self) -> list[tuple[int, tuple[int, ...], str]]:
+        """_rendered's walk of the orbits' sides (_divisors), then sorted."""
         rows = []
         for i, sides, c in self._divisors():
             rows += zip(repeat(i), sides, repeat(format_rational(c)))
         rows.sort()
+        return rows
+
+    def _subset_rows(self) -> list[tuple[int, tuple[int, ...], str]]:
+        """_rendered's walk of every subset S of 1..n, once, in sorted tuple
+        order, with the digit sum v of its labels (see _digits): per genus
+        part i, (i, S) names the orbit i << top | v (on a tie, 2i = g, the
+        smaller of v and its mirror, over the sides holding label 1), so one
+        lookup finds its coefficient, and the rows come out sorted."""
+        g, n = self.g, self.n
+        weight, shifts, top = self._digits()
+        full = sum(weight)
+        text = {i << top | sum(map(lshift, counts, shifts)): format_rational(c)
+                for (i, counts), c in self.coeffs.items()}
+        # the subsets of q..n in sorted order: (), q before each subset of
+        # q+1..n in order, then the nonempty subsets of q+1..n
+        subsets, sums = [()], [0]
+        for q in range(n, 0, -1):
+            w = weight[q]
+            subsets = [()] + [(q,) + S for S in subsets] + subsets[1:]
+            sums = [0] + [w + v for v in sums] + sums[1:]
+        get, rows = text.get, []
+        for i in range(g // 2 + 1):
+            base = i << top
+            if 2 * i == g:  # the sides holding label 1 follow ()
+                half = (1 << n - 1) + 1
+                rows += [(i, S, c) for S, v in zip(subsets[1:half], sums[1:half])
+                         if (c := get(base | min(v, full - v)))]
+            else:  # a genus-0 side holds two labels
+                rows += [(i, S, c) for S, v in zip(subsets, sums) if (c := get(base | v)) and (i or len(S) > 1)]
         return rows
 
 
@@ -401,16 +458,22 @@ def weight_table(g: int, n: int, weights: Iterable[int]) -> tuple[OrbitTable, tu
 
 def _grouped(g: int, n: int, groups, total) -> OrbitTable | None:
     """A table over these label groups holding the dense entries `total`
-    ((canonical (i, S), nonzero coefficient), each index once), or None
-    when some orbit it meets has two coefficients or misses a divisor."""
+    ({canonical (i, S): nonzero coefficient}), or None when some orbit it
+    meets has two coefficients or misses a divisor."""
     table = OrbitTable(g, n, groups)
     if total:
-        code, key = table._orbit_code()
-        coeffs = {}
-        for (i, S), c in total:
-            old = coeffs.setdefault(code(i, S), c)
+        # the orbit code of (i, S) (see OrbitTable._orbit_code), its digit
+        # sum computed once per distinct S
+        weight, _, top = table._digits()
+        full, digit, sums, coeffs = sum(weight), weight.__getitem__, {}, {}
+        for (i, S), c in total.items():
+            v = sums.get(S)
+            if v is None:
+                v = sums[S] = sum(map(digit, S))
+            old = coeffs.setdefault(i << top | (min(v, full - v) if 2 * i == g else v), c)
             if old is not c and old != c:
                 return None
+        key = table._orbit_code()[1]
         table.coeffs = {key(k): c for k, c in coeffs.items()}
     # no orbit holds more entries than divisors: equal totals mean that
     # every orbit met is full
@@ -432,11 +495,11 @@ def _from_dense(g: int, n: int, psi, boundary: Mapping) -> tuple[OrbitTable, tup
     psi = tuple(map(_frac, psi or (0,) * n))
     if len(psi) != n:
         raise DimensionMismatch("expected %d psi coefficients, one per label" % n)
-    total, rows = [], [[] for _ in range(n + 1)]
+    total, rows = {}, [[] for _ in range(n + 1)]
     for idx, c in boundary.items():
         c = _frac(c)
         if c:
-            total.append((idx, c))
+            total[idx] = c
             i, S = idx
             if i == 0 and len(S) == 2:
                 for j in S:
@@ -599,14 +662,29 @@ class _PicardVector:
         g, n = _json_int(d["g"]), _json_int(d["n"])
         if cls is DivisorClass and d.get("functional"):  # d had "g": a JSON object
             raise TypeError("the file holds a curve functional, not a divisor class")
+        entries = _json_list(d["boundary"])
+        # every label an int, in one pass (1.0 and True equal 1, so a label
+        # list is never taken on equality alone); a file that fails this
+        # fails below, entry by entry
+        try:
+            ints = _INT.issuperset(map(type, chain.from_iterable(map(itemgetter("S"), entries))))
+        except (KeyError, TypeError):
+            ints = False
         # entries naming the same class under mirrored indices accumulate
-        boundary, checked = {}, False
-        for e in _json_list(d["boundary"]):
-            # once an entry has checked (g, n), a canonical one is its own key
-            if (checked and type(i := e["i"]) is int and type(S := e["S"]) is list
-                    and _is_canonical(g, n, i, S)):
-                idx = (i, tuple(S))
-            else:
+        boundary, sides = {}, None
+        for e in entries:
+            idx = None
+            # once an entry has checked (g, n), a canonical one is its own
+            # key: the order and range of each distinct label list are
+            # checked once, and its genus parts share one tuple
+            if sides is not None and type(i := e["i"]) is int and type(S := e["S"]) is list:
+                side = sides.get(key := tuple(S))
+                if side is None:
+                    side = sides[key] = key if _in_order(n, key) else False
+                if side is not False and (0 < 2 * i < g or i == 0 and len(side) > 1
+                                          or 2 * i == g and side[:1] == (1,)):
+                    idx = (i, side)
+            if idx is None:
                 i, S = _json_int(e["i"]), e["S"]
                 try:
                     idx = canonicalize_index(g, n, i, S)
@@ -615,7 +693,8 @@ class _PicardVector:
                         _json_int(p)  # a float, bool or str label is a TypeError, checked first
                     raise
                 _json_list(S)  # "" or {} would name the empty set
-                checked = True
+                if sides is None and ints:
+                    sides = {}
             c, size = parse_rational(e["c"]), len(boundary)
             old = boundary.setdefault(idx, c)  # one hash of idx when it is new
             if len(boundary) == size:

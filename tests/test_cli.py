@@ -283,6 +283,23 @@ def test_level_graph_refusals_end_in_one_line(tmp_path, graph):
     assert refused(["levelgraphs", "--input", str(path)], 2).startswith("domain error:")
 
 
+def test_coefficients_must_be_strings(tmp_path):
+    # a list or an object as a coefficient used to fail in the hash of the
+    # parse cache ("unhashable type: 'list'"); exit 1 either way
+    path = tmp_path / "file.json"
+    qg = qg_class(3).to_jsonable()
+    for bad in ([1], {"a": 1}):
+        for field in ("c", "psi"):
+            doc = json.loads(json.dumps(qg))
+            if field == "c":
+                doc["boundary"][5]["c"] = bad
+            else:
+                doc["psi"][0] = bad
+            path.write_text(json.dumps(doc))
+            line = refused(["pair", "--curve", "A:1:2", "--class", str(path)], 1)
+            assert line == 'usage error: cannot read class file %s: expected a rational as a string such as "3/2", got %r\n' % (path, bad)
+
+
 def test_array_fields_must_be_arrays(tmp_path):
     path = tmp_path / "file.json"
 

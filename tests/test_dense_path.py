@@ -2,10 +2,11 @@
 
 `boundary_term` is the one validator of boundary indices, and
 `canonicalize_index` returns input that is already canonical as it is.
-JSON and the table are printed from one sorted walk of each orbit
-table's divisors, the same walk that builds the dense
+JSON and the table are printed from one list of sorted rows, walked
+over the label subsets for a table at least half full and otherwise over
+the divisors of each orbit, the walk that builds the dense
 {BoundaryIndex: coefficient} view.  These tests pin the rejections, the
-output order of the keys, the walk against the dense view, and a digest
+output order of the keys, the rows against the dense view, and a digest
 of the dense output recorded before the keys became named tuples.
 """
 

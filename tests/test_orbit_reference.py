@@ -55,7 +55,7 @@ from qstrata import (
     solve_qg_coefficients,
     valid_specs,
 )
-from qstrata import classes
+from qstrata import classes, cli
 from qstrata.classes import QgSolution
 from qstrata.picard import (
     _MAX_DENSE_ENTRIES,
@@ -1421,6 +1421,9 @@ def _malformed(doc, at):
     yield "label past n", edited(S=e["S"] + [n + 1])
     for i in _BAD_I:
         yield "i %r" % (i,), edited(i=i)
+    # genus 0 needs two labels: delta_{0:{j}} is -psi_j, delta_{0:{}} nothing
+    yield "genus 0, one label", edited(i=0, S=e["S"][:1] or [n])
+    yield "genus 0, no label", edited(i=0, S=[])
     for field in ("i", "S", "c"):
         yield "no %s" % field, edited(**{field: _DROP})
     for S in (5, "12", {"1": 1}, [[1, 2]]):
@@ -1428,6 +1431,8 @@ def _malformed(doc, at):
     yield "S and i", edited(S=[2.0], i=1.5)
     yield "float c", edited(c=0.5)
     yield "zero denominator", edited(c="1/0")
+    for c in ([1], {"a": 1}):  # unhashable, so checked before the parse cache
+        yield "c %r" % (c,), edited(c=c)
 
 
 @pytest.mark.parametrize("name, build", [
@@ -1457,6 +1462,10 @@ def test_malformed_files_read_as_before(name, build):
             assert isinstance(ref, tuple) and got == ref, (g, n, what)
         got, ref = _read_both(cls, dict(doc, g=g, n=n, boundary=[], psi=["1/1"]))
         assert got == ref, (g, n)
+    # a psi entry that is no string, unhashable or not
+    for bad in ({"a": 1}, [1], 1):
+        got, ref = _read_both(cls, dict(doc, psi=[bad] + doc["psi"][1:]))
+        assert got == ref == (TypeError, 'expected a rational as a string such as "3/2", got %r' % (bad,))
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 6])
@@ -1487,3 +1496,109 @@ def test_orbit_code_names_the_orbit_key(g):
                         ties += 2 * i == g
     assert ties > 100 or g % 2
 
+
+
+def _memo_variants(doc, at):
+    """(what, copy of the class file) with the label list of entry `at`
+    replaced by one equal (==) to it, or to it with label 1 added, but
+    holding 1.0 or true, or by its labels out of order, and with a copy of
+    the entry, its labels out of order, put before it; and whether a list
+    equal to the new one came before entry `at`."""
+    entries = doc["boundary"]
+    S = entries[at]["S"]
+    variants = [("float label", S[:-1] + [float(S[-1])] if S else [1.0]),
+                ("all floats", [float(p) for p in S] or [1.0]),
+                ("true label", [True] + [p for p in S if p != 1])]
+    if len(S) > 1:
+        variants.append(("out of order", S[::-1]))
+        variants.append(("out of order, then in order", S))
+    for what, new in variants:
+        copy = json.loads(json.dumps(doc))
+        copy["boundary"][at]["S"] = new
+        if what.endswith("in order"):  # the divisor twice: its coefficient doubles
+            copy["boundary"].insert(at, dict(entries[at], S=S[::-1]))
+        yield what, copy, any(e["S"] == new for e in entries[:at])
+
+
+@pytest.mark.parametrize("name, build", [
+    ("qg:4", lambda: qg_class(4)),
+    ("qd:5", lambda: qd_class(QdInput(5, 8, (3, 3, 1, -1, -1, 1, 1, 1)))),
+    ("logan:4", lambda: logan_class(4, 6, (2, 1, 1, 0, 0, 0))),
+    ("functional", lambda: curve_functional(CurveSpec("C", 4, 1, 1))),
+])
+def test_reader_memo_takes_no_list_on_equality(name, build):
+    # the reader checks each distinct label list once; an entry whose list
+    # equals one already checked, but holds 1.0 or true or is out of order,
+    # must still read or raise as the frozen reader does
+    vec = build()
+    cls, doc = type(vec), vec.to_jsonable()
+    last = len(doc["boundary"]) - 1
+    # the first entry, the middle one, and the last, whose list every
+    # earlier genus part of a closed form has listed already
+    seen = 0
+    for at in (0, last // 2, last):
+        for what, copy, repeated in _memo_variants(doc, at):
+            got, ref = _read_both(cls, copy)
+            if isinstance(ref, tuple):
+                assert got == ref and "order" not in what, (at, what)
+            else:
+                assert "order" in what and _same_reading(got, ref), (at, what)
+                assert (got._coeffs() == vec._coeffs()) == (what == "out of order"), (at, what)
+            seen += repeated
+    assert seen >= 4 or name == "functional"
+
+
+def _walk_pool():
+    """Tables of every kind the library builds: closed forms at even and
+    odd g (tie and self-mirror orbits), n = 1, pullbacks, per-label copies
+    and every test-curve functional at g <= 5."""
+    pool = [qg_class(g) for g in range(2, 8)]
+    pool += [qd_class(QdInput(g, len(d), d)) for g, d in QD_SIGNATURES]
+    pool += [logan_class(g, len(d), d) for g, d in LOGAN_SIGNATURES]
+    pool += [qd_class(QdInput(g, 1, (2 * g - 2,))) for g in (2, 3, 4)] + [logan_class(3, 1, (3,))]
+    qd = qd_class(QdInput(4, 6, (3, 3, 1, -1, -1, 1)))
+    pool += [forget_pullback(qd), forget_pullback(qg_class(4)), pullback_attach(qd, 1, 6),
+             pullback_attach(qg_class(5), 2, 3), pullback_attach(logan_class(5, 8, (1,) * 5 + (0,) * 3), 1, 1)]
+    pool += [_per_label_copy(qd), _per_label_copy(qg_class(5)), _per_label_copy(logan_class(4, 6, (2, 1, 1, 0, 0, 0)))]
+    pool += [curve_functional(spec) for g in range(2, 6) for spec in valid_specs(g)]
+    return pool
+
+
+def _refused(self):
+    raise AssertionError("the other walk was taken")
+
+
+def test_subset_walk_matches_orbit_walk(monkeypatch):
+    walked, ties, mirrored = {True: 0, False: 0}, 0, 0
+    for vec in _walk_pool():
+        table = vec.orbits
+        rows = table._orbit_rows()
+        assert table._subset_rows() == rows, vec
+        # _rendered takes the subset walk exactly when the table is half full
+        full = (vec.g // 2 + 1) << vec.n <= 2 * table.dense_size()
+        with monkeypatch.context() as patch:
+            patch.setattr(OrbitTable, "_orbit_rows" if full else "_subset_rows", _refused)
+            assert table._rendered() == rows
+        walked[full] += 1
+        ties += any(2 * i == vec.g for i, _ in table.coeffs)
+        mirrored += any(self_mirror(vec.g, table.sizes, *key) for key in table.coeffs)
+    # closed forms and pullbacks walk their subsets, functionals (and the
+    # one-label classes at g = 2, with one divisor) their orbits
+    assert walked[True] >= 35 and walked[False] >= 250 and ties >= 40 and mirrored >= 5
+
+
+def test_rendered_picks_the_walk_by_fill(monkeypatch):
+    # JSON and the CLI table of closed forms and a per-label copy print
+    # through the subset walk...
+    with monkeypatch.context() as patch:
+        patch.setattr(OrbitTable, "_orbit_rows", _refused)
+        for cls in (qg_class(5), qd_class(QdInput(4, 6, (3, 3, 1, -1, -1, 1))), _per_label_copy(qg_class(4))):
+            assert DivisorClass.from_json(cls.to_json())._coeffs() == cls._coeffs()
+            assert cli._class_table(cls).count("delta_{") == cls.orbits.dense_size()
+    # ...and test-curve functionals through their orbits: at 598 labels the
+    # subset walk would visit about 2^598 subsets
+    monkeypatch.setattr(OrbitTable, "_subset_rows", _refused)
+    for spec in (CurveSpec("A", 300, 1, 2), CurveSpec("C", 4, 1, 1)):
+        f = curve_functional(spec)
+        assert len(f.to_jsonable()["boundary"]) == f.orbits.dense_size()
+        assert cli._class_table(f).count("delta_{") == f.orbits.dense_size()
