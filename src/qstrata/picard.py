@@ -22,8 +22,8 @@ read from JSON, takes one input route: its labels are grouped by what a
 label symmetry must preserve (psi_j and the delta_{0:{j,k}} row), and the
 grouping is kept only when every orbit it meets is checked to be full and
 constant; otherwise each label is a group of its own.  Each entry finds
-its orbit by one integer code (OrbitTable._orbit_code), its digit sum
-computed once per distinct S and the code decoded once per orbit.  The
+its orbit by one integer code (laid out by OrbitTable._layout), its digit
+sum computed once per distinct S and the code decoded once per orbit.  The
 JSON reader keys a canonical entry, as qstrata writes them, as the plain
 (i, S): the label types of the whole file are checked in one pass, and
 the order and range of each distinct label list once, so the genus parts
@@ -32,26 +32,28 @@ Terms given per orbit go through one router, from_terms.
 
 A functional pairs with a class by walking its own divisors and looking
 each one up in the class's table; equal label groups let equals compare
-table against table.  JSON and the CLI table print from the same sorted
-rows, each orbit's coefficient formatted once (OrbitTable._rendered).  A
-table that fills at least half of the (g // 2 + 1) * 2^n pairs (i, S)
-with i <= g - i, as a closed-form class does, walks every subset S of
-1..n once in sorted order and looks each pair's orbit up by its code, so
-the rows come out sorted; a sparser one, as a test-curve functional is,
+table against table, at genus 2 too, where g2_normal_form applies the
+relation lambda = delta_0/10 + delta_1/5 in orbit form over the class's
+own label groups.  JSON and the CLI table print from the same sorted rows,
+each orbit's coefficient formatted once (OrbitTable._rendered).  A table
+that fills at least half of the (g // 2 + 1) * 2^n pairs (i, S) with
+i <= g - i, as a closed-form class does, walks every subset S of 1..n
+once in sorted order and looks each pair's orbit up by its code, so the
+rows come out sorted; a sparser one, as a test-curve functional is,
 walks its orbits and sorts their sides.  The dense view, built from the
-orbit walk on first access to `boundary` and cached, serves only add,
-sub and scale and the comparison of vectors whose label groups differ.
-Walking more than _MAX_DENSE_ENTRIES divisors is refused with
-BudgetExceeded before anything is allocated; so is filling a class table
-with more orbit keys than that, and so is any space Mbar_{g,n} with more
-labels than that.
+orbit walk anew on each access to `boundary`, serves only add, sub and
+scale and the comparison of vectors whose label groups differ.  Walking
+more than _MAX_DENSE_ENTRIES divisors is refused with BudgetExceeded
+before anything is allocated; so is listing more boundary indices than
+that (canonical_boundary_indices), filling a class table with more orbit
+keys than that, and any space Mbar_{g,n} with more labels than that.
 
 All coefficients are fractions.Fraction; there is no floating point in
 this module.  Values are immutable after construction and all operations
-are pure, so everything here is safe to share between threads.  The
-only writes after construction are a vector's dense boundary and a table's
-orbit code: threads that race to build one build equal values, and each
-stores a complete one with a single assignment.
+are pure, so everything here is safe to share between threads.  The only
+write after construction is a table's orbit-code layout: threads that
+race to build it build equal values, and each stores a complete one with
+a single assignment.
 """
 
 from __future__ import annotations
@@ -237,6 +239,9 @@ def boundary_term(g: int, n: int, i: int, S: Iterable[int]):
 def canonical_boundary_indices(g: int, n: int) -> list[BoundaryIndex]:
     """All separating boundary classes on Mbar_{g,n}, each exactly once."""
     _check_gn(g, n)
+    # counted before listing: 2^n - n - 1 at i = 0, 2^n per 0 < i < g/2, 2^(n-1) on a tie
+    count = (1 << n) - n - 1 + ((g - 1) // 2 << n) + (0 if g % 2 else 1 << n - 1)
+    _check_size(g, n, count, "boundary indices")
     labels = range(1, n + 1)
     out = []
     for i in range(0, g // 2 + 1):
@@ -314,43 +319,35 @@ class OrbitTable:
         if c:
             self.coeffs[key] = c
 
-    def _digits(self):
-        """(weight, shifts, top), the layout of the orbit code: each group
-        has a digit wide enough for its size, in group order (shifts), label
-        j adds weight[j] to its group's digit, and i sits above bit top."""
-        width, bits = len(self.groups), max(self.sizes).bit_length()
-        shifts = range(bits * (width - 1), -1, -bits)
-        weight = [0] * (self.n + 1)
-        for labels, shift in zip(self.groups, shifts):
-            for j in labels:
-                weight[j] = 1 << shift
-        return weight, shifts, bits * width
-
-    def _orbit_code(self):
-        """(code, key), built on first use: code(i, S) names the orbit of
-        delta_{i:S}, (i, S) a canonical side, by one integer, and key(code)
-        is its orbit_key.  The labels of S sum to its counts read as digits
-        (see _digits), with i above them; on a tie (2i = g) the code keeps
-        the smaller of S and S^c, as orbit_key does, since digit order is
-        tuple order."""
+    def _layout(self):
+        """(weight, shifts, top, full), the layout of the orbit code, built
+        on first use: each group has a digit wide enough for its size, in
+        group order (shifts), and label j adds weight[j] to its group's
+        digit, so the labels of S sum to its counts read as digits, and all
+        labels to full.  The orbit of delta_{i:S}, (i, S) a canonical side,
+        is i << top | v, v that sum; on a tie (2i = g) the smaller of v and
+        full - v, as orbit_key keeps, since digit order is tuple order."""
         if self._code is None:
-            g, width = self.g, len(self.groups)
-            weight, shifts, top = self._digits()
-            full, mask, digit = sum(weight), (1 << top // width) - 1, weight.__getitem__
-
-            def code(i, S):
-                c = sum(map(digit, S)) if width > 1 else len(S)
-                return i << top | (min(c, full - c) if 2 * i == g else c)
-
-            def key(value):
-                return value >> top, tuple([value >> shift & mask for shift in shifts])
-
-            self._code = code, key
+            width, bits = len(self.groups), max(self.sizes).bit_length()
+            shifts = range(bits * (width - 1), -1, -bits)
+            weight = [0] * (self.n + 1)
+            for labels, shift in zip(self.groups, shifts):
+                for j in labels:
+                    weight[j] = 1 << shift
+            self._code = weight, shifts, bits * width, sum(weight)
         return self._code
 
+    def _key(self, code: int):
+        """The orbit_key an orbit code names (see _layout)."""
+        _, shifts, top, _ = self._layout()
+        mask = (1 << top // len(shifts)) - 1
+        return code >> top, tuple([code >> shift & mask for shift in shifts])
+
     def get(self, idx: BoundaryIndex) -> Fraction:
-        code, key = self._orbit_code()
-        return self.coeffs.get(key(code(*idx)), Fraction(0))
+        weight, shifts, top, full = self._layout()
+        i, S = idx
+        v = sum(map(weight.__getitem__, S)) if len(shifts) > 1 else len(S)
+        return self.coeffs.get(self._key(i << top | (min(v, full - v) if 2 * i == self.g else v)), Fraction(0))
 
     def dense_size(self) -> int:
         """Number of entries of the dense view, counted without building it."""
@@ -412,13 +409,12 @@ class OrbitTable:
 
     def _subset_rows(self) -> list[tuple[int, tuple[int, ...], str]]:
         """_rendered's walk of every subset S of 1..n, once, in sorted tuple
-        order, with the digit sum v of its labels (see _digits): per genus
+        order, with the digit sum v of its labels (see _layout): per genus
         part i, (i, S) names the orbit i << top | v (on a tie, 2i = g, the
         smaller of v and its mirror, over the sides holding label 1), so one
         lookup finds its coefficient, and the rows come out sorted."""
         g, n = self.g, self.n
-        weight, shifts, top = self._digits()
-        full = sum(weight)
+        weight, shifts, top, full = self._layout()
         text = {i << top | sum(map(lshift, counts, shifts)): format_rational(c)
                 for (i, counts), c in self.coeffs.items()}
         # the subsets of q..n in sorted order: (), q before each subset of
@@ -462,10 +458,10 @@ def _grouped(g: int, n: int, groups, total) -> OrbitTable | None:
     meets has two coefficients or misses a divisor."""
     table = OrbitTable(g, n, groups)
     if total:
-        # the orbit code of (i, S) (see OrbitTable._orbit_code), its digit
-        # sum computed once per distinct S
-        weight, _, top = table._digits()
-        full, digit, sums, coeffs = sum(weight), weight.__getitem__, {}, {}
+        # the orbit code of (i, S) (see OrbitTable._layout), its digit sum
+        # computed once per distinct S
+        weight, _, top, full = table._layout()
+        digit, sums, coeffs = weight.__getitem__, {}, {}
         for (i, S), c in total.items():
             v = sums.get(S)
             if v is None:
@@ -473,8 +469,7 @@ def _grouped(g: int, n: int, groups, total) -> OrbitTable | None:
             old = coeffs.setdefault(i << top | (min(v, full - v) if 2 * i == g else v), c)
             if old is not c and old != c:
                 return None
-        key = table._orbit_code()[1]
-        table.coeffs = {key(k): c for k, c in coeffs.items()}
+        table.coeffs = {table._key(k): c for k, c in coeffs.items()}
     # no orbit holds more entries than divisors: equal totals mean that
     # every orbit met is full
     return table if table.dense_size() == len(total) else None
@@ -521,11 +516,11 @@ class _PicardVector:
     input adapter takes a dense {canonical BoundaryIndex: coefficient}
     (`boundary`) and per-label psi, and builds a table in the one candidate
     grouping `_from_dense` checks, else with one group per label.  The
-    per-label psi is filled in at construction; the dense boundary is a
-    view built on first access.
+    per-label psi is filled in at construction and the dense boundary
+    built on each access: nothing is written to a vector afterwards.
     """
 
-    __slots__ = ("g", "n", "lam", "group_psi", "delta0", "orbits", "psi", "_dense")
+    __slots__ = ("g", "n", "lam", "group_psi", "delta0", "orbits", "psi")
 
     def __init__(self, g, n, lam=0, psi=None, delta0=0, boundary=None, orbits=None):
         _check_gn(g, n)
@@ -533,7 +528,6 @@ class _PicardVector:
         self.n = n
         self.lam = _frac(lam)
         self.delta0 = _frac(delta0)
-        self._dense = None
         if orbits is None:
             orbits, psi = _from_dense(g, n, psi, boundary or {})
         self._same_space(orbits)
@@ -578,10 +572,8 @@ class _PicardVector:
 
     @property
     def boundary(self) -> dict[BoundaryIndex, Fraction]:
-        """Dense boundary coefficients, nonzero entries only."""
-        if self._dense is None:
-            self._dense = self.orbits.dense()
-        return self._dense
+        """Dense boundary coefficients, nonzero entries only, built on each access."""
+        return self.orbits.dense()
 
     # -- coefficient access ------------------------------------------------
 
@@ -719,7 +711,8 @@ class DivisorClass(_PicardVector):
         compared table against table, without building the dense view.
         The genus-2 Picard group carries the single relation
         lambda = delta_0/10 + delta_1/5, so classes there agree exactly
-        when their lambda-free normal forms do.
+        when their lambda-free normal forms do; each normal form keeps its
+        class's label groups, so these are compared as tables too.
         """
         self._same_space(other)
         if self.g == 2:
@@ -780,6 +773,9 @@ def lambda_class(g: int, n: int) -> DivisorClass:
 
 
 def psi_class(g: int, n: int, j: int) -> DivisorClass:
+    _check_gn(g, n)
+    if not 1 <= j <= n:
+        raise InvalidIndex("psi index %s outside 1..%d" % (j, n))
     psi = [0] * n
     psi[j - 1] = 1
     return DivisorClass(g, n, psi=psi)
@@ -794,27 +790,27 @@ def boundary_class(g: int, n: int, i: int, S: Iterable[int]) -> DivisorClass:
 
 
 def genus1_boundary_sum(g: int, n: int) -> DivisorClass:
-    """Sum of all distinct boundary classes with a genus-1 side (g = 2 only)."""
+    """Sum of all distinct boundary classes with a genus-1 side (g = 2 only):
+    a table of one label group holding 1 on each of its genus-1 keys."""
     if g != 2:
         raise WrongGenus("genus-1 boundary total only defined for g=2")
-    total = {}
-    for idx in canonical_boundary_indices(g, n):
-        if idx.i == 1:
-            total[idx] = Fraction(1)
-    return DivisorClass(g, n, boundary=total)
+    table = OrbitTable(2, n, [tuple(range(1, n + 1))])
+    return DivisorClass.from_terms(table, 0, (0,), 0, ((i, counts, 1) for i, counts in table.keys() if i == 1))
 
 
 def g2_normal_form(d: DivisorClass) -> DivisorClass:
     """Unique representative with zero lambda coefficient, genus 2 only.
 
     Substitutes lambda = delta_0/10 + (1/5) * (sum of the distinct
-    genus-1 boundary classes); idempotent by construction.
+    genus-1 boundary classes), in orbit form: the genus-1 divisors are the
+    genus-1 keys of a table over d's own label groups, each orbit raised by
+    lambda/5.  Idempotent by construction.
     """
     if d.g != 2:
         raise WrongGenus("normal form uses the genus-2 relation, got g=%d" % d.g)
     if not d.lam:
         return d
-    # the relation delta_0/10 + (genus-1 classes)/5 - lambda = 0, added lambda times
-    genus1 = genus1_boundary_sum(2, d.n).boundary
-    relation = DivisorClass(2, d.n, -1, None, Fraction(1, 10), dict.fromkeys(genus1, Fraction(1, 5)))
-    return d._combine(relation, d.lam)
+    table, lam = OrbitTable(2, d.n, d.orbits.groups), d.lam
+    terms = chain(((i, counts, c) for (i, counts), c in d.orbits.coeffs.items()),
+                  ((i, counts, lam / 5) for i, counts in table.keys() if i == 1))
+    return type(d).from_terms(table, 0, d.group_psi, d.delta0 + lam / 10, terms)

@@ -44,10 +44,13 @@ from qstrata import (
     InvalidIndex,
     QdInput,
     SingularSystem,
+    boundary_class,
     canonical_boundary_indices,
     canonicalize_index,
     curve_functional,
     forget_pullback,
+    g2_normal_form,
+    lambda_class,
     logan_class,
     pullback_attach,
     qd_class,
@@ -55,12 +58,13 @@ from qstrata import (
     solve_qg_coefficients,
     valid_specs,
 )
-from qstrata import classes, cli
+from qstrata import classes, cli, picard
 from qstrata.classes import QgSolution
 from qstrata.picard import (
     _MAX_DENSE_ENTRIES,
     OrbitTable,
     Rational,
+    _PicardVector,
     _check_gn,
     _class_is_valid,
     _frac,
@@ -68,6 +72,7 @@ from qstrata.picard import (
     _labels,
     boundary_term,
     format_rational,
+    genus1_boundary_sum,
     orbit_key,
     orbit_size,
     parse_rational,
@@ -631,22 +636,28 @@ def _sampled_indices(g, n, rng, count=40):
     return out
 
 
+def _no_dense(self):
+    raise AssertionError("a dense view was built")
+
+
 @pytest.mark.parametrize("name, build, reference", CASES, ids=[c[0] for c in CASES])
-def test_orbit_class_matches_dense_reference(name, build, reference):
+def test_orbit_class_matches_dense_reference(name, build, reference, monkeypatch):
     ref = reference()
     g, n = ref.g, ref.n
     rng = random.Random(name)
+    indices = _sampled_indices(g, n, rng)
 
-    # pairing, boundary_coeff and equals look the orbits up...
+    # pairing, boundary_coeff and equals look the orbits up, with no dense
+    # view built (at g = 2 equals compares normal forms in orbit form)...
+    monkeypatch.setattr(OrbitTable, "dense", _no_dense)
     cls = build()
     for spec in valid_specs(g):
         f = curve_functional(spec)
         assert f.pair(cls) == f.pair(ref), spec
-    for i, S in _sampled_indices(g, n, rng):
+    for i, S in indices:
         assert cls.boundary_coeff(i, S) == ref.boundary_coeff(i, S), (i, S)
     assert cls.equals(build()) and build().equals(cls)
-    # (at g = 2 equals compares dense normal forms)
-    assert cls._dense is None or g == 2
+    monkeypatch.undo()
 
     # ...and the dense view is the reference class, entry for entry
     assert cls.equals(ref) and ref.equals(cls)
@@ -671,6 +682,49 @@ def test_equals_across_different_label_groups():
     twisted = qd_class(QdInput(3, 4, (3, -1, 1, 1)))
     assert twisted.equals(reference_qd_class(QdInput(3, 4, (3, -1, 1, 1))))
     assert twisted.equals(DivisorClass.from_json(twisted.to_json()))
+
+
+def frozen_g2_normal_form(d):
+    """g2_normal_form as it was: the genus-1 indices listed, the relation
+    built as a dense class, and one _combine over the dense views."""
+    if not d.lam:
+        return d
+    genus1 = [idx for idx in canonical_boundary_indices(2, d.n) if idx.i == 1]
+    relation = DivisorClass(2, d.n, -1, None, Fraction(1, 10), dict.fromkeys(genus1, Fraction(1, 5)))
+    return d._combine(relation, d.lam)
+
+
+def test_g2_normal_form_matches_dense_route(monkeypatch):
+    # random classes over mixed label groups, one group per label among them
+    rng = random.Random(25)
+    for n in range(1, 7):
+        for weights in [[rng.randint(0, 2) for _ in range(n)] for _ in range(5)] + [range(n)]:
+            d = _random_orbit_class(2, weights, rng)
+            got, want = g2_normal_form(d), frozen_g2_normal_form(d)
+            assert type(got) is DivisorClass and got.orbits.groups == d.orbits.groups
+            assert got._coeffs() == want._coeffs(), weights
+            assert g2_normal_form(got) is got
+            # a class moved along the relation is equal, a changed one is not
+            moved = d.add(lambda_class(2, n)).sub(frozen_g2_normal_form(lambda_class(2, n)))
+            for other, equal in ((moved, True), (d.add(boundary_class(2, n, 1, [1])), False),
+                                 (d.add(lambda_class(2, n)), False)):
+                assert (frozen_g2_normal_form(d)._coeffs() == frozen_g2_normal_form(other)._coeffs()) == equal
+                assert d.equals(other) == other.equals(d) == equal, weights
+
+    # n = 40 lists about 1.6 * 10^12 genus-1 divisors: the comparison stays
+    # in orbit form, over tables of one group
+    def refuse(*args):
+        raise AssertionError("the genus-2 comparison left orbit form")
+
+    monkeypatch.setattr(picard, "canonical_boundary_indices", refuse)
+    monkeypatch.setattr(_PicardVector, "_combine", refuse)
+    monkeypatch.setattr(OrbitTable, "dense", refuse)
+    assert lambda_class(2, 40) == lambda_class(2, 40)
+    assert lambda_class(2, 40) != genus1_boundary_sum(2, 40)
+    nf = g2_normal_form(lambda_class(2, 40))
+    assert (nf.lam, nf.delta0, nf.orbits.sizes) == (0, Fraction(1, 10), (40,))
+    # the genus-1 orbits: |S| = 0..20, each |S| named with its complement
+    assert nf.orbits.coeffs == {(1, (c,)): Fraction(1, 5) for c in range(21)}
 
 
 @pytest.mark.parametrize("g", range(2, 11))
@@ -949,14 +1003,15 @@ def _paired_classes(g):
 
 
 @pytest.mark.parametrize("g", range(2, 8))
-def test_orbit_functionals_match_dense_reference(g):
+def test_orbit_functionals_match_dense_reference(g, monkeypatch):
     classes_g = list(_paired_classes(g))
     for spec in valid_specs(g):
-        f = curve_functional(spec)
         ref = REFERENCE_CURVES[spec.family](spec.g, spec.i, spec.s)
-        assert f._dense is None
-        for name, cls in classes_g:
-            assert f.pair(cls) == ref.pair(cls), (spec, name)
+        with monkeypatch.context() as m:  # the functional builds and pairs with no dense view
+            m.setattr(OrbitTable, "dense", _no_dense)
+            f = curve_functional(spec)
+            for name, cls in classes_g:
+                assert f.pair(cls) == ref.pair(cls), (spec, name)
         # the dense view, built last, is the reference functional
         assert f.to_jsonable() == ref.to_jsonable(), spec
         assert f == ref
@@ -1481,7 +1536,8 @@ def test_orbit_code_names_the_orbit_key(g):
             cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
             groups = sorted(tuple(sorted(labels[a:b])) for a, b in zip([0] + cuts, cuts + [n]))
             table = OrbitTable(g, n, groups)
-            code, key = table._orbit_code()
+            weight, shifts, top, full = layout = table._layout()
+            assert table._layout() is layout  # built once
             where = {j: k for k, part in enumerate(groups) for j in part}
             for i in range(g // 2 + 1):
                 for size in range(n + 1):
@@ -1492,7 +1548,11 @@ def test_orbit_code_names_the_orbit_key(g):
                         for p in S:
                             counts[where[p]] += 1
                         want = orbit_key(g, table.sizes, i, counts)
-                        assert key(code(i, S)) == want, (groups, i, S)
+                        v = sum(weight[p] for p in S)
+                        code = i << top | (min(v, full - v) if 2 * i == g else v)
+                        assert table._key(code) == want, (groups, i, S)
+                        table.coeffs = {want: Fraction(code + 1)}
+                        assert table.get(BoundaryIndex(i, S)) == code + 1, (groups, i, S)
                         ties += 2 * i == g
     assert ties > 100 or g % 2
 

@@ -1,8 +1,10 @@
 import gc
+import importlib
 import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,14 +28,18 @@ from qstrata import (
     pair,
     qg_class,
 )
+from qstrata import picard
 from qstrata.picard import (
     _MAX_DENSE_ENTRIES,
+    OrbitTable,
+    _PicardVector,
     _class_is_valid,
     boundary_term,
     format_rational,
     genus1_boundary_sum,
     orbit_key,
     parse_rational,
+    psi_class,
     weight_table,
 )
 from qstrata.testcurves import TestCurveSpec as CurveSpec
@@ -96,6 +102,37 @@ def test_canonical_enumeration_has_no_duplicates():
         assert len(indices) == len(set(indices))
         for idx in indices:
             assert canonicalize_index(g, n, idx.i, idx.points) == idx
+
+
+def test_canonical_indices_are_counted_before_listing(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for g in range(2, 10):
+        for n in range(1, 11):
+            count = workloads.index_count(g, n)
+            assert len(canonical_boundary_indices(g, n)) == count, (g, n)
+            # the limit set to the count lists them all, one below refuses
+            monkeypatch.setattr(picard, "_MAX_DENSE_ENTRIES", count)
+            assert len(canonical_boundary_indices(g, n)) == count, (g, n)
+            monkeypatch.setattr(picard, "_MAX_DENSE_ENTRIES", count - 1)
+            with pytest.raises(BudgetExceeded):
+                canonical_boundary_indices(g, n)
+            monkeypatch.undo()
+    # the benchmark's counts are listed; 1,572,843 indices at (2, 20) and
+    # about 1.6 * 10^12 at (2, 40) are refused before any is listed
+    for g, count in workloads.INDEX_COUNT.items():
+        assert len(canonical_boundary_indices(g, 2 * g - 2)) == count
+    for n in (20, 40):
+        assert workloads.index_count(2, n) > _MAX_DENSE_ENTRIES
+        with pytest.raises(BudgetExceeded):
+            canonical_boundary_indices(2, n)
+
+
+def test_psi_class_refuses_labels_outside_range():
+    assert psi_class(3, 4, 4).psi == (0, 0, 0, 1) and psi_class(3, 4, 1).psi == (1, 0, 0, 0)
+    for j in (0, -1, 5):
+        with pytest.raises(InvalidIndex, match=r"^psi index %d outside 1\.\.4$" % j):
+            psi_class(3, 4, j)
 
 
 def test_add_scale_examples():
@@ -162,13 +199,51 @@ def test_rational_format():
         parse_rational(0.5)  # a JSON number, not a string rational
 
 
-def test_repr_builds_no_dense_view():
+def _no_dense(self):
+    raise AssertionError("a dense view was built")
+
+
+def test_repr_builds_no_dense_view(monkeypatch):
     # qg at g = 10 would list 1,310,703 dense entries, past the limit
+    monkeypatch.setattr(OrbitTable, "dense", _no_dense)
     q = qg_class(10)
     assert repr(q) == (
         "DivisorClass(g=10, n=18, lambda=-1048576/1, delta0=65536/1, group_sizes=(18,), orbit_keys=%d)"
         % len(q.orbits.coeffs))
-    assert q._dense is None
+
+
+def test_reads_leave_the_vector_unchanged():
+    # get, pair, equals, boundary and to_json write nothing into a vector,
+    # and nothing into its table but the orbit-code layout, set once
+    g2 = DivisorClass(2, 2, lam=3, psi=(1, 2), boundary={(1, (1,)): 1, (0, (1, 2)): 5})
+    vectors = [qg_class(3), logan_class(3, 4, (3, 0, 0, 0)), g2,
+               curve_functional(CurveSpec("A", 3, 1, 2)), curve_functional(CurveSpec("B", 2, 1, 1))]
+
+    def state(v):
+        table = v.orbits
+        slots = {s: getattr(v, s) for s in _PicardVector.__slots__}
+        kept = {s: getattr(table, s) for s in OrbitTable.__slots__ if s != "_code"}
+        return slots, kept, dict(table.coeffs)
+
+    for v in vectors:
+        # v pairs with the first vector of the other kind on its space
+        is_f = isinstance(v, CurveFunctional)
+        u = next(u for u in vectors if u.g == v.g and isinstance(u, CurveFunctional) != is_f)
+        f, d = (v, u) if is_f else (u, v)
+        copy = type(v).from_jsonable(v.to_jsonable())
+        slots, kept, coeffs = state(v)
+        layout = None
+        reads = [lambda: v.orbits.get(next(iter(v.boundary))), lambda: f.pair(d),
+                 lambda: v == copy and copy == v and v == v, lambda: v.boundary, v.to_json]
+        for read in reads:
+            read()
+            now_slots, now_kept, now_coeffs = state(v)
+            assert all(now_slots[s] is slots[s] for s in slots), (v, read)
+            assert all(now_kept[s] is kept[s] for s in kept), (v, read)
+            assert now_coeffs == coeffs, (v, read)
+            layout = layout or v.orbits._code
+            assert v.orbits._code is layout, (v, read)
+        assert layout is not None
 
 
 def test_fraction_subclass_kept():
