@@ -50,7 +50,6 @@ from .errors import (
 from .picard import (
     DivisorClass,
     OrbitTable,
-    canonicalize_index,
     format_rational,
     self_mirror,
     weight_table,
@@ -172,13 +171,7 @@ def qd_class(q: QdInput) -> DivisorClass:
 
 def weierstrass_class() -> DivisorClass:
     """3*psi - lambda - delta_{1:{1}} on Mbar_{2,1}."""
-    return DivisorClass(
-        2,
-        1,
-        lam=-1,
-        psi=(3,),
-        boundary={canonicalize_index(2, 1, 1, {1}): Fraction(-1)},
-    )
+    return DivisorClass.from_terms(OrbitTable(2, 1, [(1,)]), -1, (3,), 0, [(1, (1,), -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +270,7 @@ def weierstrass_pullback(g: int) -> DivisorClass:
     q = qg_class(g)
     c2 = q.boundary_coeff(2, ())
     c1 = q.boundary_coeff(1, ())
-    return DivisorClass(
-        2,
-        1,
-        lam=q.lam,
-        psi=(-c2,),
-        delta0=q.delta0,
-        boundary={canonicalize_index(2, 1, 1, {1}): c1},
-    )
+    return DivisorClass.from_terms(OrbitTable(2, 1, [(1,)]), q.lam, (-c2,), q.delta0, [(1, (1,), c1)])
 
 
 def weierstrass_check(g: int) -> bool:

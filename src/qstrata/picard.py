@@ -31,22 +31,19 @@ of S share one tuple; any other entry goes through canonicalize_index.
 Terms given per orbit go through one router, from_terms.
 
 A functional pairs with a class by walking its own divisors and looking
-each one up in the class's table; equal label groups let equals compare
-table against table, at genus 2 too, where g2_normal_form applies the
-relation lambda = delta_0/10 + delta_1/5 in orbit form over the class's
-own label groups.  JSON and the CLI table print from the same sorted rows,
-each orbit's coefficient formatted once (OrbitTable._rendered).  A table
-that fills at least half of the (g // 2 + 1) * 2^n pairs (i, S) with
-i <= g - i, as a closed-form class does, walks every subset S of 1..n
-once in sorted order and looks each pair's orbit up by its code, so the
-rows come out sorted; a sparser one, as a test-curve functional is,
-walks its orbits and sorts their sides.  The dense view, built from the
-orbit walk anew on each access to `boundary`, serves only add, sub and
-scale and the comparison of vectors whose label groups differ.  Walking
-more than _MAX_DENSE_ENTRIES divisors is refused with BudgetExceeded
-before anything is allocated; so is listing more boundary indices than
-that (canonical_boundary_indices), filling a class table with more orbit
-keys than that, and any space Mbar_{g,n} with more labels than that.
+each one up in the class's table.  add, sub, scale and equals split both
+tables into the common refinement of their label groups
+(_PicardVector._meet, OrbitTable.split); at genus 2, equals first applies
+lambda = delta_0/10 + delta_1/5 in orbit form over each class's own groups
+(g2_normal_form).  JSON and the CLI table print from the same sorted rows,
+each orbit's coefficient formatted once (OrbitTable._rendered), by a walk
+of every subset S of 1..n when the table fills at least half of the
+(g // 2 + 1) * 2^n pairs (i, S) with i <= g - i, else of its orbits.  No
+route builds the dense view (`boundary`).  Walking more than
+_MAX_DENSE_ENTRIES divisors is refused with BudgetExceeded before anything
+is allocated; so is splitting a table into more orbits, listing more
+boundary indices (canonical_boundary_indices), filling a class table with
+more orbit keys, and any space Mbar_{g,n} with more labels.
 
 All coefficients are fractions.Fraction; there is no floating point in
 this module.  Values are immutable after construction and all operations
@@ -61,7 +58,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, compress, product, repeat
+from itertools import accumulate, chain, combinations, compress, product, repeat
 from math import comb, prod
 from operator import itemgetter, lshift, lt, mul, sub
 from typing import Iterable, Mapping, NamedTuple
@@ -388,6 +385,42 @@ class OrbitTable:
     def dense(self) -> dict[BoundaryIndex, Fraction]:
         return {BoundaryIndex(i, S): c for i, sides, c in self._divisors() for S in sides}
 
+    def split(self, groups) -> dict:
+        """coeffs keyed over `groups`, which refine this table's groups: an
+        orbit (i, counts) splits into the orbits whose counts sum to counts
+        inside each of its groups.  These are counted first, and more than
+        _MAX_DENSE_ENTRIES are refused with BudgetExceeded."""
+        if len(groups) == len(self.groups):
+            return self.coeffs
+        g, sizes = self.g, tuple(map(len, groups))
+        first = {labels[0]: t for t, labels in enumerate(groups)}
+        inside = [[t for t in map(first.get, labels) if t is not None] for labels in self.groups]
+        ways = []  # ways[k][c]: the count vectors of the groups inside group k that sum to c
+        for ts, top in zip(inside, map(max, zip(*(counts for _, counts in self.coeffs)))):
+            w = [1] + [0] * top
+            for t in ts:
+                acc = list(accumulate(w, initial=0))
+                w = [acc[c + 1] - acc[max(0, c - sizes[t])] for c in range(top + 1)]
+            ways.append(w)
+        _check_size(g, self.n, sum(prod(map(list.__getitem__, ways, counts)) for _, counts in self.coeffs),
+                    "orbits over the common label groups")
+        listed = {}  # (k, c): those count vectors, listed once
+        for k, c in {(k, c) for _, counts in self.coeffs for k, c in enumerate(counts)}:
+            got, room = [()], len(self.groups[k])
+            for t in inside[k]:  # each prefix keeps room for the rest of c
+                room -= sizes[t]
+                got = [p + (x,) for p in got for left in (c - sum(p),)
+                       for x in range(max(0, left - room), min(sizes[t], left) + 1)]
+            listed[k, c] = got
+        # where each group's count sits in the vectors of `listed` laid end to end
+        at = sorted(range(len(groups)), key=list(chain.from_iterable(inside)).__getitem__)
+        out = {}
+        for (i, counts), c in self.coeffs.items():
+            for parts in product(*map(listed.__getitem__, enumerate(counts))):
+                flat = tuple(chain.from_iterable(parts))
+                out[orbit_key(g, sizes, i, map(flat.__getitem__, at))] = c
+        return out
+
     def _rendered(self) -> list[tuple[int, tuple[int, ...], str]]:
         """Every divisor as sorted (i, S, "p/q"), formatted once per orbit:
         by _subset_rows when the divisors fill at least half of the
@@ -516,8 +549,9 @@ class _PicardVector:
     input adapter takes a dense {canonical BoundaryIndex: coefficient}
     (`boundary`) and per-label psi, and builds a table in the one candidate
     grouping `_from_dense` checks, else with one group per label.  The
-    per-label psi is filled in at construction and the dense boundary
-    built on each access: nothing is written to a vector afterwards.
+    per-label psi is filled in at construction, and nothing is written to
+    a vector afterwards.  Sums and comparisons work in orbit form over the
+    common refinement of both sides' label groups (_meet).
     """
 
     __slots__ = ("g", "n", "lam", "group_psi", "delta0", "orbits", "psi")
@@ -585,16 +619,24 @@ class _PicardVector:
     def boundary_coeff(self, i: int, S: Iterable[int]) -> Fraction:
         return self.orbits.get(canonicalize_index(self.g, self.n, i, S))
 
-    def _coeffs(self):
-        return (self.lam, self.psi, self.delta0, self.boundary)
-
     def _same(self, other) -> bool:
-        """Coefficientwise equality: table against table when the label
-        groups agree, else over the dense views."""
-        if self.orbits.groups == other.orbits.groups:
-            return (self.lam, self.group_psi, self.delta0, self.orbits.coeffs) == (
-                other.lam, other.group_psi, other.delta0, other.orbits.coeffs)
-        return self._coeffs() == other._coeffs()
+        """Coefficientwise equality, both tables split into _meet before comparing."""
+        groups = self._meet(other)
+        return (self.lam, self.psi, self.delta0, self.orbits.split(groups)) == (
+            other.lam, other.psi, other.delta0, other.orbits.split(groups))
+
+    def _meet(self, other) -> tuple:
+        """The common refinement of both sides' label groups: j and k share a
+        group when they do on both sides, and the groups are ordered by
+        smallest label.  A class and a functional, or two spaces, are refused."""
+        if isinstance(self, DivisorClass) is not isinstance(other, DivisorClass):
+            raise TypeError("a divisor class and a curve functional neither add nor compare")
+        self._same_space(other)
+        side, meet = {j: t for t, labels in enumerate(other.orbits.groups) for j in labels}, {}
+        for k, labels in enumerate(self.orbits.groups):
+            for j in labels:
+                meet.setdefault((k, side[j]), []).append(j)
+        return tuple(sorted(map(tuple, meet.values())))
 
     def _same_space(self, other) -> None:
         if (self.g, self.n) != (other.g, other.n):
@@ -606,20 +648,14 @@ class _PicardVector:
     # -- linear structure ----------------------------------------------------
 
     def _combine(self, other, r: Rational, s: Rational = 1):
-        """s * self + r * other, over the dense views."""
-        self._same_space(other)
+        """s * self + r * other: both tables split into _meet, summed by from_terms."""
+        groups = self._meet(other)
         r, s = _frac(r), _frac(s)
-        boundary = {idx: s * c for idx, c in self.boundary.items()}
-        for idx, c in other.boundary.items():
-            boundary[idx] = boundary.get(idx, 0) + r * c
-        return type(self)(
-            self.g,
-            self.n,
-            s * self.lam + r * other.lam,
-            [s * a + r * b for a, b in zip(self.psi, other.psi)],
-            s * self.delta0 + r * other.delta0,
-            boundary,
-        )
+        terms = chain(((i, counts, s * c) for (i, counts), c in self.orbits.split(groups).items()),
+                      ((i, counts, r * c) for (i, counts), c in other.orbits.split(groups).items()))
+        psi = [s * self.psi[labels[0] - 1] + r * other.psi[labels[0] - 1] for labels in groups]
+        return type(self).from_terms(OrbitTable(self.g, self.n, groups), s * self.lam + r * other.lam,
+                                     psi, s * self.delta0 + r * other.delta0, terms)
 
     def add(self, other):
         return self._combine(other, 1)
@@ -707,12 +743,12 @@ class DivisorClass(_PicardVector):
     def equals(self, other: "DivisorClass") -> bool:
         """Coefficientwise equality; for g = 2 equality of normal forms.
 
-        Two classes whose orbit tables have the same label groups are
-        compared table against table, without building the dense view.
+        Two classes are compared in orbit form over the common refinement
+        of their label groups (_same); a functional is refused (TypeError).
         The genus-2 Picard group carries the single relation
         lambda = delta_0/10 + delta_1/5, so classes there agree exactly
         when their lambda-free normal forms do; each normal form keeps its
-        class's label groups, so these are compared as tables too.
+        class's label groups, so these are compared in orbit form too.
         """
         self._same_space(other)
         if self.g == 2:
@@ -753,7 +789,6 @@ class CurveFunctional(_PicardVector):
     def __eq__(self, other):
         if not isinstance(other, CurveFunctional):
             return NotImplemented
-        self._same_space(other)
         return self._same(other)
 
     __hash__ = None
@@ -786,7 +821,11 @@ def delta0_class(g: int, n: int) -> DivisorClass:
 
 
 def boundary_class(g: int, n: int, i: int, S: Iterable[int]) -> DivisorClass:
-    return DivisorClass(g, n, boundary={canonicalize_index(g, n, i, S): 1})
+    """delta_{i:S}: one orbit over the groups S and S^c (one when S^c is empty)."""
+    i, S = canonicalize_index(g, n, i, S)
+    groups = sorted(filter(None, (S, tuple(sorted(_labels(n).difference(S))))))
+    return DivisorClass.from_terms(OrbitTable(g, n, groups), 0, (0,) * len(groups), 0,
+                                   [(i, tuple(len(S) if labels == S else 0 for labels in groups), 1)])
 
 
 def genus1_boundary_sum(g: int, n: int) -> DivisorClass:

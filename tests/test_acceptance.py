@@ -47,6 +47,11 @@ from qstrata.errors import InvalidIndex
 DATA = Path(__file__).parent / "data"
 
 
+def _coeffs(v):
+    """Every coefficient of a class or functional, the boundary as its dense view."""
+    return (v.lam, v.psi, v.delta0, v.boundary)
+
+
 def criterion(number, label):
     def wrap(fn):
         @functools.wraps(fn)
@@ -347,4 +352,4 @@ def test_criterion_11_property_suites():
         g, n = rng.randint(2, 4), rng.randint(1, 5)
         d = random_vector(g, n, DivisorClass)
         again = DivisorClass.from_json(d.to_json())
-        assert again._coeffs() == d._coeffs()
+        assert _coeffs(again) == _coeffs(d)

@@ -24,6 +24,7 @@ functionals, pairings, pullbacks and solver output.
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, repeat
@@ -48,10 +49,12 @@ from qstrata import (
     canonical_boundary_indices,
     canonicalize_index,
     curve_functional,
+    delta0_class,
     forget_pullback,
     g2_normal_form,
     lambda_class,
     logan_class,
+    psi_class,
     pullback_attach,
     qd_class,
     qg_class,
@@ -87,6 +90,11 @@ from qstrata.testcurves import (
     oracle,
     validate_spec,
 )
+
+
+def _coeffs(v):
+    """Every coefficient of a class or functional, the boundary as its dense view."""
+    return (v.lam, v.psi, v.delta0, v.boundary)
 
 
 def _keeps_side(g: int, i: int, S) -> bool:
@@ -661,7 +669,7 @@ def test_orbit_class_matches_dense_reference(name, build, reference, monkeypatch
 
     # ...and the dense view is the reference class, entry for entry
     assert cls.equals(ref) and ref.equals(cls)
-    assert cls._coeffs() == ref._coeffs()
+    assert _coeffs(cls) == _coeffs(ref)
     assert cls.to_json() == ref.to_json()
     assert len(cls.boundary) == cls.orbits.dense_size()
 
@@ -675,13 +683,24 @@ def test_orbit_class_matches_dense_reference(name, build, reference, monkeypatch
 
 def test_equals_across_different_label_groups():
     # qd with weights (1,1,1,1) groups its labels as qg does; weights
-    # (3,-1,1,1) give other groups, so the comparison goes through the
-    # dense view
+    # (3,-1,1,1) give other groups, so the comparison splits both tables
+    # into the common refinement of their groups
     assert qd_class(QdInput(3, 4, (1, 1, 1, 1))).equals(qg_class(3))
     assert not qd_class(QdInput(3, 4, (3, -1, 1, 1))).equals(qg_class(3))
     twisted = qd_class(QdInput(3, 4, (3, -1, 1, 1)))
     assert twisted.equals(reference_qd_class(QdInput(3, 4, (3, -1, 1, 1))))
     assert twisted.equals(DivisorClass.from_json(twisted.to_json()))
+
+
+def frozen_combine(a, b, r, s=1):
+    """_combine as it was: s * a + r * b over the dense views, the sum read
+    back through the dense input adapter."""
+    r, s = Fraction(r), Fraction(s)
+    boundary = {idx: s * c for idx, c in a.boundary.items()}
+    for idx, c in b.boundary.items():
+        boundary[idx] = boundary.get(idx, 0) + r * c
+    return type(a)(a.g, a.n, s * a.lam + r * b.lam, [s * x + r * y for x, y in zip(a.psi, b.psi)],
+                   s * a.delta0 + r * b.delta0, boundary)
 
 
 def frozen_g2_normal_form(d):
@@ -691,7 +710,7 @@ def frozen_g2_normal_form(d):
         return d
     genus1 = [idx for idx in canonical_boundary_indices(2, d.n) if idx.i == 1]
     relation = DivisorClass(2, d.n, -1, None, Fraction(1, 10), dict.fromkeys(genus1, Fraction(1, 5)))
-    return d._combine(relation, d.lam)
+    return frozen_combine(d, relation, d.lam)
 
 
 def test_g2_normal_form_matches_dense_route(monkeypatch):
@@ -702,13 +721,13 @@ def test_g2_normal_form_matches_dense_route(monkeypatch):
             d = _random_orbit_class(2, weights, rng)
             got, want = g2_normal_form(d), frozen_g2_normal_form(d)
             assert type(got) is DivisorClass and got.orbits.groups == d.orbits.groups
-            assert got._coeffs() == want._coeffs(), weights
+            assert _coeffs(got) == _coeffs(want), weights
             assert g2_normal_form(got) is got
             # a class moved along the relation is equal, a changed one is not
             moved = d.add(lambda_class(2, n)).sub(frozen_g2_normal_form(lambda_class(2, n)))
             for other, equal in ((moved, True), (d.add(boundary_class(2, n, 1, [1])), False),
                                  (d.add(lambda_class(2, n)), False)):
-                assert (frozen_g2_normal_form(d)._coeffs() == frozen_g2_normal_form(other)._coeffs()) == equal
+                assert (_coeffs(frozen_g2_normal_form(d)) == _coeffs(frozen_g2_normal_form(other))) == equal
                 assert d.equals(other) == other.equals(d) == equal, weights
 
     # n = 40 lists about 1.6 * 10^12 genus-1 divisors: the comparison stays
@@ -725,6 +744,130 @@ def test_g2_normal_form_matches_dense_route(monkeypatch):
     assert (nf.lam, nf.delta0, nf.orbits.sizes) == (0, Fraction(1, 10), (40,))
     # the genus-1 orbits: |S| = 0..20, each |S| named with its complement
     assert nf.orbits.coeffs == {(1, (c,)): Fraction(1, 5) for c in range(21)}
+
+
+def _random_operand(g, n, rng, kind):
+    """A class (or, as kind says, a functional) on Mbar_{g,n} from one of
+    the routes that give a table its label groups."""
+    if kind is CurveFunctional:
+        vec = _random_orbit_class(g, [rng.randint(0, 2) for _ in range(n)], rng)
+        return CurveFunctional(g, n, vec.lam, vec.group_psi, vec.delta0, orbits=vec.orbits)
+    route = rng.randrange(6)
+    if route == 0:
+        return _random_orbit_class(g, [rng.randint(0, 2) for _ in range(n)], rng)
+    if route == 1:
+        while True:
+            try:
+                return boundary_class(g, n, rng.randint(0, g), rng.sample(range(1, n + 1), rng.randint(0, n)))
+            except InvalidIndex:
+                pass
+    if route == 2:
+        return rng.choice([lambda_class(g, n), delta0_class(g, n), psi_class(g, n, rng.randint(1, n))])
+    if route == 3:  # a dense input, grouped by _from_dense
+        indices = canonical_boundary_indices(g, n)
+        boundary = {idx: Fraction(rng.randint(-9, 9), 4) for idx in rng.sample(indices, min(3, len(indices)))}
+        return DivisorClass(g, n, 1, [rng.randint(0, 1) for _ in range(n)], 0, boundary)
+    if route == 4:
+        d = [rng.randint(-1, 3) for _ in range(n - 1)]
+        return qd_class(QdInput(g, n, d + [2 * g - 2 - sum(d)]))
+    d = [0] * n
+    for _ in range(g):
+        d[rng.randrange(n)] += 1
+    return logan_class(g, n, d)
+
+
+def _equal_by_dense_route(a, b) -> bool:
+    if isinstance(a, DivisorClass) and a.g == 2:
+        a, b = frozen_g2_normal_form(a), frozen_g2_normal_form(b)
+    return _coeffs(a) == _coeffs(b)
+
+
+def test_linear_structure_matches_dense_route(monkeypatch):
+    # add, sub, scale and the comparisons of classes and functionals whose
+    # label groups differ stay in orbit form and give what the dense route gave
+    rng = random.Random(26)
+    cases = []
+    for trial in range(400):
+        g, n = rng.randint(2, 5), rng.randint(1, 7)
+        kind = CurveFunctional if trial % 4 == 3 else DivisorClass
+        a, b = (_random_operand(g, n, rng, kind) for _ in range(2))
+        cases.append((a, b, Fraction(rng.randint(-9, 9), rng.randint(1, 5))))
+    # sums of test-curve functionals, each over its own blocks
+    specs = list(valid_specs(4))
+    for _ in range(100):
+        a, b = (curve_functional(rng.choice(specs)) for _ in range(2))
+        cases.append((a, b, Fraction(rng.randint(-9, 9), rng.randint(1, 5))))
+
+    with monkeypatch.context() as m:
+        m.setattr(OrbitTable, "dense", _no_dense)
+        m.setattr(picard, "_from_dense", _no_dense)
+        got = []
+        for a, b, r in cases:
+            total, diff, scaled = a.add(b.scale(r)), a.sub(b), a.scale(r)
+            assert total.sub(b.scale(r)) == a and diff.add(b) == a
+            assert a.add(b) == b.add(a) and scaled == a.scale(r)
+            got.append((total, diff, scaled, a == b, b.equals(a) if isinstance(a, DivisorClass) else b == a))
+
+    mixed = 0
+    for (a, b, r), (total, diff, scaled, same, same_back) in zip(cases, got):
+        mixed += a.orbits.groups != b.orbits.groups
+        want = (frozen_combine(a, frozen_combine(b, b, r, 0), 1), frozen_combine(a, b, -1), frozen_combine(a, a, r, 0))
+        for x, y in zip((total, diff, scaled), want):
+            assert type(x) is type(a) and _coeffs(x) == _coeffs(y) and x.to_json() == y.to_json(), (a, b, r)
+        assert same == same_back == _equal_by_dense_route(a, b), (a, b)
+    assert mixed > 300
+
+
+def test_linear_structure_over_the_common_refinement(monkeypatch):
+    # qg_class(11) is one group of 20 labels with 115 orbit keys; the dense
+    # route refused its scale at 5,767,149 entries
+    monkeypatch.setattr(OrbitTable, "dense", _no_dense)
+    q = qg_class(11)
+    start = time.perf_counter()
+    doubled = q.scale(2)
+    assert time.perf_counter() - start < 0.1
+    assert doubled == q.add(q) and doubled.sub(q) == q and not doubled.sub(q).sub(q).orbits.coeffs
+    assert doubled.orbits.groups == q.orbits.groups
+    assert doubled.orbits.coeffs == {key: 2 * c for key, c in q.orbits.coeffs.items()}
+
+    # the sum reads over the common refinement of {1} {2} {3..8} and
+    # {1..6} {7} {8}, where the dense route gave one group per label
+    a = qd_class(QdInput(5, 8, (3, -1, 1, 1, 1, 1, 1, 1)))
+    b = qd_class(QdInput(5, 8, (1, 1, 1, 1, 1, 1, 3, -1)))
+    assert a.orbits.groups == ((1,), (2,), (3, 4, 5, 6, 7, 8))
+    assert b.orbits.groups == ((1, 2, 3, 4, 5, 6), (7,), (8,))
+    assert a.add(b).orbits.groups == ((1,), (2,), (3, 4, 5, 6), (7,), (8,))
+    assert a.add(b).sub(b) == a and a != b
+
+    # against a dense input of one group per label the split would list one
+    # orbit per divisor of qg_class(11): refused before any is listed
+    monkeypatch.undo()
+    dense = DivisorClass(11, 20, boundary={(1, (1, 2)): 1})
+    assert len(dense.orbits.groups) == 20
+    start = time.perf_counter()
+    for other in (dense, dense.scale(3)):
+        with pytest.raises(BudgetExceeded):
+            q == other
+        with pytest.raises(BudgetExceeded):
+            q.add(other)
+    assert time.perf_counter() - start < 1
+    # boundary_class keeps two groups, so the same divisor compares at once
+    assert q != boundary_class(11, 20, 1, (1, 2))
+    assert boundary_class(11, 20, 1, (1, 2)) == dense
+
+
+def test_linear_structure_refuses_a_class_and_a_functional():
+    cls, f = lambda_class(3, 2), CurveFunctional(3, 2, lam=1)
+    for call in (lambda: cls.equals(f), lambda: cls.add(f), lambda: cls.sub(f),
+                 lambda: f.add(cls), lambda: f.sub(cls)):
+        with pytest.raises(TypeError):
+            call()
+    assert cls != f and f != cls
+    assert f.pair(cls) == 1
+    with pytest.raises(DimensionMismatch):
+        lambda_class(3, 2) == lambda_class(3, 3)
+    with pytest.raises(DimensionMismatch):
+        f == CurveFunctional(4, 2, lam=1)
 
 
 @pytest.mark.parametrize("g", range(2, 11))
@@ -1087,7 +1230,7 @@ def test_accumulator_checks():
 
 def _same_as(got, ref) -> bool:
     # every coefficient: table against table when the label groups agree,
-    # else the dense views (the reference's is built once)
+    # else both tables split into the common refinement of their groups
     return (got.g, got.n) == (ref.g, ref.n) and got._same(ref)
 
 
@@ -1157,7 +1300,7 @@ def test_attach_references_agree():
                 _per_label_copy(logan_class(4, 6, (2, 1, 1, 0, 0, 0)))):
         for h in range(1, cls.g - 1):
             for j, got in enumerate(reference_pullbacks_attach(cls, h), start=1):
-                assert got._coeffs() == reference_pullback_attach(cls, h, j)._coeffs(), (h, j)
+                assert _coeffs(got) == _coeffs(reference_pullback_attach(cls, h, j)), (h, j)
     with pytest.raises(DimensionMismatch):
         reference_pullbacks_attach(qg_class(3), 2)
 
@@ -1253,7 +1396,7 @@ def test_json_copy_regroups_exactly(name, build):
     # expanded, and a zero sum is no entry
     for what, edited in _perturbed(data, copy):
         got = DivisorClass.from_jsonable(edited)
-        assert got._coeffs() == _dense_reading(edited), what
+        assert _coeffs(got) == _dense_reading(edited), what
 
 
 def test_json_copy_of_large_class_stays_in_orbits(monkeypatch):
@@ -1445,7 +1588,7 @@ def test_reader_matches_frozen_reader(data):
     assert isinstance(ref, cls), ref
     assert _same_reading(got, ref)
     # splits, mirrors and zeros leave the class as it was
-    assert got._coeffs() == vec._coeffs()
+    assert _coeffs(got) == _coeffs(vec)
 
 
 _BAD_LABELS = (True, False, 1.0, 2.5, "1", None, [1], 0, -1, 99)
@@ -1603,7 +1746,7 @@ def test_reader_memo_takes_no_list_on_equality(name, build):
                 assert got == ref and "order" not in what, (at, what)
             else:
                 assert "order" in what and _same_reading(got, ref), (at, what)
-                assert (got._coeffs() == vec._coeffs()) == (what == "out of order"), (at, what)
+                assert (_coeffs(got) == _coeffs(vec)) == (what == "out of order"), (at, what)
             seen += repeated
     assert seen >= 4 or name == "functional"
 
@@ -1653,7 +1796,7 @@ def test_rendered_picks_the_walk_by_fill(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(OrbitTable, "_orbit_rows", _refused)
         for cls in (qg_class(5), qd_class(QdInput(4, 6, (3, 3, 1, -1, -1, 1))), _per_label_copy(qg_class(4))):
-            assert DivisorClass.from_json(cls.to_json())._coeffs() == cls._coeffs()
+            assert _coeffs(DivisorClass.from_json(cls.to_json())) == _coeffs(cls)
             assert cli._class_table(cls).count("delta_{") == cls.orbits.dense_size()
     # ...and test-curve functionals through their orbits: at 598 labels the
     # subset walk would visit about 2^598 subsets

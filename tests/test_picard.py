@@ -1,6 +1,7 @@
 import gc
 import importlib
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -43,6 +44,11 @@ from qstrata.picard import (
     weight_table,
 )
 from qstrata.testcurves import TestCurveSpec as CurveSpec
+
+
+def _coeffs(v):
+    """Every coefficient of a class or functional, the boundary as its dense view."""
+    return (v.lam, v.psi, v.delta0, v.boundary)
 
 
 def test_canonical_indices_keep_no_label_set():
@@ -163,12 +169,12 @@ def test_g2_normal_form_of_lambda():
     assert nf.delta0 == Fraction(1, 10)
     assert nf.boundary_coeff(1, {1}) == Fraction(1, 5)
     assert nf.boundary_coeff(1, {1, 2}) == Fraction(1, 5)
-    assert g2_normal_form(nf)._coeffs() == nf._coeffs()
+    assert _coeffs(g2_normal_form(nf)) == _coeffs(nf)
 
 
 def test_g2_normal_form_fixes_delta0():
     d = delta0_class(2, 2)
-    assert g2_normal_form(d)._coeffs() == d._coeffs()
+    assert _coeffs(g2_normal_form(d)) == _coeffs(d)
     with pytest.raises(WrongGenus):
         g2_normal_form(delta0_class(3, 2))
 
@@ -430,7 +436,7 @@ def test_pairing_bilinearity(data):
 @given(random_class())
 def test_json_round_trip(d):
     again = DivisorClass.from_json(d.to_json())
-    assert again._coeffs() == d._coeffs()
+    assert _coeffs(again) == _coeffs(d)
     assert again.equals(d)
 
 
@@ -465,6 +471,40 @@ def test_divisor_class_eq_operator():
         assert lambda_class(2, n) == relation and lambda_class(2, n) == g2_normal_form(lambda_class(2, n))
         assert lambda_class(2, n) != delta0_class(2, n)
         assert lambda_class(2, n) != relation.add(boundary_class(2, n, 1, [1]))
+
+
+def test_boundary_class_holds_two_label_groups():
+    # delta_{i:S} is one orbit over the groups S and S^c, ordered by smallest
+    # label, and prints as the dense input route prints it
+    for g, n, i, S, groups in [
+        (3, 4, 1, (2, 3), ((1, 4), (2, 3))),
+        (3, 4, 1, (), ((1, 2, 3, 4),)),
+        (3, 4, 3, (2, 4), ((1, 3), (2, 4))),  # the mirror of (0, {1, 3})
+        (3, 4, 0, (1, 2, 3, 4), ((1, 2, 3, 4),)),
+        (4, 4, 2, (3, 4), ((1, 2), (3, 4))),  # a tie keeps the side holding 1
+        (4, 5, 2, (2, 5), ((1, 3, 4), (2, 5))),
+        (4, 3, 2, (2,), ((1, 3), (2,))),
+    ]:
+        b, idx = boundary_class(g, n, i, S), canonicalize_index(g, n, i, S)
+        ref = DivisorClass(g, n, boundary={idx: 1})
+        assert b.orbits.groups == groups, (g, n, i, S)
+        assert b.boundary == {idx: 1} and b.to_json() == ref.to_json()
+        assert b == ref and ref == b and (b.lam, b.delta0, set(b.psi)) == (0, 0, {0})
+    with pytest.raises(InvalidIndex):
+        boundary_class(3, 4, 0, (1,))
+
+    # on Mbar_{2,20000} the dense input route gave one group per label, and
+    # a peak of about 33 MB under tracemalloc
+    start = time.perf_counter()
+    b = boundary_class(2, 20000, 0, (1, 2, 3))
+    assert time.perf_counter() - start < 0.1
+    tracemalloc.start()
+    boundary_class(2, 20000, 0, (1, 2, 3))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 10_000_000
+    assert b.orbits.sizes == b.add(delta0_class(2, 20000)).orbits.sizes == (3, 19997)
+    assert b.to_json() == DivisorClass(2, 20000, boundary={(0, (1, 2, 3)): 1}).to_json()
 
 
 def test_functional_files_read_only_as_functionals():
