@@ -17,18 +17,16 @@ the groups, named by the genus part i and how many labels of each group S
 holds; psi is stored once per group too.  A closed-form class groups
 labels of equal weight, a test-curve functional groups them into its own
 blocks of consecutive labels, and a pullback adds or splits off one
-group.  A dense {canonical (i, S): coefficient}, given as `boundary=` or
-read from JSON, takes one input route: its labels are grouped by what a
-label symmetry must preserve (psi_j and the delta_{0:{j,k}} row), and the
-grouping is kept only when every orbit it meets is checked to be full and
-constant; otherwise each label is a group of its own.  Each entry finds
-its orbit by one integer code (laid out by OrbitTable._layout), its digit
-sum computed once per distinct S and the code decoded once per orbit.  The
-JSON reader keys a canonical entry, as qstrata writes them, as the plain
-(i, S): the label types of the whole file are checked in one pass, and
-the order and range of each distinct label list once, so the genus parts
-of S share one tuple; any other entry goes through canonicalize_index.
-Terms given per orbit go through one router, from_terms.
+group.  Dense input, `boundary=` or a class file, takes one checked walk
+(_checked): the first entry checks (g, n), all label types are checked in
+one pass and each distinct S once, so a canonical entry is its own key;
+any other goes through canonicalize_index, so a mirrored name is summed
+onto its divisor and delta_{0:{j}} raises InvalidIndex.  _from_dense
+groups the labels by psi_j and the delta_{0:{j,k}} row, which a label
+symmetry preserves, keeps the grouping only when every orbit it meets is
+full and constant, else gives each label a group, and codes each orbit by
+OrbitTable._layout.  Terms given per orbit go through one router,
+from_terms.
 
 A functional pairs with a class by walking its own divisors and looking
 each one up in the class's table.  add, sub, scale and equals split both
@@ -485,6 +483,47 @@ def weight_table(g: int, n: int, weights: Iterable[int]) -> tuple[OrbitTable, tu
     return OrbitTable(g, n, map(tuple, first.values())), tuple(first)
 
 
+def _checked(g: int, n: int, entries: Iterable, labels: Iterable, value) -> dict:
+    """{canonical (i, S): summed coefficient} from the {"i", "S", "c"} entries
+    of a class file or of `boundary=` (their S also as `labels`), each
+    coefficient read by `value` once its index is checked."""
+    # every label an int, in one pass (1.0 and True equal 1, so a label list
+    # is never taken on equality alone); else every entry is checked alone
+    try:
+        ints = _INT.issuperset(map(type, chain.from_iterable(labels)))
+    except (LookupError, TypeError):  # a missing S, or a key that is no (i, S) pair
+        ints = False
+    total, sides = {}, None
+    for e in entries:
+        idx = None
+        # once an entry has checked (g, n), a canonical one is its own
+        # key: the order and range of each distinct label list are
+        # checked once, and its genus parts share one tuple
+        if sides is not None and type(i := e["i"]) is int and type(S := e["S"]) is list:
+            side = sides.get(key := tuple(S))
+            if side is None:
+                side = sides[key] = key if _in_order(n, key) else False
+            if side is not False and (0 < 2 * i < g or i == 0 and len(side) > 1
+                                      or 2 * i == g and side[:1] == (1,)):
+                idx = (i, side)
+        if idx is None:
+            i, S = _json_int(e["i"]), e["S"]
+            try:
+                idx = canonicalize_index(g, n, i, S)
+            except (DomainError, TypeError):
+                for p in S:
+                    _json_int(p)  # a float, bool or str label is a TypeError, checked first
+                raise
+            _json_list(S)  # "" or {} would name the empty set
+            if sides is None and ints:
+                sides = {}
+        c, size = value(e["c"]), len(total)
+        old = total.setdefault(idx, c)  # one hash of idx when it is new
+        if len(total) == size:
+            total[idx] = old + c
+    return total
+
+
 def _grouped(g: int, n: int, groups, total) -> OrbitTable | None:
     """A table over these label groups holding the dense entries `total`
     ({canonical (i, S): nonzero coefficient}), or None when some orbit it
@@ -509,8 +548,8 @@ def _grouped(g: int, n: int, groups, total) -> OrbitTable | None:
 
 
 def _from_dense(g: int, n: int, psi, boundary: Mapping) -> tuple[OrbitTable, tuple]:
-    """The input adapter: a dense {canonical (i, S) tuple: coefficient}
-    and per-label psi as a table, and its psi per group.
+    """The input adapter: the dense {canonical (i, S): exact coefficient}
+    that _checked gives and per-label psi as a table, and its psi per group.
 
     A label permutation that fixes the class maps the psi and
     delta_{0:{j,k}} coefficients of label j onto those of its image, so
@@ -525,7 +564,6 @@ def _from_dense(g: int, n: int, psi, boundary: Mapping) -> tuple[OrbitTable, tup
         raise DimensionMismatch("expected %d psi coefficients, one per label" % n)
     total, rows = {}, [[] for _ in range(n + 1)]
     for idx, c in boundary.items():
-        c = _frac(c)
         if c:
             total[idx] = c
             i, S = idx
@@ -545,10 +583,10 @@ class _PicardVector:
     """Shared coefficient storage for divisor classes and curve functionals.
 
     The boundary part is an OrbitTable (`orbits`) and the psi coefficients
-    are given one per label group (`group_psi`).  Without a table, the
-    input adapter takes a dense {canonical BoundaryIndex: coefficient}
-    (`boundary`) and per-label psi, and builds a table in the one candidate
-    grouping `_from_dense` checks, else with one group per label.  The
+    are given one per label group (`group_psi`).  Without a table, a dense
+    {(i, S): coefficient} (`boundary`) takes the class-file reader's checked
+    walk (_checked), and _from_dense builds its table with per-label psi;
+    `boundary` and a table together are a TypeError.  The
     per-label psi is filled in at construction, and nothing is written to
     a vector afterwards.  Sums and comparisons work in orbit form over the
     common refinement of both sides' label groups (_meet).
@@ -563,7 +601,11 @@ class _PicardVector:
         self.lam = _frac(lam)
         self.delta0 = _frac(delta0)
         if orbits is None:
-            orbits, psi = _from_dense(g, n, psi, boundary or {})
+            boundary = boundary or {}  # entries made one at a time: no dict per divisor to collect
+            entries = ({"i": i, "S": list(S), "c": c} for (i, S), c in boundary.items())
+            orbits, psi = _from_dense(g, n, psi, _checked(g, n, entries, map(itemgetter(1), boundary), _frac))
+        elif boundary is not None:
+            raise TypeError("give boundary= or orbits=, not both")
         self._same_space(orbits)
         self.orbits = orbits
         width = len(orbits.groups)
@@ -691,44 +733,12 @@ class _PicardVector:
         if cls is DivisorClass and d.get("functional"):  # d had "g": a JSON object
             raise TypeError("the file holds a curve functional, not a divisor class")
         entries = _json_list(d["boundary"])
-        # every label an int, in one pass (1.0 and True equal 1, so a label
-        # list is never taken on equality alone); a file that fails this
-        # fails below, entry by entry
-        try:
-            ints = _INT.issuperset(map(type, chain.from_iterable(map(itemgetter("S"), entries))))
-        except (KeyError, TypeError):
-            ints = False
-        # entries naming the same class under mirrored indices accumulate
-        boundary, sides = {}, None
-        for e in entries:
-            idx = None
-            # once an entry has checked (g, n), a canonical one is its own
-            # key: the order and range of each distinct label list are
-            # checked once, and its genus parts share one tuple
-            if sides is not None and type(i := e["i"]) is int and type(S := e["S"]) is list:
-                side = sides.get(key := tuple(S))
-                if side is None:
-                    side = sides[key] = key if _in_order(n, key) else False
-                if side is not False and (0 < 2 * i < g or i == 0 and len(side) > 1
-                                          or 2 * i == g and side[:1] == (1,)):
-                    idx = (i, side)
-            if idx is None:
-                i, S = _json_int(e["i"]), e["S"]
-                try:
-                    idx = canonicalize_index(g, n, i, S)
-                except (DomainError, TypeError):
-                    for p in S:
-                        _json_int(p)  # a float, bool or str label is a TypeError, checked first
-                    raise
-                _json_list(S)  # "" or {} would name the empty set
-                if sides is None and ints:
-                    sides = {}
-            c, size = parse_rational(e["c"]), len(boundary)
-            old = boundary.setdefault(idx, c)  # one hash of idx when it is new
-            if len(boundary) == size:
-                boundary[idx] = old + c
-        return cls(g, n, parse_rational(d["lambda"]),
-                   tuple(map(parse_rational, _json_list(d["psi"]))), parse_rational(d["delta0"]), boundary)
+        boundary = _checked(g, n, entries, map(itemgetter("S"), entries), parse_rational)
+        lam, psi, delta0 = (parse_rational(d["lambda"]), tuple(map(parse_rational, _json_list(d["psi"]))),
+                            parse_rational(d["delta0"]))
+        _check_gn(g, n)  # before the psi count, as the constructor checks
+        orbits, psi = _from_dense(g, n, psi, boundary)
+        return cls(g, n, lam, psi, delta0, orbits=orbits)
 
     def __repr__(self):
         # no dense view: a large class must still print

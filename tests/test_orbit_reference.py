@@ -1589,6 +1589,14 @@ def test_reader_matches_frozen_reader(data):
     assert _same_reading(got, ref)
     # splits, mirrors and zeros leave the class as it was
     assert _coeffs(got) == _coeffs(vec)
+    # the same entries as boundary=, equal keys summed, read the same
+    boundary = {}
+    for e in entries:
+        key = (e["i"], tuple(e["S"]))
+        boundary[key] = boundary.get(key, 0) + parse_rational(e["c"])
+    dense = cls(g, n, parse_rational(doc["lambda"]), tuple(map(parse_rational, doc["psi"])),
+                parse_rational(doc["delta0"]), boundary)
+    assert _coeffs(dense) == _coeffs(got)
 
 
 _BAD_LABELS = (True, False, 1.0, 2.5, "1", None, [1], 0, -1, 99)

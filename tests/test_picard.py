@@ -333,6 +333,38 @@ def test_json_boundary_entries_accumulate_across_mirrors():
     assert d.boundary_coeff(1, {1}) == 2
 
 
+@pytest.mark.parametrize("boundary, want", [
+    ({(2, (1,)): 1}, lambda: boundary_class(3, 4, 1, (2, 3, 4))),  # its mirror
+    ({(1, (1, 2)): 1, (2, (3, 4)): 2}, lambda: boundary_class(3, 4, 1, (1, 2)).scale(3)),  # one divisor, twice
+    ({(1, (1, 1)): 1}, "marked points [1, 1] repeat a label"),
+    ({(0, (1,)): 1}, "(i=0, S=[1]) is not a boundary divisor on Mbar_{3,4}"),  # not -psi_1
+    ({(0, (7, 9)): 1}, "is not one of the labels 1..4"),
+], ids=["mirror", "named twice", "repeated label", "genus 0, one label", "labels past n"])
+def test_dense_input_is_checked_as_class_files_are(boundary, want):
+    # boundary= takes the class-file reader's checked walk: the same entries
+    # read as the same class, or raise the same error, either way
+    doc = dict(DivisorClass(3, 4).to_jsonable(),
+               boundary=[{"i": i, "S": list(S), "c": "%d/1" % c} for (i, S), c in boundary.items()])
+    if isinstance(want, str):
+        with pytest.raises(InvalidIndex) as read:
+            DivisorClass.from_jsonable(doc)
+        with pytest.raises(InvalidIndex) as built:
+            DivisorClass(3, 4, boundary=boundary)
+        assert want in str(read.value) and str(built.value) == str(read.value)
+        return
+    d, want = DivisorClass(3, 4, boundary=boundary), want()
+    assert d == want and d.to_json() == want.to_json() == DivisorClass.from_jsonable(doc).to_json()
+    assert [e["c"] for e in d.to_jsonable()["boundary"]] == ["%d/1" % sum(boundary.values())]  # one row
+
+
+def test_boundary_and_orbits_are_refused_together():
+    # the table would win and the dense entries be lost
+    with pytest.raises(TypeError, match="not both"):
+        DivisorClass(3, 4, boundary={(1, (1,)): 5}, orbits=OrbitTable(3, 4, [(1, 2, 3, 4)]))
+    with pytest.raises(TypeError, match="not both"):
+        CurveFunctional(3, 4, boundary={}, orbits=OrbitTable(3, 4, [(1, 2, 3, 4)]))
+
+
 def test_functional_json_tag():
     f = curve_functional(CurveSpec("B", 3, 1, 0))
     d = f.to_jsonable()
