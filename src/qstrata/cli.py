@@ -191,10 +191,12 @@ def _class_table(d) -> str:
 
 
 def _emit(args, jsonable, table) -> None:
-    """Print json.dumps(jsonable()) with --json, else table(), building only
-    that rendering; an integer too long for str() is a domain error."""
+    """Print jsonable() with --json (a tree in json.dumps's default layout, or
+    the text of a class's or functional's to_json), else table(), building
+    only that rendering; an integer too long for str() is a domain error."""
     try:
-        text = json.dumps(jsonable(), check_circular=False) if args.json else table()
+        text = jsonable() if args.json else table()
+        text = text if type(text) is str else json.dumps(text, check_circular=False)
     except ValueError:  # past the interpreter's int-to-str digit limit
         raise DomainError("the result has an integer of over %d digits" % sys.get_int_max_str_digits())
     print(text)
@@ -211,13 +213,13 @@ def _parse_curve(text: str):
 def _run(args) -> int:
     if args.command == "class":
         cls = _class_from_args(args)
-        _emit(args, cls.to_jsonable, lambda: _class_table(cls))
+        _emit(args, cls.to_json, lambda: _class_table(cls))
         return 0
 
     if args.command == "curve":
         family, i, s = _parse_curve(args.curve)
         f = curve_functional(TestCurveSpec(family, args.g, i, s))
-        _emit(args, f.to_jsonable, lambda: _class_table(f))
+        _emit(args, f.to_json, lambda: _class_table(f))
         return 0
 
     if args.command == "pair":

@@ -21,20 +21,22 @@ group.  Dense input, `boundary=` or a class file, takes one checked walk
 (_checked): the first entry checks (g, n), all label types are checked in
 one pass and each distinct S once, so a canonical entry is its own key;
 any other goes through canonicalize_index, so a mirrored name is summed
-onto its divisor and delta_{0:{j}} raises InvalidIndex.  _from_dense
-groups the labels by psi_j and the delta_{0:{j,k}} row, which a label
+onto its divisor and delta_{0:{j}} raises InvalidIndex; the walk lists the
+delta_{0:{j,k}} keys it meets.  _from_dense groups the labels by psi_j and
+the delta_{0:{j,k}} row (those keys' summed totals), which a label
 symmetry preserves, keeps the grouping only when every orbit it meets is
 full and constant, else gives each label a group, and codes each orbit by
-OrbitTable._layout.  Terms given per orbit go through one router,
-from_terms.
+OrbitTable._layout (_grouped, which drops zeros as it goes).  Terms given
+per orbit go through one router, from_terms.
 
 A functional pairs with a class by walking its own divisors and looking
 each one up in the class's table.  add, sub, scale and equals split both
 tables into the common refinement of their label groups
 (_PicardVector._meet, OrbitTable.split); at genus 2, equals first applies
 lambda = delta_0/10 + delta_1/5 in orbit form over each class's own groups
-(g2_normal_form).  JSON and the CLI table print from the same sorted rows,
-each orbit's coefficient formatted once (OrbitTable._rendered), by a walk
+(g2_normal_form).  to_json's text, json.dumps's layout formatted without a
+tree, and the CLI table print from the same sorted rows, each orbit's
+coefficient formatted once (OrbitTable._rendered), by a walk
 of every subset S of 1..n when the table fills at least half of the
 (g // 2 + 1) * 2^n pairs (i, S) with i <= g - i, else of its orbits.  No
 route builds the dense view (`boundary`).  Walking more than
@@ -55,7 +57,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, chain, combinations, compress, product, repeat
 from math import comb, prod
 from operator import itemgetter, lshift, lt, mul, sub
@@ -95,16 +96,8 @@ def format_rational(x: Rational) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    # the type first: the cache would fail on hashing a list or a dict
     if not isinstance(s, str):
         raise TypeError("expected a rational as a string such as \"3/2\", got %r" % (s,))
-    return _parse_rational(s)
-
-
-# a class file repeats few coefficients many times: parsing each string once
-# also makes equal coefficients one object, which _grouped compares first
-@lru_cache(maxsize=1024)
-def _parse_rational(s: str) -> Fraction:
     s = s.strip()
     if "/" in s:
         p, q = s.split("/", 1)
@@ -483,23 +476,25 @@ def weight_table(g: int, n: int, weights: Iterable[int]) -> tuple[OrbitTable, tu
     return OrbitTable(g, n, map(tuple, first.values())), tuple(first)
 
 
-def _checked(g: int, n: int, entries: Iterable, labels: Iterable, value) -> dict:
-    """{canonical (i, S): summed coefficient} from the {"i", "S", "c"} entries
-    of a class file or of `boundary=` (their S also as `labels`), each
-    coefficient read by `value` once its index is checked."""
+def _checked(g: int, n: int, entries: Iterable, labels: Iterable, value, array=list) -> tuple[dict, list]:
+    """({canonical (i, S): summed coefficient}, its delta_{0:{j,k}} keys) from
+    a class file's {"i", "S", "c"} entries or, with array=tuple, the (i, S, c)
+    items of `boundary=` (S also as `labels`), each c read by `value` once its
+    index is checked."""
+    I, L, C = "iSc" if array is list else range(3)  # where an entry holds i, S and c
     # every label an int, in one pass (1.0 and True equal 1, so a label list
     # is never taken on equality alone); else every entry is checked alone
     try:
         ints = _INT.issuperset(map(type, chain.from_iterable(labels)))
     except (LookupError, TypeError):  # a missing S, or a key that is no (i, S) pair
         ints = False
-    total, sides = {}, None
+    total, sides, pairs = {}, None, []
     for e in entries:
         idx = None
         # once an entry has checked (g, n), a canonical one is its own
         # key: the order and range of each distinct label list are
         # checked once, and its genus parts share one tuple
-        if sides is not None and type(i := e["i"]) is int and type(S := e["S"]) is list:
+        if sides is not None and type(i := e[I]) is int and type(S := e[L]) is array:
             side = sides.get(key := tuple(S))
             if side is None:
                 side = sides[key] = key if _in_order(n, key) else False
@@ -507,34 +502,40 @@ def _checked(g: int, n: int, entries: Iterable, labels: Iterable, value) -> dict
                                       or 2 * i == g and side[:1] == (1,)):
                 idx = (i, side)
         if idx is None:
-            i, S = _json_int(e["i"]), e["S"]
+            i, S = _json_int(e[I]), e[L]
             try:
                 idx = canonicalize_index(g, n, i, S)
             except (DomainError, TypeError):
                 for p in S:
                     _json_int(p)  # a float, bool or str label is a TypeError, checked first
                 raise
-            _json_list(S)  # "" or {} would name the empty set
+            if array is list:
+                _json_list(S)  # in a file, "" or {} would name the empty set
             if sides is None and ints:
                 sides = {}
-        c, size = value(e["c"]), len(total)
+        c, size = value(e[C]), len(total)
         old = total.setdefault(idx, c)  # one hash of idx when it is new
         if len(total) == size:
             total[idx] = old + c
-    return total
+        elif not idx[0] and len(idx[1]) == 2:
+            pairs.append(idx)
+    return total, pairs
 
 
 def _grouped(g: int, n: int, groups, total) -> OrbitTable | None:
-    """A table over these label groups holding the dense entries `total`
-    ({canonical (i, S): nonzero coefficient}), or None when some orbit it
-    meets has two coefficients or misses a divisor."""
-    table = OrbitTable(g, n, groups)
+    """A table over these label groups holding `total` ({canonical (i, S):
+    coefficient}) less its zeros, dropped in the same walk, or None when
+    some orbit it meets has two coefficients or misses a divisor."""
+    table, count = OrbitTable(g, n, groups), 0  # count: the nonzero entries
     if total:
         # the orbit code of (i, S) (see OrbitTable._layout), its digit sum
         # computed once per distinct S
         weight, _, top, full = table._layout()
         digit, sums, coeffs = weight.__getitem__, {}, {}
         for (i, S), c in total.items():
+            if not c:
+                continue
+            count += 1
             v = sums.get(S)
             if v is None:
                 v = sums[S] = sum(map(digit, S))
@@ -544,32 +545,29 @@ def _grouped(g: int, n: int, groups, total) -> OrbitTable | None:
         table.coeffs = {table._key(k): c for k, c in coeffs.items()}
     # no orbit holds more entries than divisors: equal totals mean that
     # every orbit met is full
-    return table if table.dense_size() == len(total) else None
+    return table if table.dense_size() == count else None
 
 
-def _from_dense(g: int, n: int, psi, boundary: Mapping) -> tuple[OrbitTable, tuple]:
-    """The input adapter: the dense {canonical (i, S): exact coefficient}
-    that _checked gives and per-label psi as a table, and its psi per group.
+def _from_dense(g: int, n: int, psi, total: Mapping, pairs) -> tuple[OrbitTable, tuple]:
+    """The input adapter: _checked's (total, pairs) and per-label psi as a
+    table, and its psi per group.
 
     A label permutation that fixes the class maps the psi and
     delta_{0:{j,k}} coefficients of label j onto those of its image, so
     labels are grouped by psi_j and the sorted delta_{0:{j,k}} row over
-    k != j.  The grouping is kept when every orbit the entries meet gets
-    one coefficient from all of its divisors, so that the dense view is
-    `boundary` less its zeros, entry for entry; otherwise each label is a
-    group of its own.
+    k != j, read from the summed totals of those keys alone.  The grouping
+    is kept when every orbit the entries meet gets one coefficient from all
+    of its divisors, so that the dense view is `total` less its zeros,
+    entry for entry; otherwise each label is a group of its own.
     """
     psi = tuple(map(_frac, psi or (0,) * n))
     if len(psi) != n:
         raise DimensionMismatch("expected %d psi coefficients, one per label" % n)
-    total, rows = {}, [[] for _ in range(n + 1)]
-    for idx, c in boundary.items():
-        if c:
-            total[idx] = c
-            i, S = idx
-            if i == 0 and len(S) == 2:
-                for j in S:
-                    rows[j].append(c)
+    rows = [[] for _ in range(n + 1)]
+    for idx in pairs:
+        if c := total[idx]:
+            for j in idx[1]:
+                rows[j].append(c)
     by_row = {}
     for j in range(1, n + 1):
         by_row.setdefault((psi[j - 1], tuple(sorted(rows[j]))), []).append(j)
@@ -593,6 +591,7 @@ class _PicardVector:
     """
 
     __slots__ = ("g", "n", "lam", "group_psi", "delta0", "orbits", "psi")
+    _tail = "}"  # what follows the boundary rows in to_json's text
 
     def __init__(self, g, n, lam=0, psi=None, delta0=0, boundary=None, orbits=None):
         _check_gn(g, n)
@@ -601,9 +600,9 @@ class _PicardVector:
         self.lam = _frac(lam)
         self.delta0 = _frac(delta0)
         if orbits is None:
-            boundary = boundary or {}  # entries made one at a time: no dict per divisor to collect
-            entries = ({"i": i, "S": list(S), "c": c} for (i, S), c in boundary.items())
-            orbits, psi = _from_dense(g, n, psi, _checked(g, n, entries, map(itemgetter(1), boundary), _frac))
+            boundary = boundary or {}  # items made one at a time: no dict, and no list for a tuple S
+            items = ((i, S if type(S) is tuple else list(S), c) for (i, S), c in boundary.items())
+            orbits, psi = _from_dense(g, n, psi, *_checked(g, n, items, map(itemgetter(1), boundary), _frac, tuple))
         elif boundary is not None:
             raise TypeError("give boundary= or orbits=, not both")
         self._same_space(orbits)
@@ -713,31 +712,38 @@ class _PicardVector:
 
     # -- serialization -------------------------------------------------------
 
+    def _head(self) -> dict:
+        return {"g": self.g, "n": self.n, "lambda": format_rational(self.lam),
+                "psi": [format_rational(c) for c in self.psi], "delta0": format_rational(self.delta0)}
+
     def to_jsonable(self) -> dict:
-        d = {
-            "g": self.g,
-            "n": self.n,
-            "lambda": format_rational(self.lam),
-            "psi": [format_rational(c) for c in self.psi],
-            "delta0": format_rational(self.delta0),
-            "boundary": [{"i": i, "S": list(S), "c": c} for i, S, c in self.orbits._rendered()],
-        }
-        return d
+        return dict(self._head(), boundary=[{"i": i, "S": list(S), "c": c} for i, S, c in self.orbits._rendered()])
 
     def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), check_circular=False)  # a tree of lists and dicts
+        """json.dumps(self.to_jsonable()) byte for byte, without that tree: the
+        head goes through json.dumps, and _rendered's sorted (i, S, "p/q")
+        rows are formatted straight into text, each distinct S's labels once."""
+        heads, text = ['{"i": %d, "S": [' % i for i in range(self.g // 2 + 1)], {}
+        get = text.get
+        rows = ", ".join([heads[i] + (get(S) or text.setdefault(S, ", ".join(map(str, S)) + '], "c": "')) + c + '"}'
+                          for i, S, c in self.orbits._rendered()])
+        return '%s, "boundary": [%s]%s' % (json.dumps(self._head())[:-1], rows, self._tail)  # the head less its "}"
 
     @classmethod
     def from_jsonable(cls, d: Mapping):
         g, n = _json_int(d["g"]), _json_int(d["n"])
         if cls is DivisorClass and d.get("functional"):  # d had "g": a JSON object
             raise TypeError("the file holds a curve functional, not a divisor class")
-        entries = _json_list(d["boundary"])
-        boundary = _checked(g, n, entries, map(itemgetter("S"), entries), parse_rational)
-        lam, psi, delta0 = (parse_rational(d["lambda"]), tuple(map(parse_rational, _json_list(d["psi"]))),
-                            parse_rational(d["delta0"]))
+        entries, memo = _json_list(d["boundary"]), {}
+
+        def value(s):  # parse_rational, each string once per read: equal coefficients are one object (_grouped)
+            c = memo.get(s) if type(s) is str else parse_rational(s)  # a list or a dict is refused, not hashed
+            return memo.setdefault(s, parse_rational(s)) if c is None else c
+
+        boundary = _checked(g, n, entries, map(itemgetter("S"), entries), value)
+        lam, psi, delta0 = value(d["lambda"]), tuple(map(value, _json_list(d["psi"]))), value(d["delta0"])
         _check_gn(g, n)  # before the psi count, as the constructor checks
-        orbits, psi = _from_dense(g, n, psi, boundary)
+        orbits, psi = _from_dense(g, n, psi, *boundary)
         return cls(g, n, lam, psi, delta0, orbits=orbits)
 
     def __repr__(self):
@@ -803,10 +809,10 @@ class CurveFunctional(_PicardVector):
 
     __hash__ = None
 
+    _tail = ', "functional": true}'
+
     def to_jsonable(self) -> dict:
-        d = super().to_jsonable()
-        d["functional"] = True
-        return d
+        return dict(super().to_jsonable(), functional=True)
 
 
 def pair(f: CurveFunctional, d: DivisorClass) -> Fraction:

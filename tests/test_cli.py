@@ -73,6 +73,25 @@ def test_every_emitted_class_golden_reparses():
         assert parsed.equals(DivisorClass.from_json(out))
 
 
+def test_class_and_curve_json_print_without_the_tree(monkeypatch):
+    # class and curve --json print to_json's text, formatted from the sorted
+    # rows: with to_jsonable refused, every class or functional golden still
+    # matches, and so does json.dumps's text of qg_class(4), which has none
+    golden = {tuple(e["argv"]): (GOLDEN / e["file"]).read_text() for e in manifest()}
+    cases = [(argv, out) for argv, out in golden.items() if argv[0] in ("class", "curve") and "--json" in argv]
+    cases += [(("class", "qg", "--g", "4", "--json"), json.dumps(qg_class(4).to_jsonable()) + "\n"),
+              (("curve", "--g", "3", "--curve", "A:1:3", "--json"),
+               golden["curve", "--curve", "A:1:3", "--g", "3", "--json"])]
+
+    def refuse(self):
+        raise AssertionError("the CLI built the to_jsonable tree")
+
+    monkeypatch.setattr(_PicardVector, "to_jsonable", refuse)
+    assert len(cases) == 10
+    for argv, out in cases:
+        assert run_cli(argv) == (0, out), argv
+
+
 def test_curve_subcommand_emits_functional_tag():
     code, out = run_cli(["curve", "--curve", "B:1:0", "--g", "3", "--json"])
     assert code == 0

@@ -111,10 +111,13 @@ _DENSE_PATH_DIGEST = "7747d5475a38a4c80140be27a38e149f4fed71565f8b65050ce96503f6
 
 
 def test_dense_path_output_digest():
-    lines = [json.dumps(cls.to_jsonable()) for cls in _dense_path_classes()]
-    assert len(lines) == 62
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == _DENSE_PATH_DIGEST
+    # the tree through json.dumps, and to_json's text formatted from the rows
+    classes = list(_dense_path_classes())
+    for render in (lambda cls: json.dumps(cls.to_jsonable()), lambda cls: cls.to_json()):
+        lines = [render(cls) for cls in classes]
+        assert len(lines) == 62
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == _DENSE_PATH_DIGEST
 
 
 

@@ -1599,6 +1599,54 @@ def test_reader_matches_frozen_reader(data):
     assert _coeffs(dense) == _coeffs(got)
 
 
+def test_to_json_is_the_json_dumps_text():
+    # to_json formats _rendered's rows straight into text: byte for byte the
+    # text json.dumps prints for to_jsonable(), which reads back to itself,
+    # for every kind of vector, empty boundaries and tie divisors (2i = g)
+    ties = boundary_class(4, 6, 2, (1, 4, 5)).add(boundary_class(4, 6, 2, (2, 3)).scale(3))
+    assert any(2 * e["i"] == 4 for e in ties.to_jsonable()["boundary"])
+    vectors = [vec for _, vec in _reader_pool()] + [DivisorClass(3, 4), CurveFunctional(3, 4, lam=1), ties]
+    for vec in vectors:
+        text = vec.to_json()
+        assert text == json.dumps(vec.to_jsonable()), vec
+        assert json.dumps(json.loads(text)) == text
+
+
+def _pair_edited(edit):
+    """A qd class file, in three label groups, with its delta_{0:{j,k}}
+    entries edited: each split over its two names, the other name first
+    for every second pair, or a "0/1" entry for every pair j < k put before
+    the class's own entries, so that a pair with a coefficient is first met
+    as a zero."""
+    vec = qd_class(QdInput(4, 6, (3, 3, 1, -1, -1, 1)))
+    doc = vec.to_jsonable()
+    g, n = doc["g"], doc["n"]
+    entries, pairs = [], 0
+    for e in doc["boundary"]:
+        if edit == "split" and e["i"] == 0 and len(e["S"]) == 2:
+            c, pairs = parse_rational(e["c"]), pairs + 1
+            i, S = _mirror(g, n, 0, e["S"])
+            halves = [dict(e, c=format_rational(c / 3)), {"i": i, "S": S, "c": format_rational(c - c / 3)}]
+            entries += halves[::-1] if pairs % 2 else halves
+        else:
+            entries.append(e)
+    if edit == "zero":
+        entries[:0] = [{"i": 0, "S": list(S), "c": "0/1"} for S in combinations(range(1, n + 1), 2)]
+    return vec, dict(doc, boundary=entries)
+
+
+@pytest.mark.parametrize("edit", ["split", "zero"])
+def test_row_candidate_reads_summed_pair_totals(edit):
+    # _from_dense builds its psi/row candidate from the summed totals of the
+    # delta_{0:{j,k}} keys _checked met: a pair split over both of its names,
+    # or first met as a zero, still gives the class's rows and groups
+    vec, doc = _pair_edited(edit)
+    assert len(vec.orbits.groups) == 3
+    got, ref = _read_both(DivisorClass, doc)
+    assert isinstance(ref, DivisorClass) and _same_reading(got, ref)
+    assert (got.orbits.groups, got.group_psi, got.to_json()) == (vec.orbits.groups, vec.group_psi, vec.to_json())
+
+
 _BAD_LABELS = (True, False, 1.0, 2.5, "1", None, [1], 0, -1, 99)
 _BAD_I = (None, 1.0, "1", True, -1, 99)
 _DROP = object()  # a field _malformed deletes

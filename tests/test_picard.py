@@ -357,6 +357,25 @@ def test_dense_input_is_checked_as_class_files_are(boundary, want):
     assert [e["c"] for e in d.to_jsonable()["boundary"]] == ["%d/1" % sum(boundary.values())]  # one row
 
 
+@pytest.mark.parametrize("key, error", [
+    ((1, frozenset({2, 1})), None),
+    ((1, range(1, 3)), None),
+    ((1.5, 5), "'int' object is not iterable"),  # S is listed before i is checked
+    ((1, 5), "'int' object is not iterable"),
+    ((1.5, (1, 2)), "expected an integer, got 1.5"),
+    ((1, "12"), "expected an integer, got '1'"),
+])
+def test_dense_keys_that_are_no_tuple_read_as_lists(key, error):
+    # boundary= takes a tuple S as it is and lists any other S, as it always
+    # has: an iterable reads as its labels, and the errors keep their order
+    if error is None:
+        assert DivisorClass(3, 4, boundary={key: 1}) == boundary_class(3, 4, 1, (1, 2))
+        return
+    with pytest.raises(TypeError) as built:
+        DivisorClass(3, 4, boundary={key: 1})
+    assert str(built.value) == error
+
+
 def test_boundary_and_orbits_are_refused_together():
     # the table would win and the dense entries be lost
     with pytest.raises(TypeError, match="not both"):
