@@ -4,13 +4,14 @@ The centrepiece is the divisor class swept out by curves carrying a
 quadratic differential with signature (1^{2g-2}, 2^{g-1}) on
 Mbar_{g,2g-2} (qg_class), its generalization to arbitrary signatures
 (d_1,...,d_n, 2^{g-1}) with sum(d) = 2g-2 (qd_class), the pointed
-Brill-Noether classes (logan_class) and the genus-2 Weierstrass divisor.
+Brill-Noether classes (logan_class) and the genus-2 Weierstrass divisor,
+onto which weierstrass_pullback pulls any class of genus g >= 3.
 
 Every closed form depends on delta_{i:S} only through i and the weights
 in S, so the classes are built in orbit form (picard.OrbitTable): one
 coefficient per orbit of the labels of equal weight, and one psi
 coefficient per weight, each computed in integers (qg_class, qd_class) and
-made a Fraction once.  The pullbacks map orbit table to orbit table.
+made a Fraction once.  The pullbacks map table to table, never a functional.
 
 solve_qg_coefficients replays the test-curve computation of the qg_class
 coefficients as an exact linear system.  Its rows are the test curves paired
@@ -36,7 +37,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
-from operator import itemgetter, mul, sub
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import (
@@ -190,9 +191,11 @@ def pullback_attach(d: DivisorClass, h: int, attach_label: int = 1) -> DivisorCl
 
     In orbit form, j is split off its group, which halves each orbit
     into the part whose S holds j and the part whose S^c does; each half
-    maps through the side holding j.  The halves of a self-mirror orbit
-    name the same divisors, so only one is mapped.
+    maps through the side holding j, the second named by S in genus g - h.
+    The halves of a self-mirror orbit name one divisor, so one is mapped.
     """
+    if not isinstance(d, DivisorClass):
+        raise TypeError("a curve functional has no pullback")
     if h < 1:
         raise DimensionMismatch("attached genus must be >= 1")
     target_g = d.g - h
@@ -211,7 +214,6 @@ def pullback_attach(d: DivisorClass, h: int, attach_label: int = 1) -> DivisorCl
     parts[home] = tuple(p for p in parts[home] if p != j)
     order = sorted((k for k, labels in enumerate(parts) if labels), key=lambda k: parts[k][0])
     table = OrbitTable(target_g, d.n, [parts[k] for k in order])
-    sizes = [len(labels) for labels in parts]
 
     def terms():
         for (i, counts), c in src.coeffs.items():
@@ -221,8 +223,8 @@ def pullback_attach(d: DivisorClass, h: int, attach_label: int = 1) -> DivisorCl
                 side[home] -= 1
                 yield i - h, tuple(map(side.__getitem__, order)), c
             if x < src.sizes[home] and g - i >= h and not self_mirror(g, src.sizes, i, counts):
-                side = list(map(sub, sizes, counts + (0,)))  # S^c holds j
-                yield g - i - h, tuple(map(side.__getitem__, order)), c
+                # S^c holds j: its image delta_{g-i-h:S^c} is delta_{i:S} in genus g - h
+                yield i, tuple(map((counts + (0,)).__getitem__, order)), c
 
     psi = d.group_psi + (0,)  # psi_j dies
     return DivisorClass.from_terms(table, d.lam, [psi[k] for k in order], d.delta0, terms())
@@ -239,6 +241,8 @@ def forget_pullback(d: DivisorClass) -> DivisorClass:
     maps to (i, counts + (0,)) and (i, counts + (1,)): one orbit when
     (i, counts) is self-mirror.
     """
+    if not isinstance(d, DivisorClass):
+        raise TypeError("a curve functional has no pullback")
     g, src = d.g, d.orbits
     table = OrbitTable(g, d.n + 1, src.groups + ((d.n + 1,),))
 
@@ -255,29 +259,29 @@ def forget_pullback(d: DivisorClass) -> DivisorClass:
     return DivisorClass.from_terms(table, d.lam, d.group_psi + (0,), d.delta0, terms())
 
 
-def weierstrass_pullback(g: int) -> DivisorClass:
-    """Pull qg_class(g) back to Mbar_{2,1} along attaching a fixed curve.
+def weierstrass_pullback(d: DivisorClass) -> DivisorClass:
+    """Pull a class on Mbar_{g,n}, g >= 3, back to Mbar_{2,1}.
 
-    A fixed genus-(g-2) curve carrying all 2g-2 marked points is glued to
+    A fixed genus-(g-2) curve carrying all n marked points is glued to
     the moving one-pointed genus-2 curve.  All psi classes of the fixed
     points die, lambda and delta_0 survive, the always-present node turns
     delta_{2:empty} into -psi, and a genus-1 tail splitting off the
     moving side turns delta_{1:empty} into delta_{1:{1}}.  Every other
     boundary class misses the image family.
     """
-    if g < 3:
+    if not isinstance(d, DivisorClass):
+        raise TypeError("a curve functional has no pullback")
+    if d.g < 3:
         raise WrongGenus("the attaching construction needs g >= 3")
-    q = qg_class(g)
-    c2 = q.boundary_coeff(2, ())
-    c1 = q.boundary_coeff(1, ())
-    return DivisorClass.from_terms(OrbitTable(2, 1, [(1,)]), q.lam, (-c2,), q.delta0, [(1, (1,), c1)])
+    c2, c1 = d.boundary_coeff(2, ()), d.boundary_coeff(1, ())
+    return DivisorClass.from_terms(OrbitTable(2, 1, [(1,)]), d.lam, (-c2,), d.delta0, [(1, (1,), c1)])
 
 
 def weierstrass_check(g: int) -> bool:
     """Does the pullback of qg_class(g) equal 6*4^(g-2) times the
     Weierstrass divisor, modulo the genus-2 relation?"""
     target = weierstrass_class().scale(6 * 4 ** (g - 2))
-    return weierstrass_pullback(g).equals(target)
+    return weierstrass_pullback(qg_class(g)).equals(target)
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,9 @@ per orbit go through one router, from_terms.
 A functional pairs with a class by walking its own divisors and looking
 each one up in the class's table.  add, sub, scale and equals split both
 tables into the common refinement of their label groups
-(_PicardVector._meet, OrbitTable.split); at genus 2, equals first applies
-lambda = delta_0/10 + delta_1/5 in orbit form over each class's own groups
-(g2_normal_form).  to_json's text, json.dumps's layout formatted without a
+(_PicardVector._meet, OrbitTable.split); at genus 2, equals first moves the
+other class along lambda = delta_0/10 + delta_1/5 to its own lambda
+(_moved).  to_json's text, json.dumps's layout formatted without a
 tree, and the CLI table print from the same sorted rows, each orbit's
 coefficient formatted once (OrbitTable._rendered), by a walk
 of every subset S of 1..n when the table fills at least half of the
@@ -757,18 +757,17 @@ class DivisorClass(_PicardVector):
     """A rational divisor class on Mbar_{g,n}, stored in the standard basis."""
 
     def equals(self, other: "DivisorClass") -> bool:
-        """Coefficientwise equality; for g = 2 equality of normal forms.
+        """Coefficientwise equality; for g = 2 equality modulo the relation.
 
         Two classes are compared in orbit form over the common refinement
         of their label groups (_same); a functional is refused (TypeError).
         The genus-2 Picard group carries the single relation
-        lambda = delta_0/10 + delta_1/5, so classes there agree exactly
-        when their lambda-free normal forms do; each normal form keeps its
-        class's label groups, so these are compared in orbit form too.
+        lambda = delta_0/10 + delta_1/5, so classes there agree exactly when
+        `other`, moved along it to this lambda (_moved), agrees coefficientwise.
         """
         self._same_space(other)
         if self.g == 2:
-            return g2_normal_form(self)._same(g2_normal_form(other))
+            other = _moved(other, self.lam)
         return self._same(other)
 
     def __eq__(self, other):
@@ -854,18 +853,21 @@ def genus1_boundary_sum(g: int, n: int) -> DivisorClass:
 
 
 def g2_normal_form(d: DivisorClass) -> DivisorClass:
-    """Unique representative with zero lambda coefficient, genus 2 only.
-
-    Substitutes lambda = delta_0/10 + (1/5) * (sum of the distinct
-    genus-1 boundary classes), in orbit form: the genus-1 divisors are the
-    genus-1 keys of a table over d's own label groups, each orbit raised by
-    lambda/5.  Idempotent by construction.
-    """
+    """The unique representative with lambda = 0, genus 2 only: d _moved to 0."""
     if d.g != 2:
         raise WrongGenus("normal form uses the genus-2 relation, got g=%d" % d.g)
-    if not d.lam:
+    return _moved(d, 0)
+
+
+def _moved(d: DivisorClass, lam: Rational) -> DivisorClass:
+    """d plus (lam - d.lam) times lambda - delta_0/10 - (1/5) * (the genus-1
+    divisors, the genus-1 keys of a table over d's own label groups), one
+    from_terms table, or d itself when its lambda is lam; no functional."""
+    if not isinstance(d, DivisorClass):
+        raise TypeError("the genus-2 relation holds for divisor classes, not curve functionals")
+    if not (t := lam - d.lam):
         return d
-    table, lam = OrbitTable(2, d.n, d.orbits.groups), d.lam
+    table = OrbitTable(2, d.n, d.orbits.groups)
     terms = chain(((i, counts, c) for (i, counts), c in d.orbits.coeffs.items()),
-                  ((i, counts, lam / 5) for i, counts in table.keys() if i == 1))
-    return type(d).from_terms(table, 0, d.group_psi, d.delta0 + lam / 10, terms)
+                  ((i, counts, -t / 5) for i, counts in table.keys() if i == 1))
+    return DivisorClass.from_terms(table, lam, d.group_psi, d.delta0 - t / 10, terms)

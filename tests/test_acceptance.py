@@ -137,7 +137,7 @@ def test_criterion_04_solver():
 def test_criterion_05_weierstrass():
     for g in (3, 4, 5):
         assert weierstrass_check(g)
-        assert weierstrass_pullback(g).psi[0] == 18 * 4 ** (g - 2)
+        assert weierstrass_pullback(qg_class(g)).psi[0] == 18 * 4 ** (g - 2)
 
 
 @criterion(6, "multidegree oracle")

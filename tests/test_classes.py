@@ -7,7 +7,9 @@ from qstrata import (
     WrongGenus,
     QdInput,
     boundary_class,
+    curve_functional,
     forget_pullback,
+    g2_normal_form,
     lambda_class,
     logan_class,
     psi_class,
@@ -19,6 +21,7 @@ from qstrata import (
     weierstrass_class,
     weierstrass_pullback,
 )
+from qstrata.testcurves import TestCurveSpec as CurveSpec
 
 
 def _coeffs(v):
@@ -129,7 +132,41 @@ def test_pullback_attach_rules():
 def test_weierstrass_check():
     for g in (3, 4, 5):
         assert weierstrass_check(g)
-        assert weierstrass_pullback(g).psi[0] == 18 * 4 ** (g - 2)
+        assert weierstrass_pullback(qg_class(g)).psi[0] == 18 * 4 ** (g - 2)
+
+
+def test_weierstrass_pullback_multiples():
+    # modulo the genus-2 relation, every qd class pulls back to 6*4^(g-2) W,
+    # less one W when every weight is even and >= 0 (the 4^g - 1 branch),
+    # and every logan class to W; weights of -1 and <= -2 are drawn too
+    import random
+
+    rng = random.Random(29)
+    w = weierstrass_class()
+    for g in range(3, 7):
+        fixed = [(2 * g - 2,), (2 * g - 1, -1), (2 * g, -2), (2 * g + 1, -3), (2,) * (g - 1)]
+        drawn = [[rng.randint(-3, 4) for _ in range(rng.randint(0, 4))] for _ in range(10)]
+        for d in fixed + [tuple(d) + (2 * g - 2 - sum(d),) for d in drawn]:
+            even = all(x >= 0 and x % 2 == 0 for x in d)
+            cls = qd_class(QdInput(g, len(d), d))
+            assert weierstrass_pullback(cls) == w.scale(6 * 4 ** (g - 2) - even), (g, d)
+        for _ in range(6):
+            d = [0] * rng.randint(1, 4)
+            for _ in range(g):
+                d[rng.randrange(len(d))] += 1
+            assert weierstrass_pullback(logan_class(g, len(d), d)) == w, (g, d)
+
+
+def test_pullbacks_refuse_functionals():
+    # a functional is no class: pulling it back, or applying the genus-2
+    # relation to it, is refused as adding or comparing it is
+    f3 = curve_functional(CurveSpec("A", 3, 1, 2))
+    f2 = curve_functional(CurveSpec("B", 2, 1, 1))
+    for call, f in ((forget_pullback, f3), (lambda f: pullback_attach(f, 1), f3),
+                    (weierstrass_pullback, f3), (g2_normal_form, f2),
+                    (lambda_class(2, f2.n).equals, f2)):
+        with pytest.raises(TypeError):
+            call(f)
 
 
 def test_qd_random_signatures_construct():
@@ -160,7 +197,7 @@ def test_classes_refusals():
     with pytest.raises(InvalidIndex):
         pullback_attach(d, 1, d.n + 1)
     with pytest.raises(WrongGenus):
-        weierstrass_pullback(2)
+        weierstrass_pullback(qg_class(2))
     with pytest.raises(InvalidIndex):
         solve_qg_coefficients(3).get(0, 99)
 

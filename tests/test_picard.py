@@ -524,6 +524,32 @@ def test_divisor_class_eq_operator():
         assert lambda_class(2, n) != relation.add(boundary_class(2, n, 1, [1]))
 
 
+def test_genus2_equality_moves_one_side(monkeypatch):
+    # a per-label class on 19 labels: equal lambdas need no move along the
+    # relation, so it equals itself and its JSON copy; a lambda that differs
+    # moves one side over a per-label table of 3 * 2^19 orbit keys, refused
+    a = DivisorClass(2, 19, lam=1, boundary={(0, (1, 2, 3)): 1})
+    assert a.orbits.sizes == (1,) * 19
+    assert a == a and a == DivisorClass.from_json(a.to_json())
+    b = DivisorClass(2, 19, lam=2, boundary={(0, (1, 2, 3)): 1})
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(BudgetExceeded):
+            x.equals(y)
+    # one relation table per comparison, none when the lambdas agree
+    relation = delta0_class(2, 3).scale(Fraction(1, 10)).add(genus1_boundary_sum(2, 3).scale(Fraction(1, 5)))
+    made, from_terms = [], DivisorClass.from_terms
+
+    def counted(cls, *args):
+        made.append(args)
+        return from_terms(*args)
+
+    monkeypatch.setattr(DivisorClass, "from_terms", classmethod(counted))
+    for x, y, moves in ((relation, relation, 0), (lambda_class(2, 3), relation, 1),
+                        (relation, lambda_class(2, 3), 1)):
+        made.clear()
+        assert x == y and len(made) == moves
+
+
 def test_boundary_class_holds_two_label_groups():
     # delta_{i:S} is one orbit over the groups S and S^c, ordered by smallest
     # label, and prints as the dense input route prints it
