@@ -189,45 +189,34 @@ def pullback_attach(d: DivisorClass, h: int, attach_label: int = 1) -> DivisorCl
     -psi_j, delta_{i:S} with j in S drops for i < h and shifts to
     delta_{i-h:S} otherwise.
 
-    In orbit form, j is split off its group, which halves each orbit
-    into the part whose S holds j and the part whose S^c does; each half
-    maps through the side holding j, the second named by S in genus g - h.
-    The halves of a self-mirror orbit name one divisor, so one is mapped.
+    In orbit form, d's table is split (OrbitTable.split) over its groups
+    with j a group of its own, so each orbit's S either holds j or misses
+    it, and no orbit is its own mirror; an orbit maps through the side
+    holding j, the image of S^c named by S in genus g - h.
     """
     if not isinstance(d, DivisorClass):
         raise TypeError("a curve functional has no pullback")
-    if h < 1:
-        raise DimensionMismatch("attached genus must be >= 1")
-    target_g = d.g - h
-    if target_g < 2:
-        raise DimensionMismatch(
-            "pullback target genus %d is below 2" % (target_g,)
-        )
-    j = attach_label
-    if not 1 <= j <= d.n:
-        raise InvalidIndex("attach label %s outside 1..%d" % (j, d.n))
-    g, src = d.g, d.orbits
-    home = next(k for k, labels in enumerate(src.groups) if j in labels)
-    # the groups with j split off as a last part; `order` lists the nonempty
-    # parts by smallest label, which is the target's group order
-    parts = list(src.groups) + [(j,)]
-    parts[home] = tuple(p for p in parts[home] if p != j)
-    order = sorted((k for k, labels in enumerate(parts) if labels), key=lambda k: parts[k][0])
-    table = OrbitTable(target_g, d.n, [parts[k] for k in order])
+    # h and j are ints, their types checked first: 1.5, 2.0 and True are refused
+    if type(h) is not int or h < 1:
+        raise DimensionMismatch("attached genus must be an int >= 1, got %r" % (h,))
+    g, j = d.g, attach_label
+    if g - h < 2:
+        raise DimensionMismatch("pullback target genus %d is below 2" % (g - h,))
+    if type(j) is not int or not 1 <= j <= d.n:
+        raise InvalidIndex("attach label %r outside 1..%d" % (j, d.n))
+    groups = sorted(filter(None, [(j,)] + [tuple(p for p in labels if p != j) for labels in d.orbits.groups]))
+    t = groups.index((j,))
 
     def terms():
-        for (i, counts), c in src.coeffs.items():
-            x = counts[home]
-            if x and i >= h:  # S holds j
-                side = list(counts) + [1]
-                side[home] -= 1
-                yield i - h, tuple(map(side.__getitem__, order)), c
-            if x < src.sizes[home] and g - i >= h and not self_mirror(g, src.sizes, i, counts):
-                # S^c holds j: its image delta_{g-i-h:S^c} is delta_{i:S} in genus g - h
-                yield i, tuple(map((counts + (0,)).__getitem__, order)), c
+        for (i, counts), c in d.orbits.split(groups).items():
+            if counts[t]:  # S holds j
+                if i >= h:
+                    yield i - h, counts, c
+            elif g - i >= h:  # S^c holds j: delta_{g-i-h:S^c} is delta_{i:S} in genus g - h
+                yield i, counts, c
 
-    psi = d.group_psi + (0,)  # psi_j dies
-    return DivisorClass.from_terms(table, d.lam, [psi[k] for k in order], d.delta0, terms())
+    psi = [0 if labels == (j,) else d.psi[labels[0] - 1] for labels in groups]  # psi_j dies
+    return DivisorClass.from_terms(OrbitTable(g - h, d.n, groups), d.lam, psi, d.delta0, terms())
 
 
 def forget_pullback(d: DivisorClass) -> DivisorClass:

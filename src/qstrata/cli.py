@@ -142,6 +142,9 @@ def _class_field(name: str, value):
 def _class_from_args(args) -> DivisorClass:
     names, build = _CLASS_KINDS[args.which]
     _need(args, names)
+    for name in ("g", "n", "d"):  # a flag the kind does not take is refused, not ignored
+        if name not in names and getattr(args, name) is not None:
+            raise UsageError("--%s is not taken by class %s" % (name, args.which))
     return build(*(_class_field(name, getattr(args, name)) for name in names))
 
 

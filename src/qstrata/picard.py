@@ -653,8 +653,8 @@ class _PicardVector:
     # -- coefficient access ------------------------------------------------
 
     def psi_coeff(self, j: int) -> Fraction:
-        if not 1 <= j <= self.n:
-            raise InvalidIndex("psi index %s outside 1..%d" % (j, self.n))
+        if type(j) is not int or not 1 <= j <= self.n:  # the type first: 2.0 and True equal labels
+            raise InvalidIndex("psi index %r outside 1..%d" % (j, self.n))
         return self.psi[j - 1]
 
     def boundary_coeff(self, i: int, S: Iterable[int]) -> Fraction:
@@ -824,8 +824,8 @@ def lambda_class(g: int, n: int) -> DivisorClass:
 
 def psi_class(g: int, n: int, j: int) -> DivisorClass:
     _check_gn(g, n)
-    if not 1 <= j <= n:
-        raise InvalidIndex("psi index %s outside 1..%d" % (j, n))
+    if type(j) is not int or not 1 <= j <= n:  # the type first: 2.0 and True equal labels
+        raise InvalidIndex("psi index %r outside 1..%d" % (j, n))
     psi = [0] * n
     psi[j - 1] = 1
     return DivisorClass(g, n, psi=psi)

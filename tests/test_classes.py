@@ -202,6 +202,21 @@ def test_classes_refusals():
         solve_qg_coefficients(3).get(0, 99)
 
 
+def test_label_arguments_must_be_int_labels():
+    # 2.0 and True equal the labels 2 and 1, and 1.5 is no genus: each is a
+    # one-line domain error, the type checked before the value
+    d = qg_class(4)
+    for j in (2.5, 2.0, True, "1"):
+        for call in (lambda: pullback_attach(d, 1, j), lambda: psi_class(3, 4, j), lambda: d.psi_coeff(j)):
+            with pytest.raises(InvalidIndex, match=r"^(attach label|psi index) %s outside 1\.\.\d+$" % repr(j)):
+                call()
+    for h in (1.5, 1.0, True):
+        with pytest.raises(DimensionMismatch, match=r"^attached genus must be an int >= 1, got %s$" % h):
+            pullback_attach(d, h)
+    # the int labels still work: delta_{1:{2}} becomes -psi_2
+    assert pullback_attach(d, 1, 2).psi[1] == -d.boundary_coeff(1, (2,)) and psi_class(3, 4, 2).psi_coeff(2) == 1
+
+
 def test_closed_form_refusals():
     with pytest.raises(BadSignature):
         logan_class(3, 4, (1, 1, 1))  # three weights for four labels

@@ -92,6 +92,21 @@ def test_class_and_curve_json_print_without_the_tree(monkeypatch):
         assert run_cli(argv) == (0, out), argv
 
 
+def test_class_refuses_flags_its_kind_does_not_take():
+    # weierstrass takes no field and qg only --g: an extra flag is a usage
+    # error naming it, not a class printed from the other flags
+    for argv, flag in ((["class", "weierstrass", "--g", "5"], "--g"),
+                       (["class", "weierstrass", "--json", "--d", "1"], "--d"),
+                       (["class", "qg", "--g", "3", "--n", "9", "--d", "1,2"], "--n"),
+                       (["class", "qg", "--g", "3", "--d", "4"], "--d")):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(argv)
+        assert (code, out) == (1, ""), argv
+        assert err.getvalue() == "usage error: %s is not taken by class %s\n" % (flag, argv[1])
+    assert run_cli(["class", "weierstrass"])[0] == run_cli(["class", "qg", "--g", "3"])[0] == 0
+
+
 def test_curve_subcommand_emits_functional_tag():
     code, out = run_cli(["curve", "--curve", "B:1:0", "--g", "3", "--json"])
     assert code == 0

@@ -1333,6 +1333,70 @@ def test_self_mirror_pullbacks(g):
         assert attached.to_jsonable() == reference_pullback_attach(q, h, 1).to_jsonable()
 
 
+def frozen_pullback_attach(d, h, attach_label=1):
+    """pullback_attach as it stood before it read its source orbits through
+    OrbitTable.split: each stored orbit halved by hand into the part whose
+    S holds j and the part whose S^c does, a self-mirror orbit's second
+    half skipped, and the parts put in the target's group order by `order`."""
+    if h < 1:
+        raise DimensionMismatch("attached genus must be >= 1")
+    target_g = d.g - h
+    if target_g < 2:
+        raise DimensionMismatch("pullback target genus %d is below 2" % (target_g,))
+    j = attach_label
+    if not 1 <= j <= d.n:
+        raise InvalidIndex("attach label %s outside 1..%d" % (j, d.n))
+    g, src = d.g, d.orbits
+    home = next(k for k, labels in enumerate(src.groups) if j in labels)
+    parts = list(src.groups) + [(j,)]
+    parts[home] = tuple(p for p in parts[home] if p != j)
+    order = sorted((k for k, labels in enumerate(parts) if labels), key=lambda k: parts[k][0])
+    table = OrbitTable(target_g, d.n, [parts[k] for k in order])
+
+    def terms():
+        for (i, counts), c in src.coeffs.items():
+            x = counts[home]
+            if x and i >= h:  # S holds j
+                side = list(counts) + [1]
+                side[home] -= 1
+                yield i - h, tuple(map(side.__getitem__, order)), c
+            if x < src.sizes[home] and g - i >= h and not self_mirror(g, src.sizes, i, counts):
+                yield i, tuple(map((counts + (0,)).__getitem__, order)), c
+
+    psi = d.group_psi + (0,)
+    return DivisorClass.from_terms(table, d.lam, [psi[k] for k in order], d.delta0, terms())
+
+
+def _attach_sweep_classes():
+    """qg at g = 3..7, two seeded qd classes per g = 3..7 (weights in
+    -1..3), two logan classes, the forget images of the first eight and
+    JSON copies of the first four."""
+    rng = random.Random(30)
+    base = [qg_class(g) for g in range(3, 8)]
+    for g in [3, 4, 5, 6, 7] * 2:
+        while True:
+            d = [rng.randint(-1, 3) for _ in range(rng.randint(2, 2 * g - 2))]
+            d[-1] = 2 * g - 2 - sum(d[:-1])
+            if -1 <= d[-1] <= 3:
+                break
+        base.append(qd_class(QdInput(g, len(d), d)))
+    base += [logan_class(4, 6, (2, 1, 1, 0, 0, 0)), logan_class(5, 5, (1,) * 5)]
+    return base + [forget_pullback(d) for d in base[:8]] + [DivisorClass.from_json(d.to_json()) for d in base[:4]]
+
+
+def test_attach_matches_frozen_attach():
+    calls = 0
+    for d in _attach_sweep_classes():
+        for h in range(1, d.g - 1):
+            for j in range(1, d.n + 1):
+                got, want = pullback_attach(d, h, j), frozen_pullback_attach(d, h, j)
+                assert (got.orbits.groups, got.group_psi, got.psi, got.orbits.coeffs, got.lam, got.delta0) == (
+                    want.orbits.groups, want.group_psi, want.psi, want.orbits.coeffs, want.lam, want.delta0
+                ), (d, h, j)
+                calls += 1
+    assert calls == 669
+
+
 # qg at g = 2..6, the qd and logan signatures above, and qd signatures whose
 # psi values collide across weights: w(w+2) is equal for w = 1 and -3 and
 # for w = 0 and -2, so only the delta_{0:{j,k}} rows tell those labels apart
