@@ -18,16 +18,16 @@ holds; psi is stored once per group too.  A closed-form class groups
 labels of equal weight, a test-curve functional groups them into its own
 blocks of consecutive labels, and a pullback adds or splits off one
 group.  Dense input, `boundary=` or a class file, takes one checked walk
-(_checked): the first entry checks (g, n), all label types are checked in
-one pass and each distinct S once, so a canonical entry is its own key;
-any other goes through canonicalize_index, so a mirrored name is summed
-onto its divisor and delta_{0:{j}} raises InvalidIndex; the walk lists the
-delta_{0:{j,k}} keys it meets.  _from_dense groups the labels by psi_j and
-the delta_{0:{j,k}} row (those keys' summed totals), which a label
-symmetry preserves, keeps the grouping only when every orbit it meets is
-full and constant, else gives each label a group, and codes each orbit by
-OrbitTable._layout (_grouped, which drops zeros as it goes).  Terms given
-per orbit go through one router, from_terms.
+(_checked) into one map {S: {i: summed c}}: the first entry checks (g, n),
+all label types are checked in one pass and each S once, as it enters the
+map, so a canonical entry is its own key; any other goes through
+canonicalize_index, so a mirrored name is summed onto its divisor and
+delta_{0:{j}} raises InvalidIndex.  _from_dense groups the labels by psi_j
+and the delta_{0:{j,k}} row (the map's i = 0 totals of the pairs S), which
+a label symmetry preserves, keeps the grouping only when every orbit it
+meets is full and constant, else gives each label a group, and codes each
+orbit by OrbitTable._layout (_grouped, which drops zeros as it goes).
+Terms given per orbit go through one router, from_terms.
 
 A functional pairs with a class by walking its own divisors and looking
 each one up in the class's table.  add, sub, scale and equals split both
@@ -476,11 +476,10 @@ def weight_table(g: int, n: int, weights: Iterable[int]) -> tuple[OrbitTable, tu
     return OrbitTable(g, n, map(tuple, first.values())), tuple(first)
 
 
-def _checked(g: int, n: int, entries: Iterable, labels: Iterable, value, array=list) -> tuple[dict, list]:
-    """({canonical (i, S): summed coefficient}, its delta_{0:{j,k}} keys) from
-    a class file's {"i", "S", "c"} entries or, with array=tuple, the (i, S, c)
-    items of `boundary=` (S also as `labels`), each c read by `value` once its
-    index is checked."""
+def _checked(g: int, n: int, entries: Iterable, labels: Iterable, value, array=list) -> dict:
+    """{canonical S: {i: summed coefficient}} from a class file's {"i", "S",
+    "c"} entries or, with array=tuple, the (i, S, c) items of `boundary=` (S
+    also as `labels`), each c read by `value` once its index is checked."""
     I, L, C = "iSc" if array is list else range(3)  # where an entry holds i, S and c
     # every label an int, in one pass (1.0 and True equal 1, so a label list
     # is never taken on equality alone); else every entry is checked alone
@@ -488,69 +487,62 @@ def _checked(g: int, n: int, entries: Iterable, labels: Iterable, value, array=l
         ints = _INT.issuperset(map(type, chain.from_iterable(labels)))
     except (LookupError, TypeError):  # a missing S, or a key that is no (i, S) pair
         ints = False
-    total, sides, pairs = {}, None, []
+    total, fast = {}, False
     for e in entries:
-        idx = None
-        # once an entry has checked (g, n), a canonical one is its own
-        # key: the order and range of each distinct label list are
-        # checked once, and its genus parts share one tuple
-        if sides is not None and type(i := e[I]) is int and type(S := e[L]) is array:
-            side = sides.get(key := tuple(S))
-            if side is None:
-                side = sides[key] = key if _in_order(n, key) else False
-            if side is not False and (0 < 2 * i < g or i == 0 and len(side) > 1
-                                      or 2 * i == g and side[:1] == (1,)):
-                idx = (i, side)
-        if idx is None:
+        row = None
+        # once an entry has checked (g, n), a canonical one is its own key:
+        # a label list is checked for order and range once, when it enters
+        # the map, and one out of order is not entered
+        if fast and type(i := e[I]) is int and type(S := e[L]) is array:
+            key = tuple(S)
+            if 0 < 2 * i < g or i == 0 and len(key) > 1 or 2 * i == g and key[:1] == (1,):
+                row = total.get(key)
+                if row is None and _in_order(n, key):
+                    row = total[key] = {}
+        if row is None:
             i, S = _json_int(e[I]), e[L]
             try:
-                idx = canonicalize_index(g, n, i, S)
+                i, key = canonicalize_index(g, n, i, S)
             except (DomainError, TypeError):
                 for p in S:
                     _json_int(p)  # a float, bool or str label is a TypeError, checked first
                 raise
             if array is list:
                 _json_list(S)  # in a file, "" or {} would name the empty set
-            if sides is None and ints:
-                sides = {}
-        c, size = value(e[C]), len(total)
-        old = total.setdefault(idx, c)  # one hash of idx when it is new
-        if len(total) == size:
-            total[idx] = old + c
-        elif not idx[0] and len(idx[1]) == 2:
-            pairs.append(idx)
-    return total, pairs
+            row, fast = total.setdefault(key, {}), ints
+        c, old = value(e[C]), row.get(i)
+        row[i] = c if old is None else old + c
+    return total
 
 
 def _grouped(g: int, n: int, groups, total) -> OrbitTable | None:
-    """A table over these label groups holding `total` ({canonical (i, S):
-    coefficient}) less its zeros, dropped in the same walk, or None when
+    """A table over these label groups holding `total` ({canonical S: {i:
+    coefficient}}) less its zeros, dropped in the same walk, or None when
     some orbit it meets has two coefficients or misses a divisor."""
     table, count = OrbitTable(g, n, groups), 0  # count: the nonzero entries
     if total:
         # the orbit code of (i, S) (see OrbitTable._layout), its digit sum
-        # computed once per distinct S
+        # computed once per S
         weight, _, top, full = table._layout()
-        digit, sums, coeffs = weight.__getitem__, {}, {}
-        for (i, S), c in total.items():
-            if not c:
-                continue
-            count += 1
-            v = sums.get(S)
-            if v is None:
-                v = sums[S] = sum(map(digit, S))
-            old = coeffs.setdefault(i << top | (min(v, full - v) if 2 * i == g else v), c)
-            if old is not c and old != c:
-                return None
+        digit, coeffs = weight.__getitem__, {}
+        for S, row in total.items():
+            v = sum(map(digit, S))
+            for i, c in row.items():
+                if not c:
+                    continue
+                count += 1
+                old = coeffs.setdefault(i << top | (min(v, full - v) if 2 * i == g else v), c)
+                if old is not c and old != c:
+                    return None
         table.coeffs = {table._key(k): c for k, c in coeffs.items()}
     # no orbit holds more entries than divisors: equal totals mean that
     # every orbit met is full
     return table if table.dense_size() == count else None
 
 
-def _from_dense(g: int, n: int, psi, total: Mapping, pairs) -> tuple[OrbitTable, tuple]:
-    """The input adapter: _checked's (total, pairs) and per-label psi as a
-    table, and its psi per group.
+def _from_dense(g: int, n: int, psi, total: Mapping) -> tuple[OrbitTable, tuple]:
+    """The input adapter: _checked's map and per-label psi as a table, and
+    its psi per group.
 
     A label permutation that fixes the class maps the psi and
     delta_{0:{j,k}} coefficients of label j onto those of its image, so
@@ -564,9 +556,9 @@ def _from_dense(g: int, n: int, psi, total: Mapping, pairs) -> tuple[OrbitTable,
     if len(psi) != n:
         raise DimensionMismatch("expected %d psi coefficients, one per label" % n)
     rows = [[] for _ in range(n + 1)]
-    for idx in pairs:
-        if c := total[idx]:
-            for j in idx[1]:
+    for S, row in total.items():
+        if len(S) == 2 and (c := row.get(0)):
+            for j in S:
                 rows[j].append(c)
     by_row = {}
     for j in range(1, n + 1):
@@ -602,7 +594,7 @@ class _PicardVector:
         if orbits is None:
             boundary = boundary or {}  # items made one at a time: no dict, and no list for a tuple S
             items = ((i, S if type(S) is tuple else list(S), c) for (i, S), c in boundary.items())
-            orbits, psi = _from_dense(g, n, psi, *_checked(g, n, items, map(itemgetter(1), boundary), _frac, tuple))
+            orbits, psi = _from_dense(g, n, psi, _checked(g, n, items, map(itemgetter(1), boundary), _frac, tuple))
         elif boundary is not None:
             raise TypeError("give boundary= or orbits=, not both")
         self._same_space(orbits)
@@ -743,7 +735,7 @@ class _PicardVector:
         boundary = _checked(g, n, entries, map(itemgetter("S"), entries), value)
         lam, psi, delta0 = value(d["lambda"]), tuple(map(value, _json_list(d["psi"]))), value(d["delta0"])
         _check_gn(g, n)  # before the psi count, as the constructor checks
-        orbits, psi = _from_dense(g, n, psi, *boundary)
+        orbits, psi = _from_dense(g, n, psi, boundary)
         return cls(g, n, lam, psi, delta0, orbits=orbits)
 
     def __repr__(self):
@@ -790,11 +782,14 @@ class CurveFunctional(_PicardVector):
     The sum walks the functional's own divisors and looks each one up in
     the class's table, whatever the label groups of either side, so it
     costs one lookup per divisor the functional lists and builds no dense
-    view.
+    view.  A lookup decodes one digit per label group of the class, and
+    more than _MAX_DENSE_ENTRIES digits in all are refused (BudgetExceeded).
     """
 
     def pair(self, d: DivisorClass) -> Fraction:
         self._same_space(d)
+        # a lookup decodes an orbit code of one digit per label group of d
+        _check_size(self.g, self.n, self.orbits.dense_size() * len(d.orbits.groups), "pairing lookup digits")
         get = d.orbits.get
         total = self.lam * d.lam + self.delta0 * d.delta0 + sum(map(mul, self.psi, d.psi))
         for i, sides, c in self.orbits._divisors():

@@ -95,15 +95,16 @@ def _lanneau_count(g: int, mu: Counter) -> tuple[int, str]:
     # the two lists do not actually overlap
     if mu in _SPORADIC:
         return 2, "sporadic stratum with two components"
-    for t in range(0, g - 1):
-        if mu == Counter([4 * (g - t) - 6, 4 * t + 2]):
-            return 2, "hyperelliptic and non-hyperelliptic component"
-    for t in range(0, g):
-        if mu == Counter([2 * (g - t) - 3, 2 * (g - t) - 3, 4 * t + 2]):
-            return 2, "hyperelliptic and non-hyperelliptic component"
-    for t in range(-1, g - 1):
-        if mu == Counter([2 * (g - t) - 3, 2 * (g - t) - 3, 2 * t + 1, 2 * t + 1]):
-            return 2, "hyperelliptic and non-hyperelliptic component"
+    # The families (4(g-t)-6, 4t+2) for 0 <= t <= g-2, (2(g-t)-3, 2(g-t)-3,
+    # 4t+2) for 0 <= t <= g-1 and (2(g-t)-3, 2(g-t)-3, 2t+1, 2t+1) for
+    # -1 <= t <= g-2.  The orders are nonzero, at least -1 and sum to 4g-4,
+    # so an order = 2 mod 4 is 4t+2 with t in range, and the others follow:
+    # each family is one test of the sorted orders.
+    m = sorted(mu.elements())
+    if (len(m) == 2 and m[0] % 4 == m[1] % 4 == 2
+            or len(m) == 3 and (m[0] == m[1] and m[2] % 4 == 2 or m[1] == m[2] and m[0] % 4 == 2)
+            or len(m) == 4 and m[0] == m[1] and m[2] == m[3] and m[0] % 2):
+        return 2, "hyperelliptic and non-hyperelliptic component"
     return 1, "connected (finite-area table)"
 
 

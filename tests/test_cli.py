@@ -17,6 +17,7 @@ from qstrata import (
     AuditReport,
     DivisorClass,
     cli,
+    curve_functional,
     forget_pullback,
     oracle,
     pullback_attach,
@@ -24,7 +25,7 @@ from qstrata import (
 )
 from qstrata.classes import _MAX_AUDIT_SPECS, QgSolution
 from qstrata.cli import main
-from qstrata.picard import _MAX_DENSE_ENTRIES, OrbitTable, _PicardVector
+from qstrata.picard import _MAX_DENSE_ENTRIES, OrbitTable, _PicardVector, format_rational
 from qstrata.testcurves import TestCurveSpec as CurveSpec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -590,6 +591,35 @@ def test_paths_print_as_pathlib_prints_them():
     for parts in product(["/", ".", "a", "..", "b/"], repeat=5):
         text = "".join(parts)
         assert cli._path(text) == str(PurePosixPath(text)), text
+
+
+def test_pair_budget(tmp_path):
+    # A class file with equal psi and one entry delta_{0:{1,2,3}} reads as
+    # one label group per label, and A_{1:2} lists 2g - 3 divisors, each
+    # looked up by decoding an orbit code of one digit per group.  At
+    # g = 1001 that is 1,999 * 2,000 digits, past the limit: refused at once
+    # (exit 2), where the walk used to run.  At g = 400 it is 797 * 798, and
+    # the pairing is the sum over the dense views.
+    def write(g):
+        n = 2 * g - 2
+        doc = {"g": g, "n": n, "lambda": "0/1", "psi": ["1/1"] * n, "delta0": "0/1",
+               "boundary": [{"i": 0, "S": [1, 2, 3], "c": "1/1"}]}
+        path = tmp_path / ("wide%d.json" % g)
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    start = time.perf_counter()
+    line = refused(["pair", "--curve", "A:1:2", "--class", write(1001)], 2)
+    assert time.perf_counter() - start < 1.0
+    assert line.startswith("domain error:") and "3998000" in line
+    path = write(400)
+    d = DivisorClass.from_json(Path(path).read_text())
+    f = curve_functional(CurveSpec("A", 400, 1, 2))
+    assert len(d.orbits.groups) == d.n and f.orbits.dense_size() * d.n <= _MAX_DENSE_ENTRIES
+    dense = d.orbits.dense()
+    want = sum(f.psi) + sum(c * dense.get(idx, 0) for idx, c in f.orbits.dense().items())
+    code, out = run_cli(["pair", "--curve", "A:1:2", "--class", path, "--json"])
+    assert code == 0 and json.loads(out)["pairing"] == format_rational(want)
 
 
 def test_pair_accepts_class_file(tmp_path):

@@ -1463,6 +1463,47 @@ def test_json_copy_regroups_exactly(name, build):
         assert _coeffs(got) == _dense_reading(edited), what
 
 
+def _repeated(data, rng):
+    """A copy of a class file with a few of its entries named again: verbatim
+    (the read's coefficient memo makes the two strings one object), three
+    times, in other text of the same value ("2/4" beside "1/2"), under the
+    mirrored name, with the labels out of order, and as a mirror that
+    cancels the entry to zero."""
+    g, n = data["g"], data["n"]
+    edited = json.loads(json.dumps(data))
+    entries = edited["boundary"]
+    for e in rng.sample(entries, min(6, len(entries))):
+        c = parse_rational(e["c"])
+        i, S = _mirror(g, n, e["i"], e["S"])
+        edit = rng.choice(("verbatim", "triple", "text", "mirror", "order", "cancel"))
+        if edit == "verbatim":
+            entries.append(dict(e))
+        elif edit == "triple":
+            entries += [dict(e), dict(e)]
+        elif edit == "text":
+            entries.append(dict(e, c="%d/%d" % (2 * c.numerator, 2 * c.denominator)))
+        elif edit == "mirror":
+            entries.append({"i": i, "S": S, "c": e["c"]})
+        elif edit == "order":
+            entries.append(dict(e, S=e["S"][::-1]))
+        else:
+            entries.append({"i": i, "S": S, "c": format_rational(-c)})
+    rng.shuffle(entries)
+    return edited
+
+
+@pytest.mark.parametrize("name, build", REGROUP_CASES[:8], ids=[c[0] for c in REGROUP_CASES[:8]])
+def test_repeated_entries_are_summed(name, build):
+    # an entry named again is summed onto the first, whether its coefficient
+    # is the same object, equal in other text, or under another name; a sum
+    # of zero is no entry
+    data = build().to_jsonable()
+    rng = random.Random(name)
+    for _ in range(6):
+        edited = _repeated(data, rng)
+        assert _coeffs(DivisorClass.from_jsonable(edited)) == _dense_reading(edited)
+
+
 def test_json_copy_of_large_class_stays_in_orbits(monkeypatch):
     # qg at g = 8 lists 65,523 divisors in 60 orbits
     q = qg_class(8)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -192,3 +193,69 @@ def test_no_even_2n_2n_minus_2_signature():
     out = quad_components(Signature(2, 5, (9, 9, -2)))
     assert out.count == 2
     assert out.notes == "two primitive components: (n, n, -2l) shape with n odd"
+
+
+# -- the finite-area families, frozen -----------------------------------------
+#
+# _lanneau_count as it was before the families became tests of the sorted
+# orders: one Counter per t in three loops, O(g) per call.
+
+_FROZEN_SPORADIC = (Counter([-1, 9]), Counter([-1, 3, 6]), Counter([-1, 3, 3, 3]), Counter([12]))
+
+
+def frozen_lanneau_count(g, mu):
+    if g == 2:
+        if mu == Counter({-1: 2, 6: 1}) or mu == Counter({-1: 2, 3: 2}):
+            return 2, "exceptional genus-2 stratum with two components"
+        return 1, "connected (finite-area table, genus 2)"
+    if mu in _FROZEN_SPORADIC:
+        return 2, "sporadic stratum with two components"
+    for t in range(0, g - 1):
+        if mu == Counter([4 * (g - t) - 6, 4 * t + 2]):
+            return 2, "hyperelliptic and non-hyperelliptic component"
+    for t in range(0, g):
+        if mu == Counter([2 * (g - t) - 3, 2 * (g - t) - 3, 4 * t + 2]):
+            return 2, "hyperelliptic and non-hyperelliptic component"
+    for t in range(-1, g - 1):
+        if mu == Counter([2 * (g - t) - 3, 2 * (g - t) - 3, 2 * t + 1, 2 * t + 1]):
+            return 2, "hyperelliptic and non-hyperelliptic component"
+    return 1, "connected (finite-area table)"
+
+
+def _finite_area_signatures(g, most):
+    """Every sorted finite-area order list of genus g with at most `most`
+    orders: nonzero, at least -1, summing to 4g - 4."""
+    def parts(total, count, low):  # nondecreasing positive parts >= low
+        if count == 0:
+            if total == 0:
+                yield ()
+            return
+        for first in range(low, total // count + 1):
+            for rest in parts(total - first, count - 1, first):
+                yield (first,) + rest
+
+    for poles in range(most + 1):
+        for count in range(most - poles + 1):
+            for m in parts(4 * g - 4 + poles, count, 1):
+                if poles + count:
+                    yield (-1,) * poles + m
+
+
+def test_lanneau_families_match_frozen_loops():
+    seen = 0
+    for g in range(3, 14):
+        for m in _finite_area_signatures(g, 5):
+            out = quad_components(Signature(2, g, m))
+            assert (out.count, out.notes) == frozen_lanneau_count(g, Counter(m)), (g, m)
+            assert out.kind == "FiniteArea"
+            seen += 1
+    assert seen == 16_269
+
+
+def test_lanneau_families_in_constant_time():
+    # the frozen loops take hours at g = 10^9; the family tests do not look at g
+    g = 10 ** 9
+    assert quad_components(Signature(2, g, (4 * g - 4,))).count == 1
+    assert quad_components(Signature(2, g, (4 * g - 6, 2))).count == 2
+    assert quad_components(Signature(2, g, (2 * g - 3, 2 * g - 3, 2))).count == 2
+    assert quad_components(Signature(2, g, (-1, -1, 2 * g - 1, 2 * g - 1))).count == 2
