@@ -182,14 +182,8 @@ def _class_table(d) -> str:
     for j, c in enumerate(d.psi, start=1):
         lines.append("  psi_%-3d %s" % (j, format_rational(c)))
     lines.append("  delta_0 %s" % format_rational(d.delta0))
-    # "  delta_{i:{" per genus part and "S}}" once per label list S, the
-    # rows' shared S tuples as its keys
-    label = list(map(str, range(d.n + 1))).__getitem__
-    heads = ["  delta_{%d:{" % i for i in range(d.g // 2 + 1)]
-    tails = {}
-    tail = tails.get
-    lines += ["%-22s %s" % (heads[i] + (tail(S) or tails.setdefault(S, ",".join(map(label, S)) + "}}")), c)
-              for i, S, c in d.orbits._rendered()]
+    # "%-22s %s" % ("  delta_{i:{" + S + "}}", c), each S's labels formatted once
+    lines += d.orbits._rendered(["  delta_{%d:{" % i for i in range(d.g // 2 + 1)], ",", "}} ", 23)
     return "\n".join(lines)
 
 

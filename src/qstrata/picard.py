@@ -34,12 +34,13 @@ each one up in the class's table.  add, sub, scale and equals split both
 tables into the common refinement of their label groups
 (_PicardVector._meet, OrbitTable.split); at genus 2, equals first moves the
 other class along lambda = delta_0/10 + delta_1/5 to its own lambda
-(_moved).  to_json's text, json.dumps's layout formatted without a
-tree, and the CLI table print from the same sorted rows, each orbit's
-coefficient formatted once (OrbitTable._rendered), by a walk
-of every subset S of 1..n when the table fills at least half of the
-(g // 2 + 1) * 2^n pairs (i, S) with i <= g - i, else of its orbits.  No
-route builds the dense view (`boundary`).  Walking more than
+(_moved).  to_json's text, json.dumps's layout joined without a tree,
+and the CLI table print the text rows of one walk (OrbitTable._rendered)
+in the printer's layout, sorted, each orbit's coefficient formatted once:
+a walk of every subset S of 1..n, each S's labels formatted once, when the
+table fills at least half of the (g // 2 + 1) * 2^n pairs (i, S) with
+i <= g - i, else of its orbits.  No route builds the dense view
+(`boundary`).  Walking more than
 _MAX_DENSE_ENTRIES divisors is refused with BudgetExceeded before anything
 is allocated; so is splitting a table into more orbits, listing more
 boundary indices (canonical_boundary_indices), filling a class table with
@@ -412,51 +413,54 @@ class OrbitTable:
                 out[orbit_key(g, sizes, i, map(flat.__getitem__, at))] = c
         return out
 
-    def _rendered(self) -> list[tuple[int, tuple[int, ...], str]]:
-        """Every divisor as sorted (i, S, "p/q"), formatted once per orbit:
-        by _subset_rows when the divisors fill at least half of the
-        (g // 2 + 1) * 2^n pairs (i, S) it walks, else by _orbit_rows, for
-        2^n can be far past the size of a sparse table."""
+    def _rendered(self, heads, sep: str, mid: str, pad: int = 0) -> list[str]:
+        """One line of text per divisor, in sorted (i, S) order, each orbit's
+        coefficient c formatted once: (heads[i] + the labels of S joined by
+        sep + mid).ljust(pad) + c.  By _subset_rows when the divisors fill
+        at least half of the (g // 2 + 1) * 2^n pairs (i, S) it walks, else
+        by _orbit_rows, for 2^n can be far past the size of a sparse table."""
         size = self.dense_size()
         _check_size(self.g, self.n, size, "dense boundary entries")
         if (self.g // 2 + 1) << self.n <= 2 * size:  # O(1), no binomial sums
-            return self._subset_rows()
-        return self._orbit_rows()
+            return self._subset_rows(heads, sep, mid, pad)
+        return self._orbit_rows(heads, sep, mid, pad)
 
-    def _orbit_rows(self) -> list[tuple[int, tuple[int, ...], str]]:
-        """_rendered's walk of the orbits' sides (_divisors), then sorted."""
+    def _orbit_rows(self, heads, sep: str, mid: str, pad: int) -> list[str]:
+        """_rendered's walk of the orbits' sides (_divisors), sorted, then formatted."""
         rows = []
         for i, sides, c in self._divisors():
             rows += zip(repeat(i), sides, repeat(format_rational(c)))
         rows.sort()
-        return rows
+        return [(heads[i] + sep.join(map(str, S)) + mid).ljust(pad) + c for i, S, c in rows]
 
-    def _subset_rows(self) -> list[tuple[int, tuple[int, ...], str]]:
+    def _subset_rows(self, heads, sep: str, mid: str, pad: int) -> list[str]:
         """_rendered's walk of every subset S of 1..n, once, in sorted tuple
-        order, with the digit sum v of its labels (see _layout): per genus
-        part i, (i, S) names the orbit i << top | v (on a tie, 2i = g, the
-        smaller of v and its mirror, over the sides holding label 1), so one
-        lookup finds its coefficient, and the rows come out sorted."""
+        order, with its labels' text (joined by sep, then mid) and the digit
+        sum v of its labels (see _layout): per genus part i, (i, S) names the
+        orbit i << top | v (on a tie, 2i = g, the smaller of v and its
+        mirror, over the sides holding label 1), so one lookup finds its
+        coefficient, and the rows come out sorted.  A table holds no key of a
+        genus-0 side of fewer than two labels, so their lookups find none."""
         g, n = self.g, self.n
         weight, shifts, top, full = self._layout()
         text = {i << top | sum(map(lshift, counts, shifts)): format_rational(c)
                 for (i, counts), c in self.coeffs.items()}
         # the subsets of q..n in sorted order: (), q before each subset of
         # q+1..n in order, then the nonempty subsets of q+1..n
-        subsets, sums = [()], [0]
+        labels, sums = [mid], [0]
         for q in range(n, 0, -1):
-            w = weight[q]
-            subsets = [()] + [(q,) + S for S in subsets] + subsets[1:]
+            w, first = weight[q], str(q)
+            labels = [mid, first + mid] + [first + sep + t for t in labels[1:]] + labels[1:]
             sums = [0] + [w + v for v in sums] + sums[1:]
         get, rows = text.get, []
         for i in range(g // 2 + 1):
-            base = i << top
+            base, head = i << top, heads[i]
             if 2 * i == g:  # the sides holding label 1 follow ()
                 half = (1 << n - 1) + 1
-                rows += [(i, S, c) for S, v in zip(subsets[1:half], sums[1:half])
+                rows += [(head + t).ljust(pad) + c for t, v in zip(labels[1:half], sums[1:half])
                          if (c := get(base | min(v, full - v)))]
-            else:  # a genus-0 side holds two labels
-                rows += [(i, S, c) for S, v in zip(subsets, sums) if (c := get(base | v)) and (i or len(S) > 1)]
+            else:
+                rows += [(head + t).ljust(pad) + c for t, v in zip(labels, sums) if (c := get(base | v))]
         return rows
 
 
@@ -709,17 +713,19 @@ class _PicardVector:
                 "psi": [format_rational(c) for c in self.psi], "delta0": format_rational(self.delta0)}
 
     def to_jsonable(self) -> dict:
-        return dict(self._head(), boundary=[{"i": i, "S": list(S), "c": c} for i, S, c in self.orbits._rendered()])
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """json.dumps(self.to_jsonable()) byte for byte, without that tree: the
-        head goes through json.dumps, and _rendered's sorted (i, S, "p/q")
-        rows are formatted straight into text, each distinct S's labels once."""
-        heads, text = ['{"i": %d, "S": [' % i for i in range(self.g // 2 + 1)], {}
-        get = text.get
-        rows = ", ".join([heads[i] + (get(S) or text.setdefault(S, ", ".join(map(str, S)) + '], "c": "')) + c + '"}'
-                          for i, S, c in self.orbits._rendered()])
-        return '%s, "boundary": [%s]%s' % (json.dumps(self._head())[:-1], rows, self._tail)  # the head less its "}"
+        """json.dumps's text of the file's tree, without that tree: the head
+        through json.dumps, then _rendered's rows, each "p/q" less its '"}',
+        in one join, the head before the first row and the end after the last."""
+        head = json.dumps(self._head())[:-1] + ', "boundary": ['  # the head less its "}"
+        rows = self.orbits._rendered(['{"i": %d, "S": [' % i for i in range(self.g // 2 + 1)], ", ", '], "c": "')
+        if not rows:
+            return head + "]" + self._tail
+        rows[0] = head + rows[0]
+        rows[-1] += '"}]' + self._tail
+        return '"}, '.join(rows)
 
     @classmethod
     def from_jsonable(cls, d: Mapping):
@@ -804,9 +810,6 @@ class CurveFunctional(_PicardVector):
     __hash__ = None
 
     _tail = ', "functional": true}'
-
-    def to_jsonable(self) -> dict:
-        return dict(super().to_jsonable(), functional=True)
 
 
 def pair(f: CurveFunctional, d: DivisorClass) -> Fraction:

@@ -142,8 +142,12 @@ def test_rendered_walk_is_the_sorted_dense_view():
     for cls in _walk_cases():
         table = cls.orbits
         dense = table.dense()
-        want = [(idx.i, idx.points, format_rational(c)) for idx, c in sorted(dense.items())]
-        assert table._rendered() == want, cls
+        # a layout of its own: heads, a separator, the text before c and a
+        # pad that some label lists reach and some do not
+        heads = ["<%d|" % i for i in range(cls.g // 2 + 1)]
+        want = [("<%d|" % idx.i + "+".join(map(str, idx.points)) + "> ").ljust(12) + format_rational(c)
+                for idx, c in sorted(dense.items())]
+        assert table._rendered(heads, "+", "> ", 12) == want, cls
         # each divisor once, read back by orbit lookup over every index
         assert len(dense) == table.dense_size()
         indices = canonical_boundary_indices(cls.g, cls.n)

@@ -1704,17 +1704,30 @@ def test_reader_matches_frozen_reader(data):
     assert _coeffs(dense) == _coeffs(got)
 
 
+def _json_tree(vec) -> dict:
+    """The tree whose json.dumps text is vec's class file, built from the
+    sorted dense view."""
+    tree = {"g": vec.g, "n": vec.n, "lambda": format_rational(vec.lam),
+            "psi": [format_rational(c) for c in vec.psi], "delta0": format_rational(vec.delta0),
+            "boundary": [{"i": i, "S": list(S), "c": format_rational(c)} for (i, S), c in sorted(vec.boundary.items())]}
+    if isinstance(vec, CurveFunctional):
+        tree["functional"] = True
+    return tree
+
+
 def test_to_json_is_the_json_dumps_text():
     # to_json formats _rendered's rows straight into text: byte for byte the
-    # text json.dumps prints for to_jsonable(), which reads back to itself,
-    # for every kind of vector, empty boundaries and tie divisors (2i = g)
+    # text json.dumps prints for the tree of the sorted dense view, which
+    # reads back to itself and is to_jsonable(), for every kind of vector,
+    # empty boundaries and tie divisors (2i = g)
     ties = boundary_class(4, 6, 2, (1, 4, 5)).add(boundary_class(4, 6, 2, (2, 3)).scale(3))
-    assert any(2 * e["i"] == 4 for e in ties.to_jsonable()["boundary"])
+    assert any(2 * i == 4 for i, _ in ties.boundary)
     vectors = [vec for _, vec in _reader_pool()] + [DivisorClass(3, 4), CurveFunctional(3, 4, lam=1), ties]
     for vec in vectors:
-        text = vec.to_json()
-        assert text == json.dumps(vec.to_jsonable()), vec
+        text, tree = vec.to_json(), _json_tree(vec)
+        assert text == json.dumps(tree), vec
         assert json.dumps(json.loads(text)) == text
+        assert vec.to_jsonable() == tree
 
 
 def _pair_edited(edit):
@@ -1932,23 +1945,63 @@ def _refused(self):
     raise AssertionError("the other walk was taken")
 
 
+# a row layout with a pad that short label lists fall under and long ones pass
+_LAYOUT = ("+", "> ", 16)
+
+
+def _layout_rows(vec) -> list[str]:
+    """The rows _rendered prints in _LAYOUT, formatted from the sorted dense view."""
+    sep, mid, pad = _LAYOUT
+    return [("<%d|" % i + sep.join(map(str, S)) + mid).ljust(pad) + format_rational(c)
+            for (i, S), c in sorted(vec.boundary.items())]
+
+
 def test_subset_walk_matches_orbit_walk(monkeypatch):
     walked, ties, mirrored = {True: 0, False: 0}, 0, 0
     for vec in _walk_pool():
         table = vec.orbits
-        rows = table._orbit_rows()
-        assert table._subset_rows() == rows, vec
+        layout = (["<%d|" % i for i in range(vec.g // 2 + 1)],) + _LAYOUT
+        rows = _layout_rows(vec)
+        assert table._orbit_rows(*layout) == rows, vec
+        assert table._subset_rows(*layout) == rows, vec
         # _rendered takes the subset walk exactly when the table is half full
         full = (vec.g // 2 + 1) << vec.n <= 2 * table.dense_size()
         with monkeypatch.context() as patch:
             patch.setattr(OrbitTable, "_orbit_rows" if full else "_subset_rows", _refused)
-            assert table._rendered() == rows
+            assert table._rendered(*layout) == rows
         walked[full] += 1
         ties += any(2 * i == vec.g for i, _ in table.coeffs)
         mirrored += any(self_mirror(vec.g, table.sizes, *key) for key in table.coeffs)
     # closed forms and pullbacks walk their subsets, functionals (and the
     # one-label classes at g = 2, with one divisor) their orbits
     assert walked[True] >= 35 and walked[False] >= 250 and ties >= 40 and mirrored >= 5
+
+
+def test_class_table_rows_are_the_printf_rule(monkeypatch):
+    # the CLI table's delta rows are "%-22s %s" over the sorted dense view,
+    # by either walk, for labels short of the pad and past it, ties (2i = g)
+    # and self-mirror orbits; an empty boundary prints no delta row, and
+    # its JSON an empty list
+    seen = {"walk": set(), "short": 0, "long": 0, "tie": 0, "mirror": 0}
+    for vec in _walk_pool():
+        table, g = vec.orbits, vec.g
+        rows = [("  delta_{%d:{%s}}" % (i, ",".join(map(str, S))), format_rational(c))
+                for (i, S), c in sorted(vec.boundary.items())]
+        full = (g // 2 + 1) << vec.n <= 2 * table.dense_size()
+        with monkeypatch.context() as patch:
+            patch.setattr(OrbitTable, "_orbit_rows" if full else "_subset_rows", _refused)
+            lines = cli._class_table(vec).split("\n")
+        assert lines[lines.index("  delta_0 %s" % format_rational(vec.delta0)) + 1:] == ["%-22s %s" % r for r in rows], vec
+        seen["walk"].add(full)
+        long = sum(len(label) >= 22 for label, _ in rows)
+        seen["long"], seen["short"] = seen["long"] + long, seen["short"] + len(rows) - long
+        seen["tie"] += any(2 * i == g for i, _ in table.coeffs)
+        seen["mirror"] += any(self_mirror(g, table.sizes, *key) for key in table.coeffs)
+    assert seen["walk"] == {True, False} and min(seen["short"], seen["long"], seen["tie"], seen["mirror"]) >= 5, seen
+    for vec in (DivisorClass(3, 4, lam=1), CurveFunctional(3, 4, delta0=2)):
+        lines = cli._class_table(vec).split("\n")
+        assert lines[-1] == "  delta_0 %s" % format_rational(vec.delta0) and len(lines) == 3 + vec.n
+        assert '"boundary": []' in vec.to_json() and vec.to_jsonable()["boundary"] == []
 
 
 def test_rendered_picks_the_walk_by_fill(monkeypatch):
