@@ -27,7 +27,9 @@ and the delta_{0:{j,k}} row (the map's i = 0 totals of the pairs S), which
 a label symmetry preserves, keeps the grouping only when every orbit it
 meets is full and constant, else gives each label a group, and codes each
 orbit by OrbitTable._layout (_grouped, which drops zeros as it goes).
-Terms given per orbit go through one router, from_terms.
+Terms given per orbit go through one router, from_terms; it and
+boundary_term name a term on its canonical side before testing it, so only
+a genus-0 side of one label (delta_{0:{j}} = -psi_j) or none is no divisor.
 
 A functional pairs with a class by walking its own divisors and looking
 each one up in the class's table.  add, sub, scale and equals split both
@@ -196,11 +198,11 @@ def canonicalize_index(g: int, n: int, i: int, S: Iterable[int]) -> BoundaryInde
 def boundary_term(g: int, n: int, i: int, S: Iterable[int]):
     """Classify the formal symbol delta_{i:S} for term accumulation.
 
-    Returns ("delta", BoundaryIndex) for an actual boundary divisor,
-    ("psi", j) for the degenerate singleton case delta_{0:{j}} = -psi_j,
-    and ("zero", None) for delta_{0:{}} (or its mirror), which is no
-    divisor at all.  An i outside 0..g or a label outside 1..n raises
-    InvalidIndex; {1..n} is built only to name a side or label by S^c.
+    It is named first, on its canonical side (see BoundaryIndex), and then
+    routed: ("delta", BoundaryIndex) for a boundary divisor, ("psi", j) for
+    delta_{0:{j}} = -psi_j, and ("zero", None) for delta_{0:{}}, no divisor
+    at all.  An i outside 0..g or a label outside 1..n raises InvalidIndex;
+    {1..n} is built only to name a side by S^c.
     """
     _check_gn(g, n)
     S = frozenset(S)
@@ -211,18 +213,12 @@ def boundary_term(g: int, n: int, i: int, S: Iterable[int]):
     if not (_INT.issuperset(map(type, S)) and all(0 < p <= n for p in S)):
         bad = next(p for p in S if type(p) is not int or not 1 <= p <= n)
         raise InvalidIndex("marked point %r is not one of the labels 1..%s" % (bad, n))
-    if _class_is_valid(g, n, i, len(S)):
-        # the kept side has the smaller genus part, on a tie label 1
-        if i < g - i or (2 * i == g and 1 in S):
-            return ("delta", BoundaryIndex(i, tuple(sorted(S))))
-        return ("delta", BoundaryIndex(g - i, tuple(sorted(_labels(n) - S))))
-    if i == 0 and len(S) == 1:
-        return ("psi", next(iter(S)))
-    if i == g and n - len(S) == 1:
-        return ("psi", next(iter(_labels(n) - S)))
-    # an invalid side has i = 0 and |S| < 2 or i = g and n - |S| < 2; the
-    # one-label cases are psi above, so S is empty at i = 0 or full at i = g
-    return ("zero", None)
+    if i > g - i or (2 * i == g and 1 not in S):
+        i, S = g - i, _labels(n) - S
+    # on the kept side, only a genus-0 side of fewer than two labels is no divisor
+    if i or len(S) > 1:
+        return ("delta", BoundaryIndex(i, tuple(sorted(S))))
+    return ("psi", next(iter(S))) if S else ("zero", None)
 
 
 def canonical_boundary_indices(g: int, n: int) -> list[BoundaryIndex]:
@@ -300,7 +296,7 @@ class OrbitTable:
         for i in range(g // 2 + 1):  # a key names the side with i <= g - i
             for counts in product(*(range(z + 1) for z in sizes)):
                 key = (i, counts)
-                if _class_is_valid(g, self.n, i, sum(counts)) and orbit_key(g, sizes, *key) == key:
+                if (i or sum(counts) > 1) and orbit_key(g, sizes, *key) == key:
                     yield key
 
     def put(self, key, c: Rational) -> None:
@@ -620,26 +616,23 @@ class _PicardVector:
         table, which it fills.
 
         A term adds c to every divisor of the orbit (i, counts), once per
-        divisor.  Like boundary_term, a term naming delta_{0:{j}} (or its
-        mirror) adds -c to psi on the group of j instead, and one naming
-        delta_{0:{}} (or its mirror) adds nothing.
+        divisor.  Like boundary_term, it names the orbit first (orbit_key),
+        then routes it: a key naming delta_{0:{j}} adds -c to psi on the
+        group of j instead, and one naming delta_{0:{}} adds nothing.
         """
-        g, n, sizes = table.g, table.n, table.sizes
+        g, sizes = table.g, table.sizes
         group_psi = list(group_psi)
         coeffs = {}
         for i, counts, c in terms:
-            t = sum(counts)
-            if _class_is_valid(g, n, i, t):
-                key = orbit_key(g, sizes, i, counts)
+            i, counts = key = orbit_key(g, sizes, i, counts)
+            if i or sum(counts) > 1:
                 old = coeffs.get(key)
                 coeffs[key] = c if old is None else old + c
-            elif i == 0 and t == 1:
+            elif 1 in counts:
                 group_psi[counts.index(1)] -= c
-            elif i == g and t == n - 1:
-                group_psi[list(map(sub, sizes, counts)).index(1)] -= c
         for key, c in coeffs.items():
             table.put(key, c)
-        return cls(g, n, lam, group_psi, delta0, orbits=table)
+        return cls(g, table.n, lam, group_psi, delta0, orbits=table)
 
     @property
     def boundary(self) -> dict[BoundaryIndex, Fraction]:

@@ -4,7 +4,8 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -435,6 +436,51 @@ def test_involution_and_idempotence(data):
     assert term == ("delta", idx)
     assert canonicalize_index(g, n, g - i, comp) == idx
     assert canonicalize_index(g, n, idx.i, idx.points) == idx
+
+
+def test_boundary_term_ignores_which_side_names_it():
+    # delta_{i:S} and delta_{g-i:S^c} are one symbol: the same divisor, the
+    # same -psi_j corner or the same zero, ties included
+    for g in range(2, 6):
+        for n in range(1, 6):
+            labels = frozenset(range(1, n + 1))
+            for i, size in product(range(g + 1), range(n + 1)):
+                for S in combinations(range(1, n + 1), size):
+                    assert boundary_term(g, n, i, S) == boundary_term(g, n, g - i, labels.difference(S)), (g, n, i, S)
+
+
+@st.composite
+def mirrored_terms(draw):
+    """(g, n, groups, terms): any grouping of 1..n, drawn terms (i, counts, c)
+    over it, and the corner terms of every group (one label at i = 0, all
+    but one at i = g) and the empty and full sides at both ends."""
+    g, n = draw(st.integers(2, 5)), draw(st.integers(1, 5))
+    tags = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    groups = sorted({tuple(j for j in range(1, n + 1) if tags[j - 1] == t) for t in tags})
+    sizes = tuple(map(len, groups))
+    coeff = st.integers(-3, 3)
+    terms = draw(st.lists(st.tuples(st.integers(0, g), st.tuples(*(st.integers(0, z) for z in sizes)), coeff),
+                          max_size=8))
+    for k in range(len(groups)):
+        one = tuple(int(t == k) for t in range(len(groups)))
+        terms += [(0, one, draw(coeff)), (g, tuple(map(sub, sizes, one)), draw(coeff))]
+    for i in (0, g):
+        terms += [(i, (0,) * len(groups), draw(coeff)), (i, sizes, draw(coeff))]
+    return g, n, groups, draw(st.permutations(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mirrored_terms(), st.lists(st.integers(-2, 2), min_size=5, max_size=5))
+def test_from_terms_ignores_which_side_names_a_term(data, psi):
+    # the terms and their mirrors (g - i, sizes - counts, c) build one vector:
+    # the same orbit coefficients and the same psi, the -psi_j corners and the
+    # zero sides routed alike from either name
+    g, n, groups, terms = data
+    sizes, psi = tuple(map(len, groups)), psi[:len(groups)]
+    mirrors = [(g - i, tuple(map(sub, sizes, counts)), c) for i, counts, c in terms]
+    a, b = (DivisorClass.from_terms(OrbitTable(g, n, groups), 1, psi, 2, ts) for ts in (terms, mirrors))
+    assert (a.orbits.coeffs, a.group_psi) == (b.orbits.coeffs, b.group_psi)
+    assert a == b
 
 
 # built once: constructing strategies inside every draw dominated the run time
